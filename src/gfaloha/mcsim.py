@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import stats as sps
@@ -48,7 +48,6 @@ class CollisionGraph:
     area: np.ndarray
     n_packets: int
     p: SystemParams
-    _adj: tuple | None = field(default=None, repr=False)
 
     @property
     def n_replicas(self) -> int:
@@ -58,18 +57,6 @@ class CollisionGraph:
         """Sparse (i, j) -> area map with i < j, for inspection and tests."""
         return {(int(a), int(b)): float(v)
                 for a, b, v in zip(self.ea, self.eb, self.area)}
-
-    def adjacency(self):
-        """CSR-style neighbor lists over the undirected edge set."""
-        if self._adj is None:
-            src = np.concatenate([self.ea, self.eb])
-            eidx = np.tile(np.arange(len(self.ea)), 2)
-            forward = np.concatenate([np.ones(len(self.ea), bool),
-                                      np.zeros(len(self.eb), bool)])
-            order = np.argsort(src, kind="stable")
-            indptr = np.searchsorted(src[order], np.arange(self.n_replicas + 1))
-            self._adj = (indptr, eidx[order], forward[order])
-        return self._adj
 
 
 def _segment_arange(counts: np.ndarray) -> np.ndarray:
@@ -148,35 +135,7 @@ def build_collision_graph(replicas, p: SystemParams,
 class SicOutcome:
     decoded: np.ndarray          # bool per packet id
     rounds: int
-    per_packet_delay: dict       # packet id -> decode delay within the frame, s
     residual_replicas: int       # replicas still on air when SIC stalled
-
-
-def _merge_intervals(iv: list[tuple[float, float]]) -> list[tuple[float, float]]:
-    iv.sort()
-    out = []
-    for lo, hi in iv:
-        if out and lo <= out[-1][1]:
-            if hi > out[-1][1]:
-                out[-1] = (out[-1][0], hi)
-        else:
-            out.append((lo, hi))
-    return out
-
-
-def _intersect_intervals(a, b):
-    out = []
-    i = j = 0
-    while i < len(a) and j < len(b):
-        lo = max(a[i][0], b[j][0])
-        hi = min(a[i][1], b[j][1])
-        if hi > lo:
-            out.append((lo, hi))
-        if a[i][1] < b[j][1]:
-            i += 1
-        else:
-            j += 1
-    return out
 
 
 def sic_decode(graph: CollisionGraph, p: SystemParams, policy: str = "mrc",
@@ -184,7 +143,7 @@ def sic_decode(graph: CollisionGraph, p: SystemParams, policy: str = "mrc",
                decodable: np.ndarray | None = None) -> SicOutcome:
     """Iterative decoding over the collision graph.
 
-    Per round every undecoded packet is tested under the chosen policy:
+    Per round the undecoded packets are tested under the chosen policy:
       none - some replica alone reaches SINR >= St
       mrc  - the summed replica SINRs reach St
       sc   - the union of interference-free stretches across the
@@ -193,98 +152,141 @@ def sic_decode(graph: CollisionGraph, p: SystemParams, policy: str = "mrc",
     sees the reduced interference; the loop stops at a fixpoint or after
     max_rounds. `decodable` marks packets the receiver may decode; the
     rest (already-failed earlier transmissions) only radiate.
+
+    Rounds are incremental. Every policy looks only at a packet's own
+    replicas and their alive edges, so a packet that failed in round k
+    and shares no edge with a packet decoded in round k sees the same
+    interference areas and the same dirty stretches in round k+1 and
+    fails again. Round 1 tests every decodable packet; round k+1
+    tests only that frontier. The result is the same as retesting all
+    undecoded packets every round, bit for bit: the interference area
+    of a replica is recomputed with a bincount over the alive edges
+    (never by subtracting cancelled areas, which drifts in float and can
+    flip threshold ties); the sc test takes every merged endpoint from
+    one edge's interval, as a loop over interval lists does, and sums
+    the stretches dirty on all replicas in ascending position, the
+    order of a left-to-right loop over the intersected intervals.
     """
     if policy not in ("none", "mrc", "sc"):
         raise ValueError(f"unknown decoding policy {policy!r}")
     if not (0.0 < cr <= 1.0):
         raise InvalidParamsError("coding-rate threshold must lie in (0, 1]")
-    npk, nrep = graph.n_packets, graph.n_replicas
+    npk = graph.n_packets
     decoded = np.zeros(npk, dtype=bool)
-    if decodable is None:
-        decodable = np.ones(npk, dtype=bool)
-    wtp = p.W * p.Tp
-    area_thresh = wtp * (1.0 / p.St - 1.0 / p.gamma)
+    decodable = (np.ones(npk, dtype=bool) if decodable is None
+                 else np.asarray(decodable, dtype=bool))
     pkt = graph.packet
+    pa, pb = pkt[graph.ea], pkt[graph.eb]
+    round_test = _ROUND_TESTS[policy](graph, p, cr)
+    test = decodable.copy()
     rounds = 0
-    per_delay: dict[int, float] = {}
-
-    rep_of: dict[int, list[int]] | None = None
 
     while rounds < max_rounds:
         rounds += 1
-        e_alive = ~decoded[pkt[graph.ea]] & ~decoded[pkt[graph.eb]]
-        m = (np.bincount(graph.ea[e_alive],
-                         weights=graph.area[e_alive], minlength=nrep)
-             + np.bincount(graph.eb[e_alive],
-                           weights=graph.area[e_alive], minlength=nrep))
-        cand = ~decoded & decodable
-        rep_live = cand[pkt]
-
-        if policy == "none":
-            ok_rep = rep_live & (m <= area_thresh + _AREA_TOL)
-            new = np.zeros(npk, dtype=bool)
-            new[pkt[ok_rep]] = True
-            new &= cand
-        elif policy == "mrc":
-            s = 1.0 / (m / wtp + 1.0 / p.gamma)
-            sums = np.bincount(pkt[rep_live], weights=s[rep_live], minlength=npk)
-            new = cand & (sums >= p.St * (1.0 - _SINR_TOL))
-        else:
-            if rep_of is None:
-                rep_of = {}
-                for r in range(nrep):
-                    rep_of.setdefault(int(pkt[r]), []).append(r)
-            new = _sc_round(graph, m, e_alive, cand, rep_of, cr, p)
-
+        new = round_test(~decoded[pa] & ~decoded[pb], test)
         if not new.any():
             break
-        for q in np.nonzero(new)[0]:
-            per_delay[int(q)] = p.M * p.Tp
         decoded |= new
+        # Next frontier: undecoded packets sharing an edge with a new decode.
+        test = np.zeros(npk, dtype=bool)
+        test[pb[new[pa]]] = True
+        test[pa[new[pb]]] = True
+        test &= decodable & ~decoded
 
     residual = int(np.count_nonzero(~decoded[pkt]))
-    return SicOutcome(decoded, rounds, per_delay, residual)
+    return SicOutcome(decoded, rounds, residual)
 
 
-def _sc_round(graph: CollisionGraph, m: np.ndarray, e_alive: np.ndarray,
-              cand: np.ndarray, rep_of: dict, cr: float,
-              p: SystemParams) -> np.ndarray:
-    """One round of the clean-fraction policy.
+# Each factory returns round_test(e_alive, test) -> bool per packet: the
+# packets of `test` that decode while the edges of `e_alive` are on air.
+
+def _interference_area(graph: CollisionGraph, e_alive: np.ndarray) -> np.ndarray:
+    """Overlap area per replica summed over the alive edges."""
+    area = graph.area[e_alive]
+    return (np.bincount(graph.ea[e_alive], weights=area, minlength=graph.n_replicas)
+            + np.bincount(graph.eb[e_alive], weights=area, minlength=graph.n_replicas))
+
+
+def _no_combining_test(graph: CollisionGraph, p: SystemParams, cr: float):
+    pkt = graph.packet
+    area_thresh = p.W * p.Tp * (1.0 / p.St - 1.0 / p.gamma)
+
+    def round_test(e_alive, test):
+        m = _interference_area(graph, e_alive)
+        new = np.zeros(graph.n_packets, dtype=bool)
+        new[pkt[test[pkt] & (m <= area_thresh + _AREA_TOL)]] = True
+        return new
+    return round_test
+
+
+def _mrc_test(graph: CollisionGraph, p: SystemParams, cr: float):
+    pkt = graph.packet
+    wtp = p.W * p.Tp
+
+    def round_test(e_alive, test):
+        m = _interference_area(graph, e_alive)
+        live = test[pkt]
+        s = 1.0 / (m[live] / wtp + 1.0 / p.gamma)
+        sums = np.bincount(pkt[live], weights=s, minlength=graph.n_packets)
+        return test & (sums >= p.St * (1.0 - _SINR_TOL))
+    return round_test
+
+
+def _clean_fraction_test(graph: CollisionGraph, p: SystemParams, cr: float):
+    """Clean-fraction policy: the replicas' clean stretches cover cr*Tp.
 
     A position inside the packet counts as clean if at least one replica
     carries it free of any overlapping, not yet cancelled replica; even
-    partial frequency overlap spoils the stretch it covers.
+    partial frequency overlap spoils the stretch it covers. An alive
+    edge dirties [max(0, d), min(Tp, d + Tp)) of a replica, d being the
+    interferer's start relative to the replica's: a prefix [0, d + Tp)
+    for d < 0, a suffix [d, Tp) otherwise. Sorted by (replica, d) once
+    per call, a replica's stretch ends never decrease, so the running
+    maximum of the ends is the end itself: a merged stretch runs from a
+    start above the previous end to the end of its last member. A +1/-1
+    sweep over each packet's merged endpoints then finds the stretches
+    where every replica is dirty; a replica without alive edges keeps
+    the depth below the replica count, so its packet covers nothing and
+    decodes.
     """
-    pkt = graph.packet
-    new = np.zeros(graph.n_packets, dtype=bool)
-    # Fast path: a completely clean replica reconstructs everything.
-    clean_rep = (m == 0.0) & cand[pkt]
-    new[pkt[clean_rep]] = True
+    pkt, tp, npk = graph.packet, p.Tp, graph.n_packets
+    rep = np.concatenate([graph.ea, graph.eb])
+    d = np.concatenate([graph.dt, -graph.dt])
+    order = np.argsort(d)
+    order = order[np.argsort(rep[order], kind="stable")]
+    rep, d = rep[order], d[order]
+    lo, hi = np.maximum(0.0, d), np.minimum(tp, d + tp)
+    edge = order % len(graph.ea)   # entry i of the concatenation is edge i mod E
+    rep_pkt = pkt[rep]
+    n_rep_of = np.bincount(pkt, minlength=npk)
+    need = cr * tp - 1e-12
 
-    check = np.nonzero(cand & ~new)[0]
-    if check.size == 0:
-        return new
-    indptr, eidx, forward = graph.adjacency()
-    for q in check:
-        dirty_sets = []
-        for r in rep_of.get(int(q), []):
-            iv = []
-            for k in range(indptr[r], indptr[r + 1]):
-                e = eidx[k]
-                if not e_alive[e]:
-                    continue
-                d = graph.dt[e] if forward[k] else -graph.dt[e]
-                iv.append((max(0.0, d), min(p.Tp, d + p.Tp)))
-            dirty_sets.append(_merge_intervals(iv))
-        inter = dirty_sets[0] if dirty_sets else []
-        for s in dirty_sets[1:]:
-            inter = _intersect_intervals(inter, s)
-            if not inter:
-                break
-        covered = sum(hi - lo for lo, hi in inter)
-        if p.Tp - covered >= cr * p.Tp - 1e-12:
-            new[q] = True
-    return new
+    def round_test(e_alive, test):
+        sel = np.flatnonzero(test[rep_pkt] & e_alive[edge])
+        covered = np.zeros(npk)
+        if sel.size:
+            r, lo_s, hi_s = rep[sel], lo[sel], hi[sel]
+            first = np.ones(sel.size, dtype=bool)
+            first[1:] = (r[1:] != r[:-1]) | (lo_s[1:] > hi_s[:-1])
+            starts = np.flatnonzero(first)
+            ends = np.append(starts[1:], sel.size) - 1
+            c_pkt = rep_pkt[sel[starts]]
+            # Ends sort before starts at one position, so the depth reaches
+            # the replica count only on stretches of positive length.
+            pos = np.concatenate([lo_s[starts], hi_s[ends]])
+            step = np.repeat(np.array([1, -1], dtype=np.int64), starts.size)
+            epk = np.concatenate([c_pkt, c_pkt])
+            o = np.lexsort((step, pos, epk))
+            pos, epk = pos[o], epk[o]
+            full = np.flatnonzero(np.cumsum(step[o]) == n_rep_of[epk])
+            covered = np.bincount(epk[full], weights=pos[full + 1] - pos[full],
+                                  minlength=npk)
+        return test & (tp - covered >= need)
+    return round_test
+
+
+_ROUND_TESTS = {"none": _no_combining_test, "mrc": _mrc_test,
+                "sc": _clean_fraction_test}
 
 
 # ---------------------------------------------------------------------------
