@@ -19,7 +19,7 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import stats
@@ -106,6 +106,10 @@ class InterferenceCdf:
     grid: np.ndarray
     cdf: np.ndarray
     meta: dict
+    # Convolution powers of the thinned single-interferer pmf, built on
+    # first use by unconditional_cdf (see _interferer_powers).
+    _powers: _PmfPowers | None = field(default=None, init=False,
+                                       repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.grid) != len(self.cdf) or len(self.grid) < 2:
@@ -232,13 +236,54 @@ def _convolve_pmf(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pmf_powers(pmf: np.ndarray, n_max: int) -> np.ndarray:
-    """Rows 0..n_max of the n-fold self-convolution of pmf."""
-    rows = np.zeros((n_max + 1, len(pmf)))
-    rows[0, 0] = 1.0
-    for n in range(1, n_max + 1):
-        rows[n] = _convolve_pmf(rows[n - 1], pmf)
-    return rows
+def _nfold(pmf: np.ndarray, n: int) -> np.ndarray:
+    """n-fold self-convolution of pmf (n >= 1), folded onto its length."""
+    out = pmf
+    for _ in range(n - 1):
+        out = _convolve_pmf(out, pmf)
+    return out
+
+
+class _PmfPowers:
+    """Rows 0, 1, 2, ... of the n-fold self-convolution of one pmf.
+
+    Rows are computed on demand and kept, so a fixed-point solve pays for
+    each row once however many rates it visits. Growth stops at the first
+    row with no mass below the top bin (`saturated`): convolving it again
+    only moves mass within the top bin, so every later row equals it
+    below the top and the table stays bounded at any interferer count.
+    """
+
+    def __init__(self, pmf: np.ndarray):
+        self.pmf = pmf
+        self._rows = np.zeros((64, len(pmf)))
+        self._rows[0, 0] = 1.0
+        self.n = 0              # highest row computed
+        self.saturated = False
+
+    def upto(self, n_max: int) -> np.ndarray:
+        """Rows 0..n_max, or 0..n if row n < n_max is saturated."""
+        while self.n < n_max and not self.saturated:
+            if self.n + 1 == len(self._rows):
+                grown = np.zeros((2 * len(self._rows), len(self.pmf)))
+                grown[: self.n + 1] = self._rows
+                self._rows = grown
+            row = self._rows[self.n + 1]
+            row[:] = _convolve_pmf(self._rows[self.n], self.pmf)
+            self.n += 1
+            self.saturated = not row[:-1].any()
+        return self._rows[: min(n_max, self.n) + 1]
+
+
+def _interferer_powers(base: InterferenceCdf) -> _PmfPowers:
+    """Power table of one interferer's area law, thinned by the base's
+    conditional-overlap probability; built once per base."""
+    if base._powers is None:
+        p_ov = base.meta.get("overlap_prob", 1.0)
+        pmf1 = base.pmf() * p_ov
+        pmf1[0] += 1.0 - p_ov
+        base._powers = _PmfPowers(pmf1)
+    return base._powers
 
 
 def convolve_cdf(a: InterferenceCdf, b: InterferenceCdf) -> InterferenceCdf:
@@ -263,24 +308,29 @@ def unconditional_cdf(base: InterferenceCdf, g: float, p: SystemParams,
     with mean mu = 2*g*Tp; each contributes the base law, thinned by the
     base's conditional-overlap probability. mixture selects either the
     full Poisson mixture over the count or the fixed-count shortcut
-    ceil(mu) - 1.
+    ceil(mu) - 1. The n-fold laws come from the base's power table, so
+    repeated calls on one base (a fixed-point solve) convolve each count
+    once; counts past the table's saturated row read that row, which
+    differs from the true law only inside the top bin.
     """
     if g < 0:
         raise InvalidParamsError("replica rate must be nonnegative")
     mu = 2.0 * g * p.Tp
-    p_ov = base.meta.get("overlap_prob", 1.0)
-    pmf1 = base.pmf() * p_ov
-    pmf1[0] += 1.0 - p_ov
     if mixture == "poisson":
         if mu == 0.0:
             n_max = 0
         else:
             n_max = int(stats.poisson.ppf(1.0 - tail_tol, mu))
-        weights = stats.poisson.pmf(np.arange(n_max + 1), mu)
-        mix = weights @ _pmf_powers(pmf1, n_max)
+        rows = _interferer_powers(base).upto(n_max)
+        n_top = len(rows) - 1
+        weights = stats.poisson.pmf(np.arange(n_top + 1), mu)
+        if n_top < n_max:
+            # Rows n_top..n_max are all the saturated row below the top bin.
+            weights[n_top] = stats.poisson.pmf(
+                np.arange(n_top, n_max + 1), mu).sum()
+        mix = weights @ rows
     elif mixture == "mean-count":
-        n = _mean_count(mu)
-        mix = _pmf_powers(pmf1, n)[n]
+        mix = _interferer_powers(base).upto(_mean_count(mu))[-1]
     else:
         raise ValueError(f"unknown mixture mode {mixture!r}")
     cdf = np.minimum(np.cumsum(mix), 1.0)
@@ -314,7 +364,7 @@ def outage_mrc(cdf: InterferenceCdf, p: SystemParams) -> float:
     x = p.W * p.Tp * (p.N / p.St - 1.0 / p.gamma)
     if x < 0:
         return 1.0
-    pmf_n = _pmf_powers(cdf.pmf(), p.N)[p.N]
+    pmf_n = _nfold(cdf.pmf(), p.N)
     summed = InterferenceCdf(cdf.grid, np.minimum(np.cumsum(pmf_n), 1.0),
                              {"kind": "replica-sum", "n": p.N})
     return 1.0 - float(summed.value_at(x))
@@ -339,10 +389,12 @@ def outage_mrc_sinr(cdf: InterferenceCdf, p: SystemParams,
     s_of_a = 1.0 / (cdf.grid / wtp + 1.0 / p.gamma)
     ds = p.N * p.gamma / (points - 1)
     idx = np.rint(s_of_a / ds).astype(np.int64)
-    branch = np.bincount(idx, weights=pmf, minlength=points)[:points]
-    total = branch.copy()
-    for _ in range(p.N - 1):
-        total = _convolve_pmf(total, branch)
+    # Only the CDF at St is read, and a convolution's first k bins depend
+    # only on its inputs' first k bins: keep the bins up to St plus two,
+    # so the folded top bin of the truncated convolution is never read.
+    keep = min(points, int(p.St / ds) + 3)
+    branch = np.bincount(idx, weights=pmf, minlength=points)[:keep]
+    total = _nfold(branch, p.N)
     grid = np.arange(total.size) * ds
     return float(np.interp(p.St, grid, np.minimum(np.cumsum(total), 1.0)))
 
@@ -457,7 +509,6 @@ def solve_offered_load(lambda_agg: float, p: SystemParams, policy: str = "mrc",
         base = build_base_cdf(p)
     g_floor = p.N * lambda_agg
     g = g_floor
-    po = analytic_outage(base, g, p, policy, mixture=mixture)
     status = "max-iterations"
     it = 0
     for it in range(1, max_iter + 1):
@@ -472,5 +523,7 @@ def solve_offered_load(lambda_agg: float, p: SystemParams, policy: str = "mrc",
             status = "converged"
             break
         g = g_next
+    if it == 0:
+        po = analytic_outage(base, g, p, policy, mixture=mixture)
     point = LoadPoint(lambda_agg, g, offered_load_of(g, p))
     return SolveResult(point, po, status, it)

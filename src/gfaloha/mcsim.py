@@ -448,7 +448,8 @@ def run_granted_baseline(rng: np.random.Generator, lambda_agg: float,
     Devices with a pending report pick one of the period's RA
     opportunities; a singleton pick wins a collision-free data slot.
     Losers retry next period. Energy uses the same accounting as the
-    analytic baseline with the measured attempt count.
+    analytic baseline with the measured attempt count. Periods with an
+    empty backlog and no fresh arrival draw nothing and are skipped.
     """
     arrivals = generate_arrivals(rng, lambda_agg, horizon)
     n = arrivals.size
@@ -461,20 +462,42 @@ def run_granted_baseline(rng: np.random.Generator, lambda_agg: float,
     attempts = np.zeros(n, dtype=np.int64)
     done_period = np.full(n, -1, dtype=np.int64)
     order = np.argsort(first_period, kind="stable")
-    bounds = np.searchsorted(first_period[order], np.arange(n_periods + 1))
-    backlog = np.empty(0, dtype=np.int64)
-    for t in range(n_periods):
-        fresh = order[bounds[t]:bounds[t + 1]]
-        if fresh.size:
-            backlog = np.concatenate([backlog, fresh])
+    # Periods with a fresh arrival, and each one's slice of `order`.
+    busy, starts = np.unique(first_period[order], return_index=True)
+    k = int(np.searchsorted(busy, n_periods))   # busy[:k] lie in the horizon
+    busy = busy.tolist()
+    bounds = starts.tolist() + [n]
+    i = 0
+    t = 0
+    backlog = order[:0]
+    while True:
         if backlog.size == 0:
-            continue
-        picks = rng.integers(0, opportunities, size=backlog.size)
-        slot_counts = np.bincount(picks, minlength=opportunities)
-        won = slot_counts[picks] == 1
-        attempts[backlog] += 1
-        done_period[backlog[won]] = t
-        backlog = backlog[~won]
+            # Idle periods draw nothing: jump to the next fresh arrival.
+            if i == k:
+                break
+            t = busy[i]
+        elif t == n_periods:
+            break
+        if i < k and busy[i] == t:
+            fresh = order[bounds[i]:bounds[i + 1]]
+            backlog = np.concatenate([backlog, fresh]) if backlog.size else fresh
+            i += 1
+        if backlog.size == 1:
+            # A lone report always wins. Its pick is still drawn (a scalar
+            # draw takes the same stream as size=1) so the generator state
+            # does not depend on this shortcut.
+            rng.integers(0, opportunities)
+            j = backlog[0]
+            attempts[j] += 1
+            done_period[j] = t
+            backlog = backlog[:0]
+        else:
+            picks = rng.integers(0, opportunities, size=backlog.size)
+            won = np.bincount(picks, minlength=opportunities)[picks] == 1
+            attempts[backlog] += 1
+            done_period[backlog[won]] = t
+            backlog = backlog[~won]
+        t += 1
 
     got = measured & (done_period >= 0)
     delivered = int(got.sum())
