@@ -398,8 +398,9 @@ def validate_receiver(cfg: ExperimentConfig) -> dict:
         "q_zero_symbols": dt.shift_at(0.0) // p.samples_per_symbol,
         "q_max_symbols": int(np.max(np.abs(dt.shifts))) // p.samples_per_symbol,
         "bound_symbols": bound,
-        "deterministic": bool(np.array_equal(dt.shifts, dt2.shifts)
-                              and np.array_equal(dt.gains, dt2.gains)),
+        "deterministic": all(np.array_equal(getattr(dt, f), getattr(dt2, f))
+                             for f in ("shifts", "gains", "alt_indptr",
+                                       "alt_lags")),
     }
     drift["pass"] = (drift["q_zero_symbols"] == 0
                      and drift["q_max_symbols"] <= bound

@@ -22,10 +22,10 @@ from scipy.signal import fftconvolve
 
 from .params import InvalidParamsError, SystemParams
 
+_DRIFT_BLOCK = 64   # CFO rows per drift-table FFT block: bounds memory
 _PAM_LEVELS = np.array([0.0, 1.0, 2.0, 3.0]) / math.sqrt(3.5)
 # Gray labels for level index 0..3
 _GRAY_BITS = np.array([[0, 0], [0, 1], [1, 1], [1, 0]], dtype=np.uint8)
-_GRAY_INDEX = {(0, 0): 0, (0, 1): 1, (1, 1): 2, (1, 0): 3}
 
 
 # ---------------------------------------------------------------------------
@@ -101,12 +101,13 @@ def zc_preamble(nzc: int = 23, root: int = 5) -> ComplexSignal:
 
 def pam4_map(bits) -> np.ndarray:
     """Bit pairs to nonnegative 4-PAM amplitudes, unit mean power, Gray."""
-    bits = np.asarray(bits, dtype=np.uint8).ravel()
+    bits = np.asarray(bits).ravel()
     if bits.size % 2:
         raise InvalidParamsError("bit count must be even for 2 bits/symbol")
-    pairs = bits.reshape(-1, 2)
-    idx = np.array([_GRAY_INDEX[(int(a), int(b))] for a, b in pairs])
-    return _PAM_LEVELS[idx]
+    if not np.all((bits == 0) | (bits == 1)):
+        raise InvalidParamsError("bits must be 0 or 1")
+    a, b = bits.astype(np.int64).reshape(-1, 2).T
+    return _PAM_LEVELS[2 * a + (a ^ b)]
 
 
 def pam4_demap(amplitudes) -> np.ndarray:
@@ -280,57 +281,53 @@ def upsampled_preamble(p: SystemParams) -> np.ndarray:
     return _upsample(zc_preamble(p.Nzc).samples, p.samples_per_symbol)
 
 
-def correlate_preamble(ev: DetectionEvent, cfo: float, preamble: np.ndarray,
-                       eta: float = 0.5) -> tuple[np.ndarray, np.ndarray]:
-    """Matched-filter the cfo-demodulated buffer against the preamble.
-
-    Returns local maxima of |correlation| above eta * ||preamble||^2,
-    with non-maximum suppression over half a preamble-symbol span.
-    The clean full-overlap peak magnitude equals ||preamble||^2.
-    """
-    y = ev.buffer.samples * np.exp(-2j * math.pi * cfo
-                                   * np.arange(ev.buffer.samples.size)
-                                   / ev.buffer.fs)
-    if y.size < preamble.size:
-        return np.empty(0, dtype=np.int64), np.empty(0)
-    c = np.abs(fftconvolve(y, np.conj(preamble[::-1]), mode="valid"))
-    thr = eta * float(np.sum(np.abs(preamble) ** 2))
-    is_max = np.zeros(c.size, dtype=bool)
-    if c.size == 1:
-        is_max[0] = True
-    else:
-        is_max[0] = c[0] >= c[1]
-        is_max[-1] = c[-1] >= c[-2]
-        is_max[1:-1] = (c[1:-1] >= c[:-2]) & (c[1:-1] >= c[2:])
-    cand = np.flatnonzero(is_max & (c > thr))
-    cand = cand[np.argsort(c[cand])[::-1]]
-    sep = max(1, preamble.size // (2 * 23))  # about half a symbol
-    chosen: list[int] = []
-    for k in cand:
-        if all(abs(k - q) > sep for q in chosen):
-            chosen.append(int(k))
-    chosen.sort()
-    pos = np.array(chosen, dtype=np.int64)
-    return pos, c[pos]
-
-
 def peak_map(ev: DetectionEvent, cfos: list[float], p: SystemParams,
              eta: float = 0.5) -> PeakMap:
     """Correlate the event against the preamble on every CFO branch.
 
-    Each branch also records its carrier-line strength (the event
-    spectrum sampled at the branch CFO): a real arrival concentrates a
-    packet-long tone there while sidelobe lines run well below it.
+    The buffer is demodulated for all branches at once and matched-
+    filtered in one batched FFT convolution. Each branch keeps the local
+    maxima of |correlation| above eta * ||preamble||^2, with non-maximum
+    suppression over half a preamble symbol; the clean full-overlap peak
+    magnitude equals ||preamble||^2. Each branch also records its
+    carrier-line strength (the event spectrum sampled at the branch
+    CFO): a real arrival concentrates a packet-long tone there while
+    sidelobe lines run well below it.
     """
     x = ev.buffer.samples
-    t = np.arange(x.size) / ev.buffer.fs
+    fs = ev.buffer.fs
     pre = upsampled_preamble(p)
-    branches = []
-    for f in cfos:
-        pos, mag = correlate_preamble(ev, f, pre, eta=eta)
-        w = float(np.abs(np.sum(x * np.exp(-2j * math.pi * f * t))))
-        branches.append(PeakBranch(f, pos, mag, w))
     span = max(0, x.size - pre.size + 1)
+    if len(cfos) == 0:
+        return PeakMap([], span)
+    f = np.asarray(cfos, dtype=float)[:, None]
+    k = np.arange(x.size)
+    t = k / fs
+    weights = np.abs(np.sum(x * np.exp(-2j * math.pi * f * t), axis=1))
+    if span == 0:
+        corr = np.empty((f.shape[0], 0))
+    else:
+        y = x * np.exp(-2j * math.pi * f * k / fs)
+        corr = np.abs(fftconvolve(y, np.conj(pre[::-1])[None, :],
+                                  mode="valid", axes=1))
+    is_max = np.ones(corr.shape, dtype=bool)
+    if span > 1:
+        is_max[:, 0] = corr[:, 0] >= corr[:, 1]
+        is_max[:, -1] = corr[:, -1] >= corr[:, -2]
+        is_max[:, 1:-1] = ((corr[:, 1:-1] >= corr[:, :-2])
+                           & (corr[:, 1:-1] >= corr[:, 2:]))
+    is_max &= corr > eta * float(np.sum(np.abs(pre) ** 2))
+    sep = max(1, p.samples_per_symbol // 2)
+    branches = []
+    for cfo, w, c, m in zip(cfos, weights, corr, is_max):
+        cand = np.flatnonzero(m)
+        chosen: list[int] = []
+        for j in cand[np.argsort(c[cand])[::-1]].tolist():
+            if all(abs(j - q) > sep for q in chosen):
+                chosen.append(j)
+        chosen.sort()
+        pos = np.array(chosen, dtype=np.int64)
+        branches.append(PeakBranch(cfo, pos, c[pos], float(w)))
     return PeakMap(branches, span)
 
 
@@ -393,11 +390,12 @@ def build_drift_table(nzc: int, tb: float, fs: float,
                       alt_frac: float = 0.8) -> DriftTable:
     """Measure the correlation-peak drift of a CFO-hit preamble.
 
-    For each offset the clean preamble is correlated against its
-    modulated copy and the argmax lag is reduced to its cyclic symbol
-    lag, so the stored drift steps through whole symbols and stays
-    within +-floor(Nzc/2) symbols of zero by construction. The gain is
-    the relative peak magnitude; where it collapses toward the sidelobe
+    For each offset of cfo_grid (ascending and uniform, at least two
+    points) the clean preamble is correlated against its modulated copy
+    and the argmax lag is reduced to its cyclic symbol lag, so the
+    stored drift steps through whole symbols and stays within
+    +-floor(Nzc/2) symbols of zero by construction. The gain is the
+    relative peak magnitude; where it collapses toward the sidelobe
     floor the argmax carries no information and the stored lag is
     meaningless (consumers gate on the gain). Magnitude ties resolve to
     the smallest |lag| with the sign of the offset.
@@ -415,47 +413,55 @@ def build_drift_table(nzc: int, tb: float, fs: float,
     if cfo_grid is None:
         cfo_grid = np.arange(-400.0, 401.0)
     cfo_grid = np.asarray(cfo_grid, dtype=float)
+    if cfo_grid.ndim != 1 or cfo_grid.size < 2:
+        raise InvalidParamsError("cfo_grid needs at least two points")
+    step = np.diff(cfo_grid)
+    if not (np.all(step > 0) and np.ptp(step) <= 1e-6 * step[0]):
+        raise InvalidParamsError("cfo_grid must be ascending and uniform")
     pre = _upsample(zc_preamble(nzc).samples, sps)
     n = pre.size
     t = np.arange(n) / fs
-    shifted = pre[None, :] * np.exp(2j * math.pi * cfo_grid[:, None] * t[None, :])
     nfft = 1 << int(math.ceil(math.log2(2 * n - 1)))
-    f_pre = np.fft.fft(pre, nfft)
-    f_sh = np.fft.fft(shifted, nfft, axis=1)
-    corr = np.fft.ifft(f_sh * np.conj(f_pre)[None, :], axis=1)
+    f_pre = np.conj(np.fft.fft(pre, nfft))[None, :]
     # lag k in [-(n-1), n-1] sits at circular index k mod nfft
     lags = np.concatenate([np.arange(0, n), np.arange(-(n - 1), 0)])
     idx = np.concatenate([np.arange(0, n), nfft - np.arange(n - 1, 0, -1)])
-    mag = np.abs(corr[:, idx])
-    energy = float(np.sum(np.abs(pre) ** 2))
+    # cyclic lag wrapped into half a preamble period, symbol-quantized;
+    # linear-correlation complements at Q -+ Nzc*sps are re-expanded by
+    # the consumers that need them
     half = nzc // 2
+    sym = np.clip(np.rint(((lags + n // 2) % n - n // 2) / sps),
+                  -half, half).astype(np.int64)
+    # magnitude ties go to the smallest |lag|, then to the lag with the
+    # offset's sign (rank - sign product), then to the first index
+    rank = 3 * np.abs(lags) + 1
+    lag_sign = np.sign(lags)
+    energy = float(np.sum(np.abs(pre) ** 2))
 
-    def canon(lag: int) -> int:
-        # cyclic lag wrapped into half a preamble period, symbol-quantized;
-        # linear-correlation complements at Q -+ Nzc*sps are re-expanded
-        # by the consumers that need them
-        q = (lag + n // 2) % n - n // 2
-        return int(np.clip(round(q / sps), -half, half)) * sps
-
-    shifts = np.empty(cfo_grid.size, dtype=np.int64)
-    gains = np.empty(cfo_grid.size)
-    alt_indptr = np.zeros(cfo_grid.size + 1, dtype=np.int64)
-    alt_rows = []
-    for i in range(cfo_grid.size):
-        top = mag[i].max()
-        tie = np.flatnonzero(mag[i] >= top * (1.0 - 1e-9))
-        tl = lags[tie]
-        best = tl[np.lexsort((-np.sign(tl) * np.sign(cfo_grid[i]), np.abs(tl)))][0]
-        shifts[i] = canon(int(best))
-        gains[i] = top / energy
-        near = np.unique([canon(int(v))
-                          for v in lags[mag[i] >= top * alt_frac]])
-        alt_rows.append(near)
-        alt_indptr[i + 1] = alt_indptr[i] + near.size
+    rows = cfo_grid.size
+    shifts = np.empty(rows, dtype=np.int64)
+    gains = np.empty(rows)
+    near = np.zeros((rows, nzc), dtype=bool)   # column: symbol lag + half
+    for lo in range(0, rows, _DRIFT_BLOCK):
+        f = cfo_grid[lo: lo + _DRIFT_BLOCK]
+        shifted = pre[None, :] * np.exp(2j * math.pi * f[:, None] * t[None, :])
+        corr = np.fft.ifft(np.fft.fft(shifted, nfft, axis=1) * f_pre, axis=1)
+        mag = np.abs(corr[:, idx])
+        top = mag.max(axis=1)
+        tie = mag >= (top * (1.0 - 1e-9))[:, None]
+        score = rank - np.sign(f).astype(np.int64)[:, None] * lag_sign
+        best = np.argmin(np.where(tie, score, np.iinfo(np.int64).max), axis=1)
+        shifts[lo: lo + f.size] = sym[best] * sps
+        gains[lo: lo + f.size] = top / energy
+        r, c = np.nonzero(mag >= (top * alt_frac)[:, None])
+        near[lo + r, sym[c] + half] = True
+    alt_indptr = np.zeros(rows + 1, dtype=np.int64)
+    np.cumsum(near.sum(axis=1), out=alt_indptr[1:])
+    alt_lags = (np.nonzero(near)[1] - half).astype(np.int64) * sps
     return DriftTable(cfo_grid, shifts, gains,
                       {"nzc": nzc, "tb": tb, "fs": fs, "sps": sps,
                        "alt_frac": alt_frac},
-                      alt_indptr, np.concatenate(alt_rows))
+                      alt_indptr, alt_lags)
 
 
 # ---------------------------------------------------------------------------

@@ -72,6 +72,12 @@ def test_pam4_mapping():
         sg.pam4_map([0, 1, 0])
 
 
+@pytest.mark.parametrize("bits", [[0, 2], [1, 1, 3, 0], [0.5, 1]])
+def test_pam4_map_rejects_non_binary(bits):
+    with pytest.raises(InvalidParamsError):
+        sg.pam4_map(bits)
+
+
 def test_gray_labels_adjacent():
     grid = sg.pam4_map([0, 0, 0, 1, 1, 1, 1, 0]).reshape(-1)
     bits = sg.pam4_demap(grid).reshape(-1, 2)
@@ -173,14 +179,30 @@ def test_periodogram_guards():
     assert sg.periodogram_cfos(empty, P) == []
 
 
-def test_correlate_preamble_clean_peak():
+def test_peak_map_clean_peak():
     rng = np.random.default_rng(7)
     sig = packet_stream([(800, 25.0, None)], 4000, rng=rng)
     ev = sg.DetectionEvent(0.0, 1.0, sg.ComplexSignal(sig, P.Fs), 1.0)
-    pos, mag = sg.correlate_preamble(ev, 25.0, sg.upsampled_preamble(P))
-    assert 800 in pos.tolist()
-    k = pos.tolist().index(800)
-    assert mag[k] == pytest.approx(E_PRE, rel=1e-6)
+    branch = sg.peak_map(ev, [25.0], P).branches[0]
+    assert 800 in branch.positions.tolist()
+    k = branch.positions.tolist().index(800)
+    assert branch.magnitudes[k] == pytest.approx(E_PRE, rel=1e-6)
+
+
+def test_peak_map_suppression_spans_half_a_symbol():
+    # at Nzc = 11 a noise-born pair of maxima 20 samples apart must
+    # collapse to one peak: the suppression span is half a symbol,
+    # whatever the preamble length
+    p = SystemParams(Nzc=11)
+    rng = np.random.default_rng(6)
+    sig = np.zeros(6000, dtype=complex)
+    pk = sg.synthesize_packet(None, p, 20.0, rng=rng).samples
+    sig[500: 500 + pk.size] += pk
+    noisy = sg.awgn(sg.ComplexSignal(sig, p.Fs), p.gamma, rng)
+    ev = sg.DetectionEvent(0.0, 1.5, noisy, 1.5)
+    pos = sg.peak_map(ev, [20.0], p).branches[0].positions
+    assert 500 in pos.tolist()
+    assert np.all(np.diff(pos) > p.samples_per_symbol // 2)
 
 
 def test_peak_map_branch_weights():
@@ -222,7 +244,20 @@ def test_drift_table_deterministic(dt):
     again = sg.build_drift_table(P.Nzc, P.Tb, P.Fs)
     assert np.array_equal(dt.shifts, again.shifts)
     assert np.array_equal(dt.gains, again.gains)
+    assert np.array_equal(dt.alt_indptr, again.alt_indptr)
     assert np.array_equal(dt.alt_lags, again.alt_lags)
+
+
+@pytest.mark.parametrize("grid", [
+    [5.0],                  # one point: no grid step
+    [2.0, 1.0, 3.0],        # not ascending
+    [1.0, 1.0, 2.0],        # repeated point
+    [0.0, 1.0, 3.0],        # not uniform
+    [[0.0, 1.0]],           # not one-dimensional
+])
+def test_drift_table_rejects_bad_grids(grid):
+    with pytest.raises(InvalidParamsError):
+        sg.build_drift_table(P.Nzc, P.Tb, P.Fs, cfo_grid=np.array(grid))
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,294 @@
+"""Differential tests of the array receiver layers against the old loops.
+
+`build_drift_table` builds its table in blocks of CFO rows with masked
+array selections, and `peak_map` correlates every CFO branch of an event
+in one batched FFT convolution. The per-row drift loop and the
+per-branch correlation they replaced are kept here as a test-only
+reference; every field must come out bit-equal, dtypes included.
+"""
+
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from scipy.signal import fftconvolve
+
+from gfaloha import sigchain as sg
+from gfaloha.params import SystemParams
+
+P = SystemParams()
+# odd preamble lengths up to 31 for which the root 5 is a valid ZC root
+NZC = [n for n in range(3, 32, 2) if n > 5 and math.gcd(5, n) == 1]
+
+
+# ---------------------------------------------------------------------------
+# Reference: the per-row drift loop and the per-branch correlation
+# ---------------------------------------------------------------------------
+
+def ref_build_drift_table(nzc, tb, fs, cfo_grid=None, alt_frac=0.8):
+    sps = round(fs * tb)
+    if cfo_grid is None:
+        cfo_grid = np.arange(-400.0, 401.0)
+    cfo_grid = np.asarray(cfo_grid, dtype=float)
+    pre = np.repeat(sg.zc_preamble(nzc).samples, sps)
+    n = pre.size
+    t = np.arange(n) / fs
+    shifted = pre[None, :] * np.exp(2j * math.pi * cfo_grid[:, None] * t[None, :])
+    nfft = 1 << int(math.ceil(math.log2(2 * n - 1)))
+    f_pre = np.fft.fft(pre, nfft)
+    f_sh = np.fft.fft(shifted, nfft, axis=1)
+    corr = np.fft.ifft(f_sh * np.conj(f_pre)[None, :], axis=1)
+    lags = np.concatenate([np.arange(0, n), np.arange(-(n - 1), 0)])
+    idx = np.concatenate([np.arange(0, n), nfft - np.arange(n - 1, 0, -1)])
+    mag = np.abs(corr[:, idx])
+    energy = float(np.sum(np.abs(pre) ** 2))
+    half = nzc // 2
+
+    def canon(lag):
+        q = (lag + n // 2) % n - n // 2
+        return int(np.clip(round(q / sps), -half, half)) * sps
+
+    shifts = np.empty(cfo_grid.size, dtype=np.int64)
+    gains = np.empty(cfo_grid.size)
+    alt_indptr = np.zeros(cfo_grid.size + 1, dtype=np.int64)
+    alt_rows = []
+    for i in range(cfo_grid.size):
+        top = mag[i].max()
+        tie = np.flatnonzero(mag[i] >= top * (1.0 - 1e-9))
+        tl = lags[tie]
+        best = tl[np.lexsort((-np.sign(tl) * np.sign(cfo_grid[i]), np.abs(tl)))][0]
+        shifts[i] = canon(int(best))
+        gains[i] = top / energy
+        near = np.unique([canon(int(v)) for v in lags[mag[i] >= top * alt_frac]])
+        alt_rows.append(near)
+        alt_indptr[i + 1] = alt_indptr[i] + near.size
+    return sg.DriftTable(cfo_grid, shifts, gains,
+                         {"nzc": nzc, "tb": tb, "fs": fs, "sps": sps,
+                          "alt_frac": alt_frac},
+                         alt_indptr, np.concatenate(alt_rows))
+
+
+def ref_correlate_preamble(ev, cfo, preamble, sep, eta=0.5):
+    y = ev.buffer.samples * np.exp(-2j * math.pi * cfo
+                                   * np.arange(ev.buffer.samples.size)
+                                   / ev.buffer.fs)
+    if y.size < preamble.size:
+        return np.empty(0, dtype=np.int64), np.empty(0)
+    c = np.abs(fftconvolve(y, np.conj(preamble[::-1]), mode="valid"))
+    thr = eta * float(np.sum(np.abs(preamble) ** 2))
+    is_max = np.zeros(c.size, dtype=bool)
+    if c.size == 1:
+        is_max[0] = True
+    else:
+        is_max[0] = c[0] >= c[1]
+        is_max[-1] = c[-1] >= c[-2]
+        is_max[1:-1] = (c[1:-1] >= c[:-2]) & (c[1:-1] >= c[2:])
+    cand = np.flatnonzero(is_max & (c > thr))
+    cand = cand[np.argsort(c[cand])[::-1]]
+    chosen = []
+    for k in cand:
+        if all(abs(k - q) > sep for q in chosen):
+            chosen.append(int(k))
+    chosen.sort()
+    pos = np.array(chosen, dtype=np.int64)
+    return pos, c[pos]
+
+
+def ref_peak_map(ev, cfos, p, eta=0.5):
+    # the separation is the corrected half symbol; at Nzc = 23 it equals
+    # the old preamble.size // (2 * 23)
+    x = ev.buffer.samples
+    t = np.arange(x.size) / ev.buffer.fs
+    pre = sg.upsampled_preamble(p)
+    sep = max(1, p.samples_per_symbol // 2)
+    branches = []
+    for f in cfos:
+        pos, mag = ref_correlate_preamble(ev, f, pre, sep, eta=eta)
+        w = float(np.abs(np.sum(x * np.exp(-2j * math.pi * f * t))))
+        branches.append(sg.PeakBranch(f, pos, mag, w))
+    return sg.PeakMap(branches, max(0, x.size - pre.size + 1))
+
+
+def assert_same_array(a, b):
+    assert a.dtype == b.dtype
+    assert a.shape == b.shape
+    assert np.array_equal(a, b)
+    # bit-equal, so +0.0 and -0.0 differ too
+    assert a.tobytes() == b.tobytes()
+
+
+def assert_same_table(got, want):
+    for name in ("cfos", "shifts", "gains", "alt_indptr", "alt_lags"):
+        assert_same_array(getattr(got, name), getattr(want, name))
+    assert got.meta == want.meta
+
+
+def assert_same_map(got, want):
+    assert got.span == want.span
+    assert len(got.branches) == len(want.branches)
+    for g, w in zip(got.branches, want.branches):
+        assert g.cfo == w.cfo
+        assert_same_array(g.positions, w.positions)
+        assert_same_array(g.magnitudes, w.magnitudes)
+        assert type(g.weight) is float and g.weight == w.weight
+
+
+# ---------------------------------------------------------------------------
+# Drift table
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def ref_default():
+    return ref_build_drift_table(P.Nzc, P.Tb, P.Fs)
+
+
+@pytest.mark.parametrize("block", [1, 7, 64, 801])
+def test_default_table_equal_for_any_block(ref_default, block, monkeypatch):
+    monkeypatch.setattr(sg, "_DRIFT_BLOCK", block)
+    assert_same_table(sg.build_drift_table(P.Nzc, P.Tb, P.Fs), ref_default)
+
+
+@st.composite
+def drift_cases(draw):
+    nzc = draw(st.sampled_from(NZC))
+    sps = draw(st.integers(1, 40))
+    fs = 4000.0
+    tb = sps / fs
+    rows = draw(st.integers(2, 40))
+    kind = draw(st.sampled_from(["uniform", "zero", "bins"]))
+    if kind == "uniform":
+        start = draw(st.floats(-600.0, 600.0, allow_nan=False))
+        step = draw(st.floats(0.05, 60.0, allow_nan=False))
+        grid = start + step * np.arange(rows)
+    elif kind == "zero":
+        # a grid through +0.0 or -0.0, where the offset's sign breaks no tie
+        step = draw(st.sampled_from([0.5, 1.0, 7.0, 25.0]))
+        grid = step * np.arange(-(rows // 2), rows - rows // 2, dtype=float)
+        if draw(st.booleans()):
+            grid = -grid[::-1]
+    else:
+        # multiples of half a correlation bin, fs / (2 n), where the
+        # mirrored lags of the modulated correlation come close to a tie
+        step = fs / (2 * nzc * sps) * draw(st.integers(1, 3))
+        grid = step * np.arange(-(rows // 2), rows - rows // 2)
+    alt_frac = draw(st.sampled_from([0.3, 0.8, 1.0]))
+    return nzc, tb, fs, grid, alt_frac
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(drift_cases(), st.sampled_from([1, 3, 64]))
+def test_drift_table_matches_row_loop(case, block):
+    nzc, tb, fs, grid, alt_frac = case
+    want = ref_build_drift_table(nzc, tb, fs, grid, alt_frac)
+    old = sg._DRIFT_BLOCK
+    sg._DRIFT_BLOCK = block
+    try:
+        got = sg.build_drift_table(nzc, tb, fs, grid, alt_frac)
+    finally:
+        sg._DRIFT_BLOCK = old
+    assert_same_table(got, want)
+
+
+def test_drift_tie_breaks_follow_offset_sign():
+    # at Nzc = 7, sps = 1 the lags -2 and +2 tie at offsets of +-fs/2;
+    # the tie resolves to the lag with the offset's sign
+    fs = 4000.0
+    grid = fs / 4 * np.arange(-2, 3)
+    want = ref_build_drift_table(7, 1 / fs, fs, grid, 1.0)
+    got = sg.build_drift_table(7, 1 / fs, fs, grid, 1.0)
+    assert_same_table(got, want)
+    assert got.shifts[[0, -1]].tolist() == [-2, 2]
+
+
+def test_default_table_peak_memory():
+    tracemalloc.start()
+    try:
+        sg.build_drift_table(P.Nzc, P.Tb, P.Fs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2 ** 20
+
+
+# ---------------------------------------------------------------------------
+# Peak map
+# ---------------------------------------------------------------------------
+
+def noisy_event(rng, p, n, packets):
+    n_pkt = round(p.Tp * p.Fs)
+    sig = np.zeros(n, dtype=complex)
+    for s0, cfo in packets:
+        pk = sg.synthesize_packet(None, p, cfo, rng=rng).samples
+        end = min(n, s0 + n_pkt)
+        sig[s0: end] += pk[: end - s0]
+    if np.any(sig):
+        sig = sg.awgn(sg.ComplexSignal(sig, p.Fs), p.gamma, rng).samples
+    return sg.DetectionEvent(0.0, n / p.Fs, sg.ComplexSignal(sig, p.Fs), n / p.Fs)
+
+
+@settings(max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([11, 23]),
+       st.sampled_from([10, 20, 40]), st.data())
+def test_peak_map_matches_branch_loop(seed, nzc, sps, data):
+    p = SystemParams(Nzc=nzc, Fs=sps / P.Tb)
+    rng = np.random.default_rng(seed)
+    n_pre = nzc * p.samples_per_symbol
+    # shorter than the preamble, exactly one correlation sample, or longer
+    n = data.draw(st.sampled_from([max(1, n_pre - 3), n_pre, n_pre + 1,
+                                   3 * n_pre, 6000]))
+    k = data.draw(st.integers(0, 3))
+    packets = [(int(rng.integers(0, n)), float(rng.uniform(-p.Fm, p.Fm)))
+               for _ in range(k)]
+    ev = noisy_event(rng, p, n, packets)
+    cfos = [c for _, c in packets]
+    cfos += data.draw(st.lists(st.floats(-p.Fm - 10, p.Fm + 10,
+                                         allow_nan=False), max_size=4))
+    eta = data.draw(st.sampled_from([0.0, 0.3, 0.5]))
+    assert_same_map(sg.peak_map(ev, cfos, p, eta=eta),
+                    ref_peak_map(ev, cfos, p, eta=eta))
+
+
+def test_peak_map_no_cfos():
+    rng = np.random.default_rng(3)
+    ev = noisy_event(rng, P, 3000, [(200, 5.0)])
+    pm = sg.peak_map(ev, [], P)
+    assert pm.branches == [] and pm.span == 3000 - 920 + 1
+    assert_same_map(pm, ref_peak_map(ev, [], P))
+
+
+def test_peak_map_short_buffer():
+    ev = sg.DetectionEvent(0.0, 0.1, sg.ComplexSignal(np.ones(500), P.Fs), 0.1)
+    pm = sg.peak_map(ev, [0.0, 12.5], P)
+    assert pm.span == 0
+    assert [b.positions.size for b in pm.branches] == [0, 0]
+    assert_same_map(pm, ref_peak_map(ev, [0.0, 12.5], P))
+
+
+def test_peak_map_single_correlation_sample():
+    pk = sg.synthesize_packet(None, P, 8.0, rng=np.random.default_rng(4))
+    ev = sg.DetectionEvent(0.0, 0.23, sg.ComplexSignal(pk.samples[:920], P.Fs),
+                           0.23)
+    pm = sg.peak_map(ev, [8.0, -30.0], P)
+    assert pm.span == 1
+    assert pm.branches[0].positions.tolist() == [0]
+    assert_same_map(pm, ref_peak_map(ev, [8.0, -30.0], P))
+
+
+def test_peak_map_matches_on_framed_events():
+    # events as the receiver suite frames them, on its CFO branches
+    rng = np.random.default_rng(11)
+    n_pkt = round(P.Tp * P.Fs)
+    for _ in range(6):
+        sig = np.zeros(3 * n_pkt, dtype=complex)
+        for c, s0 in zip(rng.uniform(-P.Fm, P.Fm, 2),
+                         np.sort(rng.integers(200, 2200, 2))):
+            sig[s0: s0 + n_pkt] += sg.synthesize_packet(None, P, c, rng=rng).samples
+        noisy = sg.awgn(sg.ComplexSignal(sig, P.Fs), P.gamma, rng)
+        for ev in sg.frame_events(noisy, P, power_threshold=1.4 / P.gamma):
+            cfos = sg.periodogram_cfos(ev, P)
+            assert_same_map(sg.peak_map(ev, cfos, P), ref_peak_map(ev, cfos, P))
