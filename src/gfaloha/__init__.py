@@ -12,21 +12,20 @@ from .interference import (InterferenceCdf, analytic_outage, build_base_cdf,
                            solve_offered_load, unconditional_cdf)
 from .kpi import KpiReport, grant_free_kpis, granted_kpis
 from .mcsim import (CollisionGraph, build_collision_graph, nominal_lambda,
-                    run_granted_baseline, run_trial, sic_decode, sweep)
+                    run_granted_baseline, run_trial, sic_decode)
 from .params import (EnergyParams, InvalidParamsError, SystemParams,
                      load_params, packet_duration, slots_for_replicas)
-from .traffic import Replica, VirtualFrame, draw_virtual_frame, generate_arrivals
+from .traffic import draw_frames, generate_arrivals
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CollisionGraph", "EnergyParams", "ExperimentConfig", "InterferenceCdf",
-    "InvalidParamsError", "KpiReport", "Replica", "SystemParams",
-    "VirtualFrame", "analytic_outage", "build_base_cdf",
-    "build_collision_graph", "combined_sinr", "draw_virtual_frame",
+    "InvalidParamsError", "KpiReport", "SystemParams", "analytic_outage",
+    "build_base_cdf", "build_collision_graph", "combined_sinr", "draw_frames",
     "generate_arrivals", "grant_free_kpis", "granted_kpis", "load_params",
     "mmse_weights", "nominal_lambda", "offered_load_of", "packet_duration",
     "run_experiment", "run_granted_baseline", "run_trial",
-    "sic_decode", "slots_for_replicas", "solve_offered_load", "sweep",
+    "sic_decode", "slots_for_replicas", "solve_offered_load",
     "unconditional_cdf", "validate_receiver", "__version__",
 ]

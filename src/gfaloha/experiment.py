@@ -10,12 +10,16 @@ same config writes byte-identical CSVs regardless of worker scheduling.
 
 from __future__ import annotations
 
+import hashlib
 import json
+import math
+import struct
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
+from scipy import stats
 
 from . import interference as itf
 from . import kpi as kpi_mod
@@ -145,8 +149,12 @@ def _execute(jobs: list, workers: int) -> list:
 
 
 def _mean_ci(vals: list[float]) -> tuple[float, float]:
+    """Mean and Student-t 95% half-width (0 below two values)."""
     arr = np.asarray(vals, dtype=float)
-    return float(arr.mean()), mcsim._ci95(arr)
+    if len(arr) < 2:
+        return float(arr.mean()), 0.0
+    t = stats.t.ppf(0.975, len(arr) - 1)
+    return float(arr.mean()), float(t * arr.std(ddof=1) / math.sqrt(len(arr)))
 
 
 def _fmt(v) -> str:
@@ -357,8 +365,10 @@ def _crossovers(cfg: ExperimentConfig, figure_rows: dict) -> dict:
 # ---------------------------------------------------------------------------
 
 def _decode_stream(samples: np.ndarray, p: SystemParams, dt: sg.DriftTable,
-                   power_threshold: float) -> list[tuple[int, float, object]]:
-    """Full chain over a sample stream: (position, cfo, bits|None) triples."""
+                   power_threshold: float,
+                   decisions) -> list[tuple[int, float, object]]:
+    """Full chain over a sample stream: (position, cfo, bits|None) triples,
+    each also fed into the `decisions` hash."""
     out = []
     stream = sg.ComplexSignal(samples, p.Fs)
     for ev in sg.frame_events(stream, p, power_threshold=power_threshold):
@@ -368,6 +378,10 @@ def _decode_stream(samples: np.ndarray, p: SystemParams, dt: sg.DriftTable,
         for v, sq in zip(vs, sg.extract_sequences(ev, vs, p)):
             bits = None if sq.partial else sg.demap_payload(sq.z, p)
             out.append((off + v.position, v.cfo, bits))
+            decisions.update(struct.pack("<qdq", off + v.position, v.cfo,
+                                         -1 if bits is None else bits.size))
+            if bits is not None:
+                decisions.update(bits.tobytes())
     return out
 
 
@@ -378,8 +392,11 @@ def validate_receiver(cfg: ExperimentConfig) -> dict:
     noise-free single packet decoded bit-exactly, single-packet
     decoding at SNR gamma over receiver_trials random draws, and the
     random two-packet suite with its measured miss and false-positive
-    rates (pass below 5% and 1%). Writes the report JSON into the
-    output directory and returns it.
+    rates (pass below 5% and 1%). decisions_sha256 digests every
+    decoded (position, CFO, bits) triple of the three decoding suites in
+    order, so two reports with equal counts but different decisions
+    differ. Writes the report JSON into the output directory and returns
+    it.
     """
     cfg.validate()
     p = cfg.system
@@ -390,6 +407,7 @@ def validate_receiver(cfg: ExperimentConfig) -> dict:
     nbits = sg.payload_bits_per_packet(p)
     n_pkt = round(p.Tp * p.Fs)
     thr = 1.4 / p.gamma   # smoothed-power gate over the noise floor 1/gamma
+    decisions = hashlib.sha256()
 
     dt = sg.build_drift_table(p.Nzc, p.Tb, p.Fs)
     dt2 = sg.build_drift_table(p.Nzc, p.Tb, p.Fs)
@@ -411,7 +429,7 @@ def validate_receiver(cfg: ExperimentConfig) -> dict:
     clean = np.zeros(2 * n_pkt, dtype=complex)
     pk = sg.synthesize_packet(bits, p, 31.0)
     clean[300: 300 + n_pkt] += pk.samples
-    got = _decode_stream(clean, p, dt, power_threshold=0.1)
+    got = _decode_stream(clean, p, dt, 0.1, decisions)
     errs = (nbits if len(got) != 1 or got[0][2] is None
             else int(np.sum(got[0][2] != bits)))
     noise_free = {"validated": len(got), "bit_errors": errs,
@@ -425,7 +443,7 @@ def validate_receiver(cfg: ExperimentConfig) -> dict:
         sig = np.zeros(2 * n_pkt, dtype=complex)
         sig[s0: s0 + n_pkt] += sg.synthesize_packet(tb, p, cfo).samples
         noisy = sg.awgn(sg.ComplexSignal(sig, p.Fs), p.gamma, rng)
-        hit = [g for g in _decode_stream(noisy.samples, p, dt, thr)
+        hit = [g for g in _decode_stream(noisy.samples, p, dt, thr, decisions)
                if abs(g[0] - s0) <= 1]
         if not hit or hit[0][2] is None:
             missed += 1
@@ -445,7 +463,7 @@ def validate_receiver(cfg: ExperimentConfig) -> dict:
                 None, p, c, rng=rng).samples
             truth.append((int(s0), float(c)))
         noisy = sg.awgn(sg.ComplexSignal(sig, p.Fs), p.gamma, rng)
-        got = _decode_stream(noisy.samples, p, dt, thr)
+        got = _decode_stream(noisy.samples, p, dt, thr, decisions)
         n_val += len(got)
         used = [False] * len(got)
         for s0, c in truth:
@@ -463,6 +481,7 @@ def validate_receiver(cfg: ExperimentConfig) -> dict:
 
     report = {"drift": drift, "single_noise_free": noise_free,
               "single_snr": single, "two_packet": two,
+              "decisions_sha256": decisions.hexdigest(),
               "pass": all(x["pass"] for x in (drift, noise_free, single, two))}
     with open(out / "receiver-validation.json", "w") as fh:
         json.dump(report, fh, indent=1)

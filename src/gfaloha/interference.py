@@ -16,7 +16,6 @@ retry-inflated offered-load fixed point.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -49,18 +48,6 @@ def sinr(overlap_area, p: SystemParams):
 def overlap_area(dt: float, df: float, p: SystemParams) -> float:
     """Intersection area of two replica rectangles offset by (dt, df)."""
     return max(0.0, p.Tp - abs(dt)) * max(0.0, p.W - abs(df))
-
-
-def overlap_probability(p: SystemParams, mode: str = "triangular") -> float:
-    """Probability that a time-overlapping interferer also overlaps in
-    frequency, under the chosen CFO-difference model."""
-    if p.Fm == 0:
-        return 1.0
-    if mode == "triangular":
-        return 1.0 - (max(0.0, 2.0 * p.Fm - p.W) / (2.0 * p.Fm)) ** 2
-    if mode == "uniform":
-        return min(1.0, p.W / (2.0 * p.Fm))
-    raise ValueError(f"unknown CFO-difference mode {mode!r}")
 
 
 def overlap_ccdf_paper(s, p: SystemParams):
@@ -129,13 +116,6 @@ class InterferenceCdf:
         out[1:] = np.diff(self.cdf)
         return np.clip(out, 0.0, None)
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["area", "cdf"])
-            for s, f in zip(self.grid, self.cdf):
-                writer.writerow([f"{s:.10g}", f"{f:.10g}"])
-
 
 def area_grid(p: SystemParams, points: int = GRID_POINTS) -> np.ndarray:
     """Uniform evaluation grid [0, N*W*Tp] shared by the whole pipeline."""
@@ -143,27 +123,22 @@ def area_grid(p: SystemParams, points: int = GRID_POINTS) -> np.ndarray:
 
 
 def overlap_cdf_oracle(rng: np.random.Generator, p: SystemParams,
-                       samples: int = 1_000_000, mode: str = "triangular",
+                       samples: int = 1_000_000,
                        points: int = GRID_POINTS) -> InterferenceCdf:
     """Monte Carlo law of the overlap with one interferer, given overlap.
 
     Draws the interferer start uniform on (-Tp, Tp) and the CFO difference
-    either triangular on [-2Fm, 2Fm] (exact difference of two uniform
-    CFOs) or uniform on the same support (the coarser model matching the
-    closed form). The returned CDF is conditioned on a strictly positive
-    area; meta["overlap_prob"] carries the conditioning probability.
+    triangular on [-2Fm, 2Fm] (the exact difference of two uniform CFOs).
+    The returned CDF is conditioned on a strictly positive area;
+    meta["overlap_prob"] carries the conditioning probability.
     """
     if samples < 1:
         raise DegenerateInputError("oracle needs at least one sample")
     dt = rng.uniform(-p.Tp, p.Tp, size=samples)
     if p.Fm == 0:
         dfq = np.zeros(samples)
-    elif mode == "triangular":
-        dfq = rng.triangular(-2.0 * p.Fm, 0.0, 2.0 * p.Fm, size=samples)
-    elif mode == "uniform":
-        dfq = rng.uniform(-2.0 * p.Fm, 2.0 * p.Fm, size=samples)
     else:
-        raise ValueError(f"unknown CFO-difference mode {mode!r}")
+        dfq = rng.triangular(-2.0 * p.Fm, 0.0, 2.0 * p.Fm, size=samples)
     areas = np.maximum(p.Tp - np.abs(dt), 0.0) * np.maximum(p.W - np.abs(dfq), 0.0)
     hit = areas[areas > 0.0]
     if hit.size == 0:
@@ -172,7 +147,7 @@ def overlap_cdf_oracle(rng: np.random.Generator, p: SystemParams,
     cdf = np.searchsorted(np.sort(hit), grid, side="right") / hit.size
     meta = {
         "kind": "single-conditional",
-        "mode": mode,
+        "mode": "triangular",
         "samples": samples,
         "overlap_prob": hit.size / samples,
         "tp": p.Tp, "w": p.W, "fm": p.Fm,
@@ -201,15 +176,14 @@ def single_overlap_cdf_paper(p: SystemParams,
     return InterferenceCdf(grid, np.asarray(cdf), meta)
 
 
-def build_base_cdf(p: SystemParams, *, base: str = "oracle",
-                   mode: str = "triangular", rng=None,
+def build_base_cdf(p: SystemParams, *, base: str = "oracle", rng=None,
                    samples: int = 1_000_000,
                    points: int = GRID_POINTS) -> InterferenceCdf:
     """Single-interferer base law: Monte Carlo oracle or closed form."""
     if base == "oracle":
         if rng is None:
             rng = np.random.default_rng(0)
-        return overlap_cdf_oracle(rng, p, samples=samples, mode=mode, points=points)
+        return overlap_cdf_oracle(rng, p, samples=samples, points=points)
     if base == "paper":
         return single_overlap_cdf_paper(p, points=points)
     raise ValueError(f"unknown base CDF kind {base!r}")
@@ -218,11 +192,6 @@ def build_base_cdf(p: SystemParams, *, base: str = "oracle",
 # ---------------------------------------------------------------------------
 # Convolutions and the interferer-count mixture
 # ---------------------------------------------------------------------------
-
-def _check_same_grid(a: InterferenceCdf, b: InterferenceCdf) -> None:
-    if len(a.grid) != len(b.grid) or not np.allclose(a.grid, b.grid):
-        raise ValueError("CDFs live on different grids")
-
 
 def _convolve_pmf(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
     """Linear convolution folded back onto the grid length.
@@ -286,14 +255,6 @@ def _interferer_powers(base: InterferenceCdf) -> _PmfPowers:
     return base._powers
 
 
-def convolve_cdf(a: InterferenceCdf, b: InterferenceCdf) -> InterferenceCdf:
-    """Distribution of the sum of two independent areas, on a's grid."""
-    _check_same_grid(a, b)
-    pmf = _convolve_pmf(a.pmf(), b.pmf())
-    cdf = np.minimum(np.cumsum(pmf), 1.0)
-    return InterferenceCdf(a.grid, cdf, {"kind": "convolution"})
-
-
 def _mean_count(mu: float) -> int:
     """Interferer count used by the fixed-count shortcut: ceil(mu) - 1."""
     return max(int(math.ceil(mu)) - 1, 0)
@@ -355,32 +316,16 @@ def outage_single(cdf: InterferenceCdf, p: SystemParams) -> float:
     return 1.0 - float(cdf.value_at(_single_threshold(p)))
 
 
-def outage_mrc(cdf: InterferenceCdf, p: SystemParams) -> float:
-    """Outage of ratio combining across N replicas.
-
-    The per-replica aggregate areas are modeled i.i.d.; their sum is
-    compared against W*Tp*(N/St - 1/gamma).
-    """
-    x = p.W * p.Tp * (p.N / p.St - 1.0 / p.gamma)
-    if x < 0:
-        return 1.0
-    pmf_n = _nfold(cdf.pmf(), p.N)
-    summed = InterferenceCdf(cdf.grid, np.minimum(np.cumsum(pmf_n), 1.0),
-                             {"kind": "replica-sum", "n": p.N})
-    return 1.0 - float(summed.value_at(x))
-
-
 def outage_mrc_sinr(cdf: InterferenceCdf, p: SystemParams,
                     points: int = 4096) -> float:
     """P(sum of branch SINRs < St) with i.i.d. branch interference.
 
     Exact construction for the summed-SINR decision rule: the aggregate
     area law of one branch is pushed through s = 1/(a/(W*Tp) + 1/gamma)
-    onto a uniform SINR grid, convolved N-fold, and read at St. Unlike
-    the area-sum form above this matches what an SINR-summing receiver
-    actually tests, so it tracks the simulator closely; the area-sum
-    form upper-bounds it (splitting interference across branches hurts
-    an area total long before it defeats the summed SINR).
+    onto a uniform SINR grid, convolved N-fold, and read at St. This is
+    what an SINR-summing receiver actually tests, so it tracks the
+    simulator closely (a threshold on the summed areas would over-count
+    interference split across branches).
     """
     if p.St > p.N * p.gamma:
         return 1.0
@@ -406,21 +351,15 @@ def outage_independent(cdf: InterferenceCdf, p: SystemParams) -> float:
 
 
 def analytic_outage(base: InterferenceCdf, g: float, p: SystemParams,
-                    policy: str = "mrc", mixture: str = "poisson",
-                    mrc_mode: str = "sinr") -> float:
+                    policy: str = "mrc", mixture: str = "poisson") -> float:
     """Full pipeline: base law -> aggregate at rate g -> policy outage.
 
-    mrc_mode selects the summed-SINR construction ("sinr", default, the
-    quantity a combining receiver measures) or the area-sum threshold
-    form ("area").
+    MRC uses the summed-SINR construction, the quantity a combining
+    receiver measures.
     """
     agg = unconditional_cdf(base, g, p, mixture=mixture)
     if policy == "mrc":
-        if mrc_mode == "sinr":
-            return outage_mrc_sinr(agg, p)
-        if mrc_mode == "area":
-            return outage_mrc(agg, p)
-        raise ValueError(f"unknown mrc_mode {mrc_mode!r}")
+        return outage_mrc_sinr(agg, p)
     if policy == "independent":
         return outage_independent(agg, p)
     if policy == "single":

@@ -8,10 +8,9 @@ accounting.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from scipy.special import lambertw
 
@@ -34,9 +33,6 @@ class KpiReport:
     throughput: float           # packets/s
     avg_tx_power: float         # W
 
-    def as_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
 
 def expected_delay(po: float, p: SystemParams) -> float:
     """Mean time from arrival to successful reception with retries.
@@ -53,24 +49,17 @@ def expected_delay(po: float, p: SystemParams) -> float:
 
 
 def transmit_power_at(dist_m: float, p: SystemParams, e: EnergyParams,
-                      pt_min: float = 1e-3, pt_max: float = 0.1,
-                      db_pathloss: bool = False) -> float:
+                      pt_min: float = 1e-3, pt_max: float = 0.1) -> float:
     """Power-controlled transmit power for a device at a given distance.
 
-    The power-law mode inverts Pt = gamma*N0*W*Gamma*r^sigma / G. The
-    db_pathloss mode uses the cellular link budget 128.1 +
-    37.6*log10(d/km) plus a 20 dB margin for interference and other
-    losses. Results clamp to [pt_min, pt_max]; hitting the ceiling means
-    the device is outside the power-controlled coverage and a warning is
+    Inverts the power-law link budget Pt = gamma*N0*W*Gamma*r^sigma / G.
+    Results clamp to [pt_min, pt_max]; hitting the ceiling means the
+    device is outside the power-controlled coverage and a warning is
     emitted.
     """
     if dist_m <= 0:
         raise InvalidParamsError("distance must be positive")
-    if db_pathloss:
-        pl_db = 128.1 + 37.6 * math.log10(dist_m / 1000.0) + 20.0
-        pt = p.gamma * p.N0 * p.W * 10.0 ** (pl_db / 10.0)
-    else:
-        pt = p.gamma * p.N0 * p.W * p.Gamma * dist_m ** e.sigma_pl / e.G
+    pt = p.gamma * p.N0 * p.W * p.Gamma * dist_m ** e.sigma_pl / e.G
     if pt > pt_max:
         warnings.warn(f"required Pt {pt:.3g} W exceeds the cap {pt_max:g} W")
     return min(max(pt, pt_min), pt_max)
@@ -231,20 +220,3 @@ def grant_free_kpis(lambda_agg: float, po: float, p: SystemParams,
         avg_tx_power=avg_transmit_power(p, e),
     )
 
-
-def write_report_rows(path, rows: list[dict]) -> None:
-    """Dump KPI rows (dicts sharing the same keys) as CSV."""
-    if not rows:
-        raise InvalidParamsError("no rows to write")
-    keys = list(rows[0].keys())
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(keys)
-        for row in rows:
-            writer.writerow([_fmt(row[k]) for k in keys])
-
-
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return f"{v:.10g}"
-    return str(v)

@@ -3,24 +3,24 @@
 Replicas are Tp-by-W rectangles on a circular time horizon (wrap-around
 removes edge effects). The simulator builds the pairwise overlap graph
 with a sweep over start times, runs iterative interference cancellation
-on it, and feeds failed packets back as retries. PHY detail below the
-rectangle abstraction (waveforms, preambles) lives in the signal chain
-module and is validated separately.
+on it, and feeds failed packets back as retries. Slot patterns and CFOs
+come from the traffic module's frame draw; each grid cell of a sweep
+(run by the experiment module) draws from its own keyed substream. PHY
+detail below the rectangle abstraction (waveforms, preambles) lives in
+the signal chain module and is validated separately.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as sps
 
 from . import kpi as kpi_mod
 from .params import EnergyParams, InvalidParamsError, SystemParams
-from .traffic import generate_arrivals
+from .traffic import draw_frames, generate_arrivals
 
 _SINR_TOL = 1e-12   # relative slack on threshold comparisons
 _AREA_TOL = 1e-10   # absolute slack on area-domain comparisons, s*Hz
@@ -53,11 +53,6 @@ class CollisionGraph:
     def n_replicas(self) -> int:
         return len(self.t0)
 
-    def overlaps(self) -> dict[tuple[int, int], float]:
-        """Sparse (i, j) -> area map with i < j, for inspection and tests."""
-        return {(int(a), int(b)): float(v)
-                for a, b, v in zip(self.ea, self.eb, self.area)}
-
 
 def _segment_arange(counts: np.ndarray) -> np.ndarray:
     """[0..c0), [0..c1), ... concatenated."""
@@ -72,17 +67,13 @@ def build_collision_graph(replicas, p: SystemParams,
                           horizon: float | None = None) -> CollisionGraph:
     """Find all pairwise rectangle intersections via a start-time sweep.
 
-    Accepts a list of Replica records or a (t0, df, packet) array triple.
-    With a horizon the time axis is circular: rectangles crossing the end
-    wrap to the start. Same-packet pairs are excluded (replicas of one
-    attempt sit in distinct slots and cannot overlap).
+    `replicas` is a (t0, df, packet) triple of arrays: start time, CFO and
+    packet id per replica. With a horizon the time axis is circular:
+    rectangles crossing the end wrap to the start. Same-packet pairs are
+    excluded (replicas of one attempt sit in distinct slots and cannot
+    overlap).
     """
-    if isinstance(replicas, tuple):
-        t0, df, packet = (np.asarray(a) for a in replicas)
-    else:
-        t0 = np.array([r.t0 for r in replicas], dtype=float)
-        df = np.array([r.df for r in replicas], dtype=float)
-        packet = np.array([r.packet_id for r in replicas], dtype=np.int64)
+    t0, df, packet = (np.asarray(a) for a in replicas)
     n = len(t0)
     n_packets = int(packet.max()) + 1 if n else 0
     if horizon is not None:
@@ -350,15 +341,7 @@ def run_trial(rng: np.random.Generator, lambda_agg: float, horizon: float,
         if wave_report.size == 0:
             break
         n_att = wave_report.size
-        slots = np.zeros((n_att, p.N), dtype=np.int64)
-        if p.N == 2:
-            slots[:, 1] = rng.integers(1, p.M, size=n_att)
-        elif p.N > 2:
-            # Uniform subset of the later slots via per-row argsort ranks.
-            ranks = np.argsort(rng.random((n_att, p.M - 1)), axis=1)
-            slots[:, 1:] = np.sort(ranks[:, : p.N - 1], axis=1) + 1
-        cfo = (rng.uniform(-p.Fm, p.Fm, size=n_att) if p.Fm > 0
-               else np.zeros(n_att))
+        slots, cfo = draw_frames(rng, n_att, p)
 
         t0 = np.mod(wave_start[:, None] + slots * p.Tp, horizon).ravel()
         df = np.repeat(cfo, p.N)
@@ -522,91 +505,9 @@ def run_granted_baseline(rng: np.random.Generator, lambda_agg: float,
 
 
 # ---------------------------------------------------------------------------
-# Sweeps
+# Random substreams
 # ---------------------------------------------------------------------------
 
 def rng_for(seed: int, *key: int) -> np.random.Generator:
     """Deterministic substream for a grid cell, independent of run order."""
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
-
-
-def _ci95(vals: np.ndarray) -> float:
-    if len(vals) < 2:
-        return 0.0
-    t = sps.t.ppf(0.975, len(vals) - 1)
-    return float(t * vals.std(ddof=1) / math.sqrt(len(vals)))
-
-
-_POLICY_IDS = {"none": 0, "sc": 1, "mrc": 2, "granted": 3}
-
-
-def _gf_cell(args):
-    (seed, li, policy, rep, lam, horizon, p, e, cr, max_retries) = args
-    rng = rng_for(seed, li, _POLICY_IDS[policy], rep)
-    return run_trial(rng, lam, horizon, p, e, policy,
-                     cr=cr, max_retries=max_retries)
-
-
-def sweep(loads, reps: int, p: SystemParams, e: EnergyParams,
-          policies=("mrc",), *, packets_per_point: int = 20000,
-          seed: int = 1234, cr: float = 0.5, max_retries: int = 5,
-          include_granted: bool = False, workers: int = 1) -> list[dict]:
-    """Monte Carlo sweep over offered loads, one row per (load, policy).
-
-    Every (load, policy, repetition) cell draws its own RNG substream
-    from the master seed, so results do not depend on scheduling and are
-    reproducible cell by cell. Rows carry the mean and 95% CI of each
-    KPI across repetitions.
-    """
-    jobs = []
-    for li, load in enumerate(loads):
-        lam = nominal_lambda(load, p)
-        horizon = max(packets_per_point / lam, 10 * p.M * p.Tp)
-        for policy in policies:
-            for rep in range(reps):
-                jobs.append((seed, li, policy, rep, lam, horizon, p, e,
-                             cr, max_retries))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_gf_cell, jobs))
-    else:
-        results = [_gf_cell(j) for j in jobs]
-
-    by_cell: dict[tuple, list[TrialResult]] = {}
-    for job, res in zip(jobs, results):
-        by_cell.setdefault((job[1], job[2]), []).append(res)
-
-    rows = []
-    for li, load in enumerate(loads):
-        for policy in policies:
-            cell = by_cell[(li, policy)]
-            row = {"load": load, "lambda_agg": cell[0].lambda_agg,
-                   "policy": policy, "n_replicas": p.N, "cr": cr,
-                   "reps": len(cell)}
-            row["realized_load"] = float(np.mean([c.realized_load for c in cell]))
-            for name in ("outage", "expected_delay", "battery_lifetime",
-                         "energy_efficiency", "spectral_efficiency",
-                         "throughput"):
-                vals = np.array([getattr(c.kpis, name) for c in cell])
-                row[name] = float(np.mean(vals))
-                row[name + "_ci"] = _ci95(vals)
-            row["report_loss"] = float(np.mean([c.report_loss for c in cell]))
-            rows.append(row)
-        if include_granted:
-            lam = nominal_lambda(load, p)
-            horizon = max(packets_per_point / lam, 10 * p.M * p.Tp)
-            cell = [run_granted_baseline(
-                rng_for(seed, li, _POLICY_IDS["granted"], rep), lam, horizon, p, e)
-                for rep in range(reps)]
-            row = {"load": load, "lambda_agg": lam, "policy": "granted",
-                   "n_replicas": 0, "cr": cr, "reps": len(cell),
-                   "realized_load": 0.0}
-            for name in ("outage", "expected_delay", "battery_lifetime",
-                         "energy_efficiency", "spectral_efficiency",
-                         "throughput"):
-                vals = np.array([getattr(c.kpis, name) for c in cell])
-                row[name] = float(np.mean(vals))
-                row[name + "_ci"] = _ci95(vals)
-            row["report_loss"] = float(np.mean([c.report_loss for c in cell]))
-            rows.append(row)
-    return rows

@@ -22,9 +22,19 @@ def lin2db(x: float) -> float:
 # Thermal noise density at 290 K, -174 dBm/Hz expressed in W/Hz.
 THERMAL_NOISE_W_PER_HZ = db2lin(-174.0) * 1e-3
 
+# Root of the receiver's Zadoff-Chu preamble.
+ZC_ROOT = 5
+
 
 class InvalidParamsError(ValueError):
     """A parameter set violates one of its invariants."""
+
+
+def zc_root_ok(nzc: int, root: int = ZC_ROOT) -> bool:
+    """Whether root yields a Zadoff-Chu sequence of length nzc: the
+    length odd and at least 3, the root in (0, nzc) and coprime with it."""
+    return (nzc >= 3 and nzc % 2 == 1 and 0 < root < nzc
+            and math.gcd(root, nzc) == 1)
 
 
 def slots_for_replicas(n: int) -> int:
@@ -59,7 +69,8 @@ class SystemParams:
         """Check invariants, returning self so calls can be chained.
 
         sample_level additionally enforces the constraints the waveform
-        chain needs (integer samples per symbol, adequate sampling rate).
+        chain needs (integer samples per symbol, adequate sampling rate,
+        a preamble length the Zadoff-Chu root ZC_ROOT is valid for).
         """
         if self.W <= 0 or self.Fm < 0 or self.Fs <= 0 or self.Tb <= 0:
             raise InvalidParamsError("W, Fs, Tb must be positive and Fm >= 0")
@@ -84,6 +95,10 @@ class SystemParams:
             if self.Fs < 2.0 * (2.0 * self.Fm + self.W):
                 raise InvalidParamsError(
                     "Fs must be at least 2*(2*Fm + W) to represent offset packets")
+            if not zc_root_ok(self.Nzc):
+                raise InvalidParamsError(
+                    f"Nzc={self.Nzc} must be odd, >= 3 and coprime with the "
+                    f"preamble root {ZC_ROOT} (which it must exceed)")
         return self
 
     @property

@@ -13,14 +13,13 @@ baseband stream (signal power over complex noise variance at rate Fs).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.signal import fftconvolve
 
-from .params import InvalidParamsError, SystemParams
+from .params import ZC_ROOT, InvalidParamsError, SystemParams, zc_root_ok
 
 _DRIFT_BLOCK = 64   # CFO rows per drift-table FFT block: bounds memory
 _PAM_LEVELS = np.array([0.0, 1.0, 2.0, 3.0]) / math.sqrt(3.5)
@@ -46,9 +45,6 @@ class ComplexSignal:
     @property
     def duration(self) -> float:
         return self.samples.size / self.fs
-
-    def time(self) -> np.ndarray:
-        return self.t0 + np.arange(self.samples.size) / self.fs
 
 
 @dataclass
@@ -89,12 +85,12 @@ class ExtractedSequence:
     partial: bool
 
 
-def zc_preamble(nzc: int = 23, root: int = 5) -> ComplexSignal:
+def zc_preamble(nzc: int = 23, root: int = ZC_ROOT) -> ComplexSignal:
     """Constant-modulus Zadoff-Chu sequence at symbol rate."""
-    if nzc < 3 or nzc % 2 == 0:
-        raise InvalidParamsError("preamble length must be odd and >= 3")
-    if not (0 < root < nzc) or math.gcd(root, nzc) != 1:
-        raise InvalidParamsError("root must be in (0, nzc) and coprime with nzc")
+    if not zc_root_ok(nzc, root):
+        raise InvalidParamsError(
+            f"Zadoff-Chu length {nzc} must be odd and >= 3, and root {root} "
+            "must lie in (0, length) and be coprime with it")
     n = np.arange(nzc)
     return ComplexSignal(np.exp(-1j * math.pi * root * n * (n + 1) / nzc), 1.0)
 
@@ -352,9 +348,6 @@ class DriftTable:
     def shift_at(self, df: float) -> int:
         return int(self.shifts[self._index(df)])
 
-    def gain_at(self, df: float) -> float:
-        return float(self.gains[self._index(df)])
-
     def _window(self, df: float, slack: float) -> slice:
         lo = np.searchsorted(self.cfos, df - slack, side="left")
         hi = np.searchsorted(self.cfos, df + slack, side="right")
@@ -380,9 +373,6 @@ class DriftTable:
 
     def max_gain_window(self, df: float, slack: float) -> float:
         return float(np.max(self.gains[self._window(df, slack)]))
-
-    def min_gain_window(self, df: float, slack: float) -> float:
-        return float(np.min(self.gains[self._window(df, slack)]))
 
 
 def build_drift_table(nzc: int, tb: float, fs: float,
@@ -668,30 +658,3 @@ def demap_payload(seq: ComplexSignal, p: SystemParams,
     sym = payload[: n_sym * sps].reshape(n_sym, sps).mean(axis=1)
     return pam4_demap(sym.real)
 
-
-# ---------------------------------------------------------------------------
-# I/Q file exchange
-# ---------------------------------------------------------------------------
-
-def write_iq(path, sig: ComplexSignal) -> None:
-    """Interleaved little-endian float32 I/Q plus a JSON sidecar."""
-    inter = np.empty(2 * sig.samples.size, dtype="<f4")
-    inter[0::2] = sig.samples.real
-    inter[1::2] = sig.samples.imag
-    inter.tofile(path)
-    meta = {"fs": sig.fs, "t0": sig.t0, "count": int(sig.samples.size),
-            "format": "f32le-interleaved"}
-    with open(str(path) + ".json", "w") as fh:
-        json.dump(meta, fh, indent=1)
-        fh.write("\n")
-
-
-def read_iq(path) -> ComplexSignal:
-    with open(str(path) + ".json") as fh:
-        meta = json.load(fh)
-    raw = np.fromfile(path, dtype="<f4")
-    if raw.size != 2 * meta["count"]:
-        raise InvalidParamsError("I/Q payload does not match its header")
-    return ComplexSignal(raw[0::2].astype(np.float64)
-                         + 1j * raw[1::2].astype(np.float64),
-                         float(meta["fs"]), float(meta["t0"]))

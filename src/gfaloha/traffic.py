@@ -1,59 +1,34 @@
-"""Traffic generation: Poisson report arrivals and virtual-frame draws."""
+"""Traffic generation: Poisson report arrivals and the replica slot/CFO draw."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .params import InvalidParamsError, SystemParams
 
 
-@dataclass
-class Replica:
-    """One transmitted copy of a packet, a rectangle in time-frequency."""
+def draw_frames(rng: np.random.Generator, n: int,
+                p: SystemParams) -> tuple[np.ndarray, np.ndarray]:
+    """Slot patterns and CFOs of n transmission attempts.
 
-    packet_id: int
-    t0: float           # start time, s
-    df: float           # carrier frequency offset, Hz
-    duration: float     # s
-    bandwidth: float    # Hz
-    energy_density: float = 1.0  # received energy per s*Hz after power control
-
-
-@dataclass
-class VirtualFrame:
-    """Slot selection and CFO of one transmission attempt."""
-
-    device_id: int
-    arrival_time: float
-    slot_indices: tuple[int, ...]  # strictly increasing, first is always 0
-    cfo: float                     # Hz, constant over the frame
-
-    def replicas(self, p: SystemParams) -> list[Replica]:
-        return [
-            Replica(self.device_id, self.arrival_time + k * p.Tp, self.cfo, p.Tp, p.W)
-            for k in self.slot_indices
-        ]
-
-
-def draw_virtual_frame(rng: np.random.Generator, p: SystemParams,
-                       arrival_time: float, device_id: int = 0) -> VirtualFrame:
-    """Place N replicas in an M-slot frame starting at the arrival.
-
-    The first replica goes out immediately (slot 0); the remaining N-1
-    slots are drawn uniformly without replacement. The CFO is drawn once
-    per frame, uniform on [-Fm, Fm].
+    Each attempt places N replicas in an M-slot virtual frame: the first
+    goes out immediately (slot 0), the remaining N-1 slots are drawn
+    uniformly without replacement. The CFO is drawn once per frame,
+    uniform on [-Fm, Fm]. Returns slots of shape (n, N), each row
+    strictly increasing, and the n CFOs.
     """
     if not (1 <= p.N <= p.M):
         raise InvalidParamsError(f"need 1 <= N <= M, got N={p.N}, M={p.M}")
-    if p.N > 1:
-        rest = rng.choice(np.arange(1, p.M), size=p.N - 1, replace=False)
-        slots = (0, *sorted(int(k) for k in rest))
-    else:
-        slots = (0,)
-    cfo = float(rng.uniform(-p.Fm, p.Fm)) if p.Fm > 0 else 0.0
-    return VirtualFrame(device_id, arrival_time, slots, cfo)
+    slots = np.zeros((n, p.N), dtype=np.int64)
+    if p.N == 2:
+        slots[:, 1] = rng.integers(1, p.M, size=n)
+    elif p.N > 2:
+        # Uniform subset of the later slots via per-row argsort ranks.
+        ranks = np.argsort(rng.random((n, p.M - 1)), axis=1)
+        slots[:, 1:] = np.sort(ranks[:, : p.N - 1], axis=1) + 1
+    cfo = (rng.uniform(-p.Fm, p.Fm, size=n) if p.Fm > 0
+           else np.zeros(n))
+    return slots, cfo
 
 
 def generate_arrivals(rng: np.random.Generator, lambda_agg: float,

@@ -99,14 +99,23 @@ def test_run_experiment_files_and_rows(tmp_path):
 
 
 def test_run_experiment_reproducible(tmp_path):
+    # byte-identical figures on a rerun and for any worker count
     a, b, c = tmp_path / "a", tmp_path / "b", tmp_path / "c"
-    ex.run_experiment(tiny(a, figures=("ee", "reliability")))
-    ex.run_experiment(tiny(b, figures=("ee", "reliability")))
-    ex.run_experiment(tiny(c, figures=("ee", "reliability"), workers=2))
-    for fig in ("ee", "reliability"):
+    ex.run_experiment(tiny(a))
+    ex.run_experiment(tiny(b))
+    ex.run_experiment(tiny(c, workers=2))
+    for fig in ex.FIGURES:
         ref = (a / f"fig-{fig}.csv").read_bytes()
         assert (b / f"fig-{fig}.csv").read_bytes() == ref
         assert (c / f"fig-{fig}.csv").read_bytes() == ref
+
+
+def test_mean_ci_degenerate():
+    assert ex._mean_ci([1.0]) == (1.0, 0.0)
+    assert ex._mean_ci([1.0, 1.0, 1.0]) == (1.0, 0.0)
+    mean, ci = ex._mean_ci([1.0, 2.0, 3.0])
+    # t(0.975, 2) * s / sqrt(3) with s = 1
+    assert (mean, ci) == (2.0, pytest.approx(4.302652730 / 3 ** 0.5))
 
 
 def test_run_experiment_empty_grid(tmp_path):
@@ -141,7 +150,7 @@ def test_validate_receiver_report(tmp_path):
     cfg = tiny(tmp_path, receiver_trials=25, seed=1234)
     report = ex.validate_receiver(cfg)
     assert set(report) == {"drift", "single_noise_free", "single_snr",
-                           "two_packet", "pass"}
+                           "two_packet", "decisions_sha256", "pass"}
     # deterministic sub-checks must hold at any trial count
     assert report["drift"]["pass"]
     assert report["drift"]["q_zero_symbols"] == 0
@@ -150,3 +159,13 @@ def test_validate_receiver_report(tmp_path):
     assert report["two_packet"]["trials"] == 25
     on_disk = json.loads((tmp_path / "receiver-validation.json").read_text())
     assert on_disk == report
+
+
+def test_receiver_decisions_digest(tmp_path):
+    # equal counts can hide different decisions; the digest cannot
+    digest = {}
+    for name, seed in (("a", 7), ("b", 201), ("c", 7)):
+        cfg = tiny(tmp_path / name, receiver_trials=60, seed=seed)
+        digest[name] = ex.validate_receiver(cfg)["decisions_sha256"]
+    assert digest["a"] == digest["c"]
+    assert digest["a"] != digest["b"]

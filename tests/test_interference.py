@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 from gfaloha.interference import (DegenerateInputError, InterferenceCdf,
-                                  analytic_outage, area_grid, build_base_cdf,
-                                  combined_sinr, convolve_cdf, mmse_weights,
+                                  _convolve_pmf, analytic_outage, area_grid,
+                                  build_base_cdf, combined_sinr, mmse_weights,
                                   offered_load_of, outage_independent,
-                                  outage_mrc, outage_mrc_sinr, outage_single,
+                                  outage_mrc_sinr, outage_single,
                                   overlap_area, overlap_ccdf_paper,
-                                  overlap_cdf_oracle, overlap_probability,
-                                  sinr, solve_offered_load, unconditional_cdf)
+                                  overlap_cdf_oracle, sinr,
+                                  solve_offered_load, unconditional_cdf)
 from gfaloha.params import InvalidParamsError, SystemParams
 
 P = SystemParams()
@@ -33,16 +33,6 @@ def test_overlap_area_geometry():
     assert overlap_area(0.0, P.W, P) == 0.0
     assert overlap_area(0.25, 50.0, P) == pytest.approx(0.25 * 150.0)
     assert overlap_area(-0.25, -50.0, P) == overlap_area(0.25, 50.0, P)
-
-
-def test_overlap_probability_modes():
-    assert overlap_probability(P, "triangular") == 1.0   # 2Fm = W here
-    assert overlap_probability(SystemParams(Fm=0.0)) == 1.0
-    wide = SystemParams(Fm=200.0)
-    assert overlap_probability(wide, "triangular") == pytest.approx(0.75)
-    assert overlap_probability(wide, "uniform") == pytest.approx(0.5)
-    with pytest.raises(ValueError):
-        overlap_probability(P, "gaussian")
 
 
 def test_closed_form_ccdf_endpoints():
@@ -74,18 +64,10 @@ def test_cdf_container_invariants():
 
 
 def test_convolution_point_masses():
-    grid = np.array([0.0, 1.0, 2.0, 3.0])
-    delta = lambda k: InterferenceCdf(
-        grid, (np.arange(4) >= k).astype(float), {})
-    s = convolve_cdf(delta(1), delta(1))
-    assert np.allclose(s.cdf, [0.0, 0.0, 1.0, 1.0])
+    delta = lambda k: (np.arange(4) == k).astype(float)
+    assert np.allclose(_convolve_pmf(delta(1), delta(1)), delta(2))
     # mass pushed past the grid folds into the top bin
-    s = convolve_cdf(delta(3), delta(2))
-    assert np.allclose(s.cdf, [0.0, 0.0, 0.0, 1.0])
-    other = InterferenceCdf(np.array([0.0, 2.0, 4.0, 6.0]),
-                            np.ones(4), {})
-    with pytest.raises(ValueError):
-        convolve_cdf(delta(1), other)
+    assert np.allclose(_convolve_pmf(delta(3), delta(2)), delta(3))
 
 
 def test_oracle_cdf_basics():
@@ -96,10 +78,11 @@ def test_oracle_cdf_basics():
     assert 0.99 <= c.meta["overlap_prob"] <= 1.0
     # conditioned on a hit, zero area has no mass
     assert c.value_at(0.0) == pytest.approx(0.0, abs=1e-4)
+    # triangular CFO difference on [-2Fm, 2Fm]: P(|df| < W) = 1 - (1/2)^2
     wide = SystemParams(Fm=200.0)
     c = overlap_cdf_oracle(np.random.default_rng(11), wide, samples=200_000)
-    assert c.meta["overlap_prob"] == pytest.approx(
-        overlap_probability(wide, "triangular"), abs=5e-3)
+    assert c.meta["overlap_prob"] == pytest.approx(0.75, abs=5e-3)
+    assert c.meta["mode"] == "triangular"
 
 
 def test_oracle_seed_stability_smoke():
@@ -135,8 +118,6 @@ def test_outage_orderings():
         po_1 = outage_single(agg, P)
         assert 0.0 <= po_1 <= 1.0
         assert outage_independent(agg, P) == pytest.approx(po_1 ** P.N)
-        # the area-sum threshold form over-counts split interference
-        assert outage_mrc(agg, P) >= outage_mrc_sinr(agg, P) - 1e-12
         # combining never loses to a single branch
         assert outage_mrc_sinr(agg, P) <= po_1 + 1e-12
 
@@ -152,7 +133,7 @@ def test_analytic_outage_rejects_unknown_modes():
     with pytest.raises(ValueError):
         analytic_outage(base, 0.1, P, policy="selection")
     with pytest.raises(ValueError):
-        analytic_outage(base, 0.1, P, policy="mrc", mrc_mode="harmonic")
+        analytic_outage(base, 0.1, P, policy="mrc", mixture="binomial")
 
 
 def test_mmse_weights_equal_noise():

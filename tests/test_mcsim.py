@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from gfaloha.mcsim import (build_collision_graph, nominal_lambda, rng_for,
-                           run_granted_baseline, run_trial, sic_decode, sweep,
-                           _ci95)
+                           run_granted_baseline, run_trial, sic_decode)
 from gfaloha.interference import offered_load_of
 from gfaloha.params import EnergyParams, InvalidParamsError, SystemParams
 
@@ -25,28 +24,34 @@ def graph_of(t0, df, pkt, horizon=None):
 # Collision graph
 # ---------------------------------------------------------------------------
 
+def edges(g):
+    return g.ea.tolist(), g.eb.tolist()
+
+
 def test_pairwise_overlap_area():
     g = graph_of([0.0, 0.2], [0.0, 50.0], [0, 1])
-    assert g.overlaps() == {(0, 1): pytest.approx(0.3 * 150.0)}
+    assert edges(g) == ([0], [1])
+    assert g.area[0] == pytest.approx(0.3 * 150.0)
     assert g.dt[0] == pytest.approx(0.2)
 
 
 def test_no_edge_outside_vulnerable_zone():
-    assert graph_of([0.0, 0.6], [0.0, 0.0], [0, 1]).overlaps() == {}
-    assert graph_of([0.0, 0.1], [0.0, 250.0], [0, 1]).overlaps() == {}
+    assert edges(graph_of([0.0, 0.6], [0.0, 0.0], [0, 1])) == ([], [])
+    assert edges(graph_of([0.0, 0.1], [0.0, 250.0], [0, 1])) == ([], [])
 
 
 def test_same_packet_replicas_never_collide():
     # same-attempt replicas sit in distinct slots; a forced overlap is
     # still ignored by construction
-    assert graph_of([0.0, 0.1], [0.0, 0.0], [3, 3]).overlaps() == {}
+    assert edges(graph_of([0.0, 0.1], [0.0, 0.0], [3, 3])) == ([], [])
 
 
 def test_circular_wraparound():
     g = graph_of([0.1, 9.8], [0.0, 0.0], [0, 1], horizon=10.0)
-    assert g.overlaps() == {(0, 1): pytest.approx(0.2 * 200.0)}
+    assert edges(g) == ([0], [1])
+    assert g.area[0] == pytest.approx(0.2 * 200.0)
     # linear sweep over the same population misses the wrapped pair
-    assert graph_of([0.1, 9.8], [0.0, 0.0], [0, 1]).overlaps() == {}
+    assert edges(graph_of([0.1, 9.8], [0.0, 0.0], [0, 1])) == ([], [])
     with pytest.raises(InvalidParamsError):
         graph_of([0.1], [0.0], [0], horizon=3.0)
 
@@ -180,21 +185,30 @@ def test_rng_substreams():
     assert not np.array_equal(a, c)
 
 
-def test_ci95_degenerate():
-    assert _ci95(np.array([1.0])) == 0.0
-    assert _ci95(np.array([1.0, 1.0, 1.0])) == 0.0
 
+# ---------------------------------------------------------------------------
+# Load sweep over trial cells
+# ---------------------------------------------------------------------------
 
-def test_sweep_rows_and_worker_independence():
-    rows1 = sweep((0.05, 0.1), 2, P, E, packets_per_point=1200,
-                  include_granted=True, seed=99)
-    rows2 = sweep((0.05, 0.1), 2, P, E, packets_per_point=1200,
-                  include_granted=True, seed=99, workers=2)
+def test_sweep_rows_and_worker_independence(tmp_path):
+    # the one sweep driver runs these cells; worker count must not matter
+    from gfaloha.experiment import CSV_HEADER, ExperimentConfig, run_experiment
+
+    def ee_rows(out, workers):
+        summary = run_experiment(ExperimentConfig(
+            loads=(0.05, 0.1), reps=2, packets_per_point=1200,
+            figures=("ee",), oracle_samples=20_000, seed=99,
+            out_dir=str(out), workers=workers))
+        assert summary["config"]["reps"] == 2
+        lines = (out / "fig-ee.csv").read_text().splitlines()
+        return [dict(zip(CSV_HEADER, ln.split(","))) for ln in lines[1:]]
+
+    rows1 = ee_rows(tmp_path / "w1", 1)
+    rows2 = ee_rows(tmp_path / "w2", 2)
     assert len(rows1) == 4
-    policies = [r["policy"] for r in rows1]
-    assert policies == ["mrc", "granted", "mrc", "granted"]
+    assert [r["policy"] for r in rows1] == ["mrc", "granted", "mrc", "granted"]
     for r1, r2 in zip(rows1, rows2):
-        assert r1["outage"] == r2["outage"]
-        assert r1["energy_efficiency"] == r2["energy_efficiency"]
+        assert r1["empirical"] == r2["empirical"]
+        assert r1["empirical_ci"] == r2["empirical_ci"]
     for r in rows1:
-        assert "outage_ci" in r and r["reps"] == 2
+        assert r["empirical"] != "" and r["empirical_ci"] != ""

@@ -7,7 +7,7 @@ import pytest
 
 from gfaloha.params import (EnergyParams, InvalidParamsError, SystemParams,
                             db2lin, lin2db, load_params, packet_duration,
-                            slots_for_replicas)
+                            slots_for_replicas, zc_root_ok)
 
 
 def test_db_roundtrip():
@@ -47,6 +47,21 @@ def test_validate_rejects_bad_params():
         SystemParams(Tb=0.0103).validate(sample_level=True)  # Fs*Tb not integer
     with pytest.raises(InvalidParamsError):
         SystemParams(Fs=600.0).validate(sample_level=True)   # under 2*(2Fm+W)
+
+
+
+@pytest.mark.parametrize("nzc,ok", [(4, False), (5, False), (15, False),
+                                    (25, False), (23, True)])
+def test_sample_level_checks_preamble_length(nzc, ok):
+    # the receiver's Zadoff-Chu root 5 needs an odd length above 5 and
+    # coprime with 5; the plain check accepts any positive length
+    p = SystemParams(Nzc=nzc).validate()
+    assert zc_root_ok(nzc) == ok
+    if ok:
+        p.validate(sample_level=True)
+    else:
+        with pytest.raises(InvalidParamsError):
+            p.validate(sample_level=True)
 
 
 def test_with_replicas():
