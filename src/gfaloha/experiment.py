@@ -242,13 +242,11 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
             for n in cfg.kpi_replicas:
                 pn = p0.with_replicas(n)
                 lam = mcsim.nominal_lambda(load, pn)
-                policy = ("independent" if cfg.kpi_policy == "none"
-                          else cfg.kpi_policy)
-                if policy == "sc":
+                if cfg.kpi_policy == "sc":
                     analytic[(load, n)] = (None, None, "")
                     continue
-                res = itf.solve_offered_load(lam, pn, policy, base=base,
-                                             mixture=cfg.mixture)
+                res = itf.solve_offered_load(lam, pn, cfg.kpi_policy,
+                                             base=base, mixture=cfg.mixture)
                 rep = kpi_mod.grant_free_kpis(lam, res.po, pn, e0)
                 analytic[(load, n)] = (rep, res.po, res.status)
 

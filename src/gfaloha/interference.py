@@ -25,7 +25,14 @@ from scipy import stats
 
 from .params import InvalidParamsError, SystemParams
 
-GRID_POINTS = 2048
+GRID_POINTS = 2048      # area-grid points of every interference law
+_SINR_POINTS = 4096     # SINR-grid points of the MRC outage
+_TAIL_TOL = 1e-9        # Poisson mass left out of the interferer-count mixture
+# Offered-load fixed point
+_DAMPING = 0.5
+_STEP_TOL = 1e-6        # relative step at which the iteration has converged
+_MAX_ITER = 200
+_PO_CEILING = 1.0 - 1e-6   # outage at which the point counts as overload
 
 
 class DegenerateInputError(ValueError):
@@ -33,21 +40,24 @@ class DegenerateInputError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# SINR and the single-interferer overlap law
+# The rectangle model, shared with the simulator
 # ---------------------------------------------------------------------------
 
-def sinr(overlap_area, p: SystemParams):
-    """SINR of a replica given the total interfering overlap area (s*Hz)."""
-    a = np.asarray(overlap_area, dtype=float)
-    if np.any(a < 0):
-        raise InvalidParamsError("overlap area cannot be negative")
-    out = 1.0 / (a / (p.W * p.Tp) + 1.0 / p.gamma)
-    return float(out) if np.isscalar(overlap_area) else out
+def sinr(area, p: SystemParams):
+    """SINR of a replica under total interfering overlap area (s*Hz),
+    elementwise over an array of areas."""
+    return 1.0 / (area / (p.W * p.Tp) + 1.0 / p.gamma)
 
 
-def overlap_area(dt: float, df: float, p: SystemParams) -> float:
-    """Intersection area of two replica rectangles offset by (dt, df)."""
-    return max(0.0, p.Tp - abs(dt)) * max(0.0, p.W - abs(df))
+def area_threshold(p: SystemParams) -> float:
+    """Largest total overlap area at which one replica still reaches St."""
+    return p.W * p.Tp * (1.0 / p.St - 1.0 / p.gamma)
+
+
+def overlap_area(dt, df, p: SystemParams):
+    """Intersection area of two replica rectangles offset by (dt, df),
+    elementwise over arrays of offsets; 0 where they do not overlap."""
+    return np.maximum(p.Tp - np.abs(dt), 0.0) * np.maximum(p.W - np.abs(df), 0.0)
 
 
 def overlap_ccdf_paper(s, p: SystemParams):
@@ -117,14 +127,13 @@ class InterferenceCdf:
         return np.clip(out, 0.0, None)
 
 
-def area_grid(p: SystemParams, points: int = GRID_POINTS) -> np.ndarray:
+def area_grid(p: SystemParams) -> np.ndarray:
     """Uniform evaluation grid [0, N*W*Tp] shared by the whole pipeline."""
-    return np.linspace(0.0, p.N * p.W * p.Tp, points)
+    return np.linspace(0.0, p.N * p.W * p.Tp, GRID_POINTS)
 
 
 def overlap_cdf_oracle(rng: np.random.Generator, p: SystemParams,
-                       samples: int = 1_000_000,
-                       points: int = GRID_POINTS) -> InterferenceCdf:
+                       samples: int = 1_000_000) -> InterferenceCdf:
     """Monte Carlo law of the overlap with one interferer, given overlap.
 
     Draws the interferer start uniform on (-Tp, Tp) and the CFO difference
@@ -139,11 +148,11 @@ def overlap_cdf_oracle(rng: np.random.Generator, p: SystemParams,
         dfq = np.zeros(samples)
     else:
         dfq = rng.triangular(-2.0 * p.Fm, 0.0, 2.0 * p.Fm, size=samples)
-    areas = np.maximum(p.Tp - np.abs(dt), 0.0) * np.maximum(p.W - np.abs(dfq), 0.0)
+    areas = overlap_area(dt, dfq, p)
     hit = areas[areas > 0.0]
     if hit.size == 0:
         raise DegenerateInputError("no overlapping draw; increase samples")
-    grid = area_grid(p, points)
+    grid = area_grid(p)
     cdf = np.searchsorted(np.sort(hit), grid, side="right") / hit.size
     meta = {
         "kind": "single-conditional",
@@ -155,14 +164,13 @@ def overlap_cdf_oracle(rng: np.random.Generator, p: SystemParams,
     return InterferenceCdf(grid, cdf, meta)
 
 
-def single_overlap_cdf_paper(p: SystemParams,
-                             points: int = GRID_POINTS) -> InterferenceCdf:
+def single_overlap_cdf_paper(p: SystemParams) -> InterferenceCdf:
     """Single-interferer CDF from the clamped closed form, on the grid.
 
     Every packet in the vulnerable period counts as interfering here
     (overlap_prob = 1), matching the closed form's own convention.
     """
-    grid = area_grid(p, points)
+    grid = area_grid(p)
     smax = p.W * p.Tp
     inside = np.minimum(grid, smax)
     ccdf, _ = overlap_ccdf_paper(inside, p)
@@ -177,15 +185,14 @@ def single_overlap_cdf_paper(p: SystemParams,
 
 
 def build_base_cdf(p: SystemParams, *, base: str = "oracle", rng=None,
-                   samples: int = 1_000_000,
-                   points: int = GRID_POINTS) -> InterferenceCdf:
+                   samples: int = 1_000_000) -> InterferenceCdf:
     """Single-interferer base law: Monte Carlo oracle or closed form."""
     if base == "oracle":
         if rng is None:
             rng = np.random.default_rng(0)
-        return overlap_cdf_oracle(rng, p, samples=samples, points=points)
+        return overlap_cdf_oracle(rng, p, samples=samples)
     if base == "paper":
-        return single_overlap_cdf_paper(p, points=points)
+        return single_overlap_cdf_paper(p)
     raise ValueError(f"unknown base CDF kind {base!r}")
 
 
@@ -261,8 +268,7 @@ def _mean_count(mu: float) -> int:
 
 
 def unconditional_cdf(base: InterferenceCdf, g: float, p: SystemParams,
-                      mixture: str = "poisson",
-                      tail_tol: float = 1e-9) -> InterferenceCdf:
+                      mixture: str = "poisson") -> InterferenceCdf:
     """Aggregate overlap-area CDF of one replica at replica rate g.
 
     Interferers arrive in the 2*Tp vulnerable window as a Poisson process
@@ -281,7 +287,7 @@ def unconditional_cdf(base: InterferenceCdf, g: float, p: SystemParams,
         if mu == 0.0:
             n_max = 0
         else:
-            n_max = int(stats.poisson.ppf(1.0 - tail_tol, mu))
+            n_max = int(stats.poisson.ppf(1.0 - _TAIL_TOL, mu))
         rows = _interferer_powers(base).upto(n_max)
         n_top = len(rows) - 1
         weights = stats.poisson.pmf(np.arange(n_top + 1), mu)
@@ -304,20 +310,15 @@ def unconditional_cdf(base: InterferenceCdf, g: float, p: SystemParams,
 # Outage probabilities
 # ---------------------------------------------------------------------------
 
-def _single_threshold(p: SystemParams) -> float:
-    return p.W * p.Tp * (1.0 / p.St - 1.0 / p.gamma)
-
-
 def outage_single(cdf: InterferenceCdf, p: SystemParams) -> float:
     """P(SINR < St) for one replica under the aggregate law."""
     if p.St > p.gamma:
         warnings.warn("threshold exceeds the operating SNR, outage is certain")
         return 1.0
-    return 1.0 - float(cdf.value_at(_single_threshold(p)))
+    return 1.0 - float(cdf.value_at(area_threshold(p)))
 
 
-def outage_mrc_sinr(cdf: InterferenceCdf, p: SystemParams,
-                    points: int = 4096) -> float:
+def outage_mrc_sinr(cdf: InterferenceCdf, p: SystemParams) -> float:
     """P(sum of branch SINRs < St) with i.i.d. branch interference.
 
     Exact construction for the summed-SINR decision rule: the aggregate
@@ -329,22 +330,21 @@ def outage_mrc_sinr(cdf: InterferenceCdf, p: SystemParams,
     """
     if p.St > p.N * p.gamma:
         return 1.0
-    wtp = p.W * p.Tp
     pmf = cdf.pmf()
-    s_of_a = 1.0 / (cdf.grid / wtp + 1.0 / p.gamma)
-    ds = p.N * p.gamma / (points - 1)
+    s_of_a = sinr(cdf.grid, p)
+    ds = p.N * p.gamma / (_SINR_POINTS - 1)
     idx = np.rint(s_of_a / ds).astype(np.int64)
     # Only the CDF at St is read, and a convolution's first k bins depend
     # only on its inputs' first k bins: keep the bins up to St plus two,
     # so the folded top bin of the truncated convolution is never read.
-    keep = min(points, int(p.St / ds) + 3)
-    branch = np.bincount(idx, weights=pmf, minlength=points)[:keep]
+    keep = min(_SINR_POINTS, int(p.St / ds) + 3)
+    branch = np.bincount(idx, weights=pmf, minlength=_SINR_POINTS)[:keep]
     total = _nfold(branch, p.N)
     grid = np.arange(total.size) * ds
     return float(np.interp(p.St, grid, np.minimum(np.cumsum(total), 1.0)))
 
 
-def outage_independent(cdf: InterferenceCdf, p: SystemParams) -> float:
+def outage_no_combining(cdf: InterferenceCdf, p: SystemParams) -> float:
     """Outage without combining: every replica must fail on its own."""
     per_replica = outage_single(cdf, p)
     return per_replica ** p.N
@@ -354,16 +354,16 @@ def analytic_outage(base: InterferenceCdf, g: float, p: SystemParams,
                     policy: str = "mrc", mixture: str = "poisson") -> float:
     """Full pipeline: base law -> aggregate at rate g -> policy outage.
 
-    MRC uses the summed-SINR construction, the quantity a combining
-    receiver measures.
+    The policies are the simulator's decoding policies with a closed
+    form: "mrc" uses the summed-SINR construction, the quantity a
+    combining receiver measures; "none" decodes when some replica alone
+    reaches St.
     """
     agg = unconditional_cdf(base, g, p, mixture=mixture)
     if policy == "mrc":
         return outage_mrc_sinr(agg, p)
-    if policy == "independent":
-        return outage_independent(agg, p)
-    if policy == "single":
-        return outage_single(agg, p)
+    if policy == "none":
+        return outage_no_combining(agg, p)
     raise ValueError(f"unknown analytic policy {policy!r}")
 
 
@@ -432,9 +432,7 @@ def offered_load_of(g: float, p: SystemParams) -> float:
 
 def solve_offered_load(lambda_agg: float, p: SystemParams, policy: str = "mrc",
                        *, base: InterferenceCdf | None = None,
-                       mixture: str = "poisson", damping: float = 0.5,
-                       tol: float = 1e-6, max_iter: int = 200,
-                       po_ceiling: float = 1.0 - 1e-6) -> SolveResult:
+                       mixture: str = "poisson") -> SolveResult:
     """Solve g = N*lambda / (1 - Po(g)) by damped fixed-point iteration.
 
     Retries re-enter the channel, so the replica rate seen on air exceeds
@@ -449,20 +447,17 @@ def solve_offered_load(lambda_agg: float, p: SystemParams, policy: str = "mrc",
     g_floor = p.N * lambda_agg
     g = g_floor
     status = "max-iterations"
-    it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, _MAX_ITER + 1):
         po = analytic_outage(base, g, p, policy, mixture=mixture)
-        if po >= po_ceiling:
+        if po >= _PO_CEILING:
             status = "overload"
             break
         target = g_floor / (1.0 - po)
-        g_next = (1.0 - damping) * g + damping * target
-        if abs(g_next - g) <= tol * max(1.0, g):
+        g_next = (1.0 - _DAMPING) * g + _DAMPING * target
+        if abs(g_next - g) <= _STEP_TOL * max(1.0, g):
             g = g_next
             status = "converged"
             break
         g = g_next
-    if it == 0:
-        po = analytic_outage(base, g, p, policy, mixture=mixture)
     point = LoadPoint(lambda_agg, g, offered_load_of(g, p))
     return SolveResult(point, po, status, it)

@@ -9,7 +9,6 @@ accounting.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 from scipy.special import lambertw
@@ -48,23 +47,6 @@ def expected_delay(po: float, p: SystemParams) -> float:
     return (p.M * p.Tp + p.Tack) / (1.0 - po) - p.Tack
 
 
-def transmit_power_at(dist_m: float, p: SystemParams, e: EnergyParams,
-                      pt_min: float = 1e-3, pt_max: float = 0.1) -> float:
-    """Power-controlled transmit power for a device at a given distance.
-
-    Inverts the power-law link budget Pt = gamma*N0*W*Gamma*r^sigma / G.
-    Results clamp to [pt_min, pt_max]; hitting the ceiling means the
-    device is outside the power-controlled coverage and a warning is
-    emitted.
-    """
-    if dist_m <= 0:
-        raise InvalidParamsError("distance must be positive")
-    pt = p.gamma * p.N0 * p.W * p.Gamma * dist_m ** e.sigma_pl / e.G
-    if pt > pt_max:
-        warnings.warn(f"required Pt {pt:.3g} W exceeds the cap {pt_max:g} W")
-    return min(max(pt, pt_min), pt_max)
-
-
 def avg_transmit_power(p: SystemParams, e: EnergyParams) -> float:
     """Mean transmit power over a cell with density f(r) = 2r/Rc^2.
 
@@ -84,25 +66,17 @@ def attempt_energy(p: SystemParams, e: EnergyParams) -> float:
             + e.Pc * p.Tack)
 
 
-def battery_lifetime(po: float, p: SystemParams, e: EnergyParams,
-                     paper_literal: bool = False) -> float:
+def battery_lifetime(po: float, p: SystemParams, e: EnergyParams) -> float:
     """Battery lifetime under periodic reporting.
 
-    The corrected energy balance divides the per-attempt cost by the
-    success probability: E_report = Est + attempt_energy / (1 - Po).
-    paper_literal keeps the uncorrected 1/Po factor instead, which is
-    undefined at Po = 0 and raises there.
+    The energy balance divides the per-attempt cost by the success
+    probability: E_report = Est + attempt_energy / (1 - Po).
     """
     if not (0.0 <= po <= 1.0):
         raise InvalidParamsError(f"outage must lie in [0, 1], got {po:g}")
-    if paper_literal:
-        if po == 0.0:
-            raise InvalidParamsError("literal 1/Po energy balance diverges at Po = 0")
-        factor = 1.0 / po
-    else:
-        if po == 1.0:
-            return 0.0
-        factor = 1.0 / (1.0 - po)
+    if po == 1.0:
+        return 0.0
+    factor = 1.0 / (1.0 - po)
     e_report = e.Est + factor * attempt_energy(p, e)
     return e.E0 * e.Tr / e_report
 
@@ -182,6 +156,24 @@ def granted_report_energy(p: SystemParams, e: EnergyParams,
             + (e.Pc + e.alpha * pt) * p.Tp)
 
 
+def granted_path_kpis(lambda_agg: float, attempts: float, outage: float,
+                      delay: float, throughput: float, p: SystemParams,
+                      e: EnergyParams) -> KpiReport:
+    """KPI row of the granted path at a mean count of RA attempts per
+    delivered report, modelled or measured; lifetime and energy
+    efficiency follow from the per-report energy at that count."""
+    e_report = granted_report_energy(p, e, attempts)
+    return KpiReport(
+        outage=outage,
+        expected_delay=delay,
+        battery_lifetime=e.E0 * e.Tr / e_report,
+        energy_efficiency=(p.D - p.Doh) / e_report,
+        spectral_efficiency=spectral_efficiency(lambda_agg, p),
+        throughput=throughput,
+        avg_tx_power=avg_transmit_power(p, e),
+    )
+
+
 def granted_kpis(lambda_agg: float, p: SystemParams, e: EnergyParams,
                  opportunities: int = RA_OPPORTUNITIES,
                  period: float = RA_PERIOD) -> KpiReport:
@@ -192,19 +184,10 @@ def granted_kpis(lambda_agg: float, p: SystemParams, e: EnergyParams,
                          battery_lifetime=0.0, energy_efficiency=0.0,
                          spectral_efficiency=0.0, throughput=0.0,
                          avg_tx_power=avg_transmit_power(p, e))
-    e_report = granted_report_energy(p, e, attempts)
     # Mean wait to the next period boundary plus retry periods, then
     # synchronization and the data transmission itself.
     delay = period / 2.0 + (attempts - 1.0) * period + e.Dsynch + p.Tp
-    return KpiReport(
-        outage=0.0,
-        expected_delay=delay,
-        battery_lifetime=e.E0 * e.Tr / e_report,
-        energy_efficiency=(p.D - p.Doh) / e_report,
-        spectral_efficiency=spectral_efficiency(lambda_agg, p),
-        throughput=lambda_agg,
-        avg_tx_power=avg_transmit_power(p, e),
-    )
+    return granted_path_kpis(lambda_agg, attempts, 0.0, delay, lambda_agg, p, e)
 
 
 def grant_free_kpis(lambda_agg: float, po: float, p: SystemParams,

@@ -3,7 +3,9 @@
 Replicas are Tp-by-W rectangles on a circular time horizon (wrap-around
 removes edge effects). The simulator builds the pairwise overlap graph
 with a sweep over start times, runs iterative interference cancellation
-on it, and feeds failed packets back as retries. Slot patterns and CFOs
+on it, and feeds failed packets back as retries. Overlap areas, SINRs
+and the no-combining threshold are the interference module's rectangle
+model, the formulas the analytic chain uses. Slot patterns and CFOs
 come from the traffic module's frame draw; each grid cell of a sweep
 (run by the experiment module) draws from its own keyed substream. PHY
 detail below the rectangle abstraction (waveforms, preambles) lives in
@@ -19,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kpi as kpi_mod
+from .interference import area_threshold, offered_load_of, overlap_area, sinr
 from .params import EnergyParams, InvalidParamsError, SystemParams
 from .traffic import draw_frames, generate_arrivals
 
@@ -97,14 +100,13 @@ def build_collision_graph(replicas, p: SystemParams,
     a = np.repeat(np.arange(len(ts)), counts)
     b = np.repeat(np.arange(len(ts)) + 1, counts) + _segment_arange(counts)
     ia, ib = ext_idx[order[a]], ext_idx[order[b]]
-    dt = ts[b] - ts[a]  # in (0, Tp) by construction
+    dt = ts[b] - ts[a]  # in [0, Tp]; a pair that only touches gets no area
 
-    keep = (ia != ib) & (packet[ia] != packet[ib]) & (dt < p.Tp)
+    keep = (ia != ib) & (packet[ia] != packet[ib])
     ia, ib, dt = ia[keep], ib[keep], dt[keep]
-    fov = p.W - np.abs(df[ia] - df[ib])
-    keep = fov > 0.0
-    ia, ib, dt, fov = ia[keep], ib[keep], dt[keep], fov[keep]
-    area = (p.Tp - dt) * fov
+    area = overlap_area(dt, df[ia] - df[ib], p)
+    keep = area > 0.0
+    ia, ib, dt, area = ia[keep], ib[keep], dt[keep], area[keep]
 
     # Canonical orientation plus dedup (a wrapped pair can be seen twice).
     flip = ia > ib
@@ -200,7 +202,7 @@ def _interference_area(graph: CollisionGraph, e_alive: np.ndarray) -> np.ndarray
 
 def _no_combining_test(graph: CollisionGraph, p: SystemParams, cr: float):
     pkt = graph.packet
-    area_thresh = p.W * p.Tp * (1.0 / p.St - 1.0 / p.gamma)
+    area_thresh = area_threshold(p)
 
     def round_test(e_alive, test):
         m = _interference_area(graph, e_alive)
@@ -212,12 +214,11 @@ def _no_combining_test(graph: CollisionGraph, p: SystemParams, cr: float):
 
 def _mrc_test(graph: CollisionGraph, p: SystemParams, cr: float):
     pkt = graph.packet
-    wtp = p.W * p.Tp
 
     def round_test(e_alive, test):
         m = _interference_area(graph, e_alive)
         live = test[pkt]
-        s = 1.0 / (m[live] / wtp + 1.0 / p.gamma)
+        s = sinr(m[live], p)
         sums = np.bincount(pkt[live], weights=s, minlength=graph.n_packets)
         return test & (sums >= p.St * (1.0 - _SINR_TOL))
     return round_test
@@ -387,7 +388,7 @@ def run_trial(rng: np.random.Generator, lambda_agg: float, horizon: float,
     mean_delay = float(delay.mean()) if delivered else math.inf
     span = horizon - 2 * margin
     realized_g = attempts * p.N / span if span > 0 else 0.0
-    realized_load = p.W / (2 * p.Fm + p.W) * realized_g * p.Tp
+    realized_load = offered_load_of(realized_g, p)
     mean_att = attempts / offered if offered else 0.0
 
     kpis = kpi_mod.grant_free_kpis(lambda_agg, po, p, e)
@@ -490,16 +491,9 @@ def run_granted_baseline(rng: np.random.Generator, lambda_agg: float,
     mean_delay = float(delay.mean()) if delivered else math.inf
     mean_att = float(attempts[got].mean()) if delivered else math.inf
 
-    e_report = kpi_mod.granted_report_energy(p, e, mean_att)
-    kpis = kpi_mod.KpiReport(
-        outage=1.0 - delivered / offered if offered else 0.0,
-        expected_delay=mean_delay,
-        battery_lifetime=e.E0 * e.Tr / e_report,
-        energy_efficiency=(p.D - p.Doh) / e_report,
-        spectral_efficiency=kpi_mod.spectral_efficiency(lambda_agg, p),
-        throughput=delivered / (horizon - 2 * margin),
-        avg_tx_power=kpi_mod.avg_transmit_power(p, e),
-    )
+    kpis = kpi_mod.granted_path_kpis(
+        lambda_agg, mean_att, 1.0 - delivered / offered if offered else 0.0,
+        mean_delay, delivered / (horizon - 2 * margin), p, e)
     return GrantedTrialResult(lambda_agg, offered, delivered,
                               kpis.outage, mean_delay, mean_att, kpis)
 

@@ -15,10 +15,6 @@ def db2lin(x_db: float) -> float:
     return 10.0 ** (x_db / 10.0)
 
 
-def lin2db(x: float) -> float:
-    return 10.0 * math.log10(x)
-
-
 # Thermal noise density at 290 K, -174 dBm/Hz expressed in W/Hz.
 THERMAL_NOISE_W_PER_HZ = db2lin(-174.0) * 1e-3
 

@@ -14,7 +14,7 @@ baseband stream (signal power over complex noise variance at rate Fs).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.signal import fftconvolve
@@ -22,6 +22,20 @@ from scipy.signal import fftconvolve
 from .params import ZC_ROOT, InvalidParamsError, SystemParams, zc_root_ok
 
 _DRIFT_BLOCK = 64   # CFO rows per drift-table FFT block: bounds memory
+_SMOOTH_SYMBOLS = 8  # event framing: power smoothing span, symbols
+_GAP_SYMBOLS = 2.0   # event framing: longest gap bridged, symbols
+_LINE_DB = 10.0      # periodogram: carrier line height over the median, dB
+_MAX_LINES = 8       # periodogram: most carrier lines kept
+_CFO_MARGIN = 10.0   # periodogram: search band beyond Fm, Hz
+_FINE_CFO_PAD = 32   # zero-padding factor of the residual-CFO spectrum
+# Cross-branch validation; spc_resolve's docstring gives each one's role.
+_TOL = 1             # samples
+_CFO_SLACK = 2.5     # Hz
+_GATE_SLACK = 1.0    # Hz
+_MIN_GAIN = 0.75
+_CAND_FLOOR = 0.82
+_DEFER_RATIO = 2.0
+_WEIGHT_FLOOR = 0.5
 _PAM_LEVELS = np.array([0.0, 1.0, 2.0, 3.0]) / math.sqrt(3.5)
 # Gray labels for level index 0..3
 _GRAY_BITS = np.array([[0, 0], [0, 1], [1, 1], [1, 0]], dtype=np.uint8)
@@ -66,8 +80,8 @@ class PeakBranch:
 
 @dataclass
 class PeakMap:
-    branches: list[PeakBranch] = field(default_factory=list)
-    span: int | None = None   # correlation length; None disables edge checks
+    branches: list[PeakBranch]
+    span: int   # correlation length in samples
 
 
 @dataclass
@@ -161,25 +175,26 @@ def awgn(sig: ComplexSignal, snr: float,
 # ---------------------------------------------------------------------------
 
 def frame_events(signal: ComplexSignal, p: SystemParams,
-                 power_threshold: float, gap_symbols: float = 2.0,
-                 smooth_symbols: int = 8) -> list[DetectionEvent]:
+                 power_threshold: float) -> list[DetectionEvent]:
     """Cut supra-threshold stretches of smoothed power into events.
 
-    Power is box-averaged over smooth_symbols symbols (several, because
-    the nonnegative constellation has a zero level and short zero runs
-    must not split a packet); runs separated by gaps of at most
-    gap_symbols merge, and each run is widened by the smoothing span so
-    threshold-crossing lag cannot clip a preamble. Events longer than
-    Tmax split into frames no longer than Tmax each. Each event also
-    carries up to a packet length of the stream past the detected end
-    as an extraction tail (a deep fade can cut a run mid-packet, and a
-    preamble validated near the end of the event must still yield a
-    complete packet); the search itself never sees the tail.
+    Power is box-averaged over eight symbols (several, because the
+    nonnegative constellation has a zero level and short zero runs must
+    not split a packet); runs separated by gaps of at most two symbols
+    merge, and each run is widened by the smoothing span so
+    threshold-crossing lag cannot clip a preamble. A run longer than
+    Tmax splits into the fewest frames of near-equal length no longer
+    than Tmax, so no frame is a sliver too short for the periodogram.
+    Each event also carries up to a packet length of the stream past
+    the detected end as an extraction tail (a deep fade can cut a run
+    mid-packet, and a preamble validated near the end of the event must
+    still yield a complete packet); the search itself never sees the
+    tail.
     """
     if power_threshold <= 0:
         raise InvalidParamsError("power threshold must be positive")
     sps = max(1, round(signal.fs * p.Tb))
-    win = max(1, smooth_symbols) * sps
+    win = _SMOOTH_SYMBOLS * sps
     pw = np.abs(signal.samples) ** 2
     kernel = np.ones(win) / win
     smooth = fftconvolve(pw, kernel, mode="same").real
@@ -187,7 +202,7 @@ def frame_events(signal: ComplexSignal, p: SystemParams,
     if not above.any():
         return []
     idx = np.flatnonzero(above)
-    breaks = np.flatnonzero(np.diff(idx) > gap_symbols * sps)
+    breaks = np.flatnonzero(np.diff(idx) > _GAP_SYMBOLS * sps)
     guard = win
     run_starts = np.maximum(np.concatenate([[idx[0]], idx[breaks + 1]]) - guard, 0)
     run_ends = np.minimum(np.concatenate([idx[breaks], [idx[-1]]]) + 1 + guard,
@@ -204,8 +219,9 @@ def frame_events(signal: ComplexSignal, p: SystemParams,
     max_len = int(round(p.Tmax * signal.fs))
     tail_len = int(round(p.Tp * signal.fs))
     for s, e in merged:
-        for fs_ in range(s, e, max_len):
-            fe = min(fs_ + max_len, e)
+        n = -(-(e - s) // max_len)
+        cuts = [s + (e - s) * i // n for i in range(n + 1)]
+        for fs_, fe in zip(cuts[:-1], cuts[1:]):
             buf = ComplexSignal(signal.samples[fs_:fe], signal.fs,
                                 signal.t0 + fs_ / signal.fs)
             tail = signal.samples[fe: min(fe + tail_len, signal.samples.size)]
@@ -228,14 +244,13 @@ def _parabolic(logmag: np.ndarray, k: int) -> float:
     return float(0.5 * (a - c) / denom)
 
 
-def periodogram_cfos(ev: DetectionEvent, p: SystemParams,
-                     threshold_db: float = 10.0, max_peaks: int = 8,
-                     max_cfo: float | None = None) -> list[float]:
+def periodogram_cfos(ev: DetectionEvent, p: SystemParams) -> list[float]:
     """Carrier-line CFO estimates from the event spectrum.
 
     The nonnegative constellation puts a discrete line at each packet's
-    offset; lines above median + threshold_db and at least one
-    resolution bin apart are returned, refined parabolically.
+    offset; up to eight lines within Fm (plus a margin) of zero, 10 dB
+    above the median and at least one resolution bin apart are
+    returned, refined parabolically.
     """
     x = ev.buffer.samples
     if x.size < 64:
@@ -249,18 +264,18 @@ def periodogram_cfos(ev: DetectionEvent, p: SystemParams,
     logmag = 20 * np.log10(np.maximum(spec, 1e-300))
     floor = np.median(logmag)
     min_sep = pad  # one pre-padding resolution bin, in padded bins
-    limit = (p.Fm + 10.0) if max_cfo is None else max_cfo
+    limit = p.Fm + _CFO_MARGIN
 
     # circular: a carrier near 0 Hz peaks in the DC bin
     is_peak = (spec >= np.roll(spec, 1)) & (spec >= np.roll(spec, -1))
-    cand = np.flatnonzero(is_peak & (logmag > floor + threshold_db)
+    cand = np.flatnonzero(is_peak & (logmag > floor + _LINE_DB)
                           & (np.abs(freqs) <= limit))
     cand = cand[np.argsort(spec[cand])[::-1]]
     chosen: list[int] = []
     for k in cand:
         if all(min(abs(k - c), nfft - abs(k - c)) >= min_sep for c in chosen):
             chosen.append(int(k))
-        if len(chosen) >= max_peaks:
+        if len(chosen) >= _MAX_LINES:
             break
     out = []
     for k in chosen:
@@ -458,30 +473,26 @@ def build_drift_table(nzc: int, tb: float, fs: float,
 # Successive peak validation
 # ---------------------------------------------------------------------------
 
-def spc_resolve(pm: PeakMap, dt: DriftTable, tol: int = 1,
-                cfo_slack: float = 2.5, gate_slack: float = 1.0,
-                min_gain: float = 0.75, cand_floor: float = 0.82,
-                defer_ratio: float = 2.0,
-                weight_floor: float = 0.5) -> list[ValidatedPeak]:
+def spc_resolve(pm: PeakMap, dt: DriftTable) -> list[ValidatedPeak]:
     """Cross-branch validation of correlation peaks, strongest first.
 
     A peak at p in branch j is real if every other branch k that could
     physically see its ghost shows a peak at p + Q(-(cfo_k - cfo_j))
-    within +-tol samples. Branches are exempt from giving evidence when
+    within +-_TOL samples. Branches are exempt from giving evidence when
     they hold no peaks at all (a junk carrier line that resolved
     nothing must not veto real packets), when the predicted image gain
-    stays below min_gain over a tight +-gate_slack window around the
+    stays below _MIN_GAIN over a tight +-_GATE_SLACK window around the
     offset difference (the image would sit under the correlation
     threshold), or when every predicted position falls outside the
     computed correlation span. Target positions are looked up over the
-    wider +-cfo_slack window because Q steps through whole symbols
+    wider +-_CFO_SLACK window because Q steps through whole symbols
     within the CFO estimation error.
 
     Two classes of peak can serve as evidence but are never promoted
-    to packets themselves: peaks weaker than cand_floor times the
+    to packets themselves: peaks weaker than _CAND_FLOOR times the
     clean-preamble energy (a true arrival correlates near full energy
     in its own branch while ghost images are attenuated), and peaks in
-    branches whose carrier line is weaker than weight_floor times the
+    branches whose carrier line is weaker than _WEIGHT_FLOOR times the
     strongest line in the map (a real packet concentrates a packet-long
     tone in its own branch; ghost branches ride sidelobe lines several
     times weaker). After a peak validates, its predicted image
@@ -489,7 +500,7 @@ def spc_resolve(pm: PeakMap, dt: DriftTable, tol: int = 1,
     candidates are examined, using the full near-top lag sets rather
     than the argmax drifts alone: where the drift gain collapses the
     observed image can sit on any of the near-degenerate lags.
-    Survivors within tol samples and a few Hz of a stronger validated
+    Survivors within _TOL samples and a few Hz of a stronger validated
     peak are duplicates of it on a neighbouring branch (the drift is
     zero there) and are dropped.
     """
@@ -512,20 +523,20 @@ def spc_resolve(pm: PeakMap, dt: DriftTable, tol: int = 1,
         # explains this candidate as its image, hold the candidate back
         # and let the rival claim the constellation first
         for k, bk in enumerate(branches):
-            if k == j or bk.weight < defer_ratio * branches[j].weight:
+            if k == j or bk.weight < _DEFER_RATIO * branches[j].weight:
                 continue
-            q = dt.alt_window(-(branches[j].cfo - bk.cfo), cfo_slack)
+            q = dt.alt_window(-(branches[j].cfo - bk.cfo), _CFO_SLACK)
             q = np.concatenate([q, q + n_pre, q - n_pre])
-            rooted = alive[k] & (bk.magnitudes >= cand_floor * energy)
+            rooted = alive[k] & (bk.magnitudes >= _CAND_FLOOR * energy)
             src = bk.positions[rooted]
             if src.size and np.min(np.abs(pos - src[:, None]
-                                          - q[None, :])) <= tol:
+                                          - q[None, :])) <= _TOL:
                 return True
         return False
 
     def examine(mag: float, j: int, i: int, rescue: bool) -> None:
-        if (not alive[j][i] or mag < cand_floor * energy
-                or branches[j].weight < weight_floor * wmax):
+        if (not alive[j][i] or mag < _CAND_FLOOR * energy
+                or branches[j].weight < _WEIGHT_FLOOR * wmax):
             return
         pos = int(branches[j].positions[i])
         if not rescue and deferred(j, pos):
@@ -536,17 +547,16 @@ def spc_resolve(pm: PeakMap, dt: DriftTable, tol: int = 1,
             if k == j or bk.positions.size == 0:
                 continue
             delta = -(bk.cfo - branches[j].cfo)
-            if dt.max_gain_window(delta, gate_slack) < min_gain:
+            if dt.max_gain_window(delta, _GATE_SLACK) < _MIN_GAIN:
                 continue
-            targets = pos + dt.shifts_window(delta, cfo_slack)
-            if pm.span is not None:
-                targets = targets[(targets >= 0) & (targets < pm.span)]
+            targets = pos + dt.shifts_window(delta, _CFO_SLACK)
+            targets = targets[(targets >= 0) & (targets < pm.span)]
             if targets.size == 0:
                 continue
             required += 1
             live_pos = bk.positions[alive[k]]
             if live_pos.size == 0 or np.min(np.abs(
-                    live_pos[:, None] - targets[None, :])) > tol:
+                    live_pos[:, None] - targets[None, :])) > _TOL:
                 missing += 1
         # a predicted gain just above the gate still leaves the image
         # near the correlation threshold, so a minority of absent
@@ -564,11 +574,11 @@ def spc_resolve(pm: PeakMap, dt: DriftTable, tol: int = 1,
         # complements are cancelled alongside the tabulated shifts
         for k, bk in enumerate(branches):
             delta = -(bk.cfo - branches[j].cfo)
-            q = dt.alt_window(delta, cfo_slack)
+            q = dt.alt_window(delta, _CFO_SLACK)
             targets = pos + np.concatenate([q, q + n_pre, q - n_pre])
             if bk.positions.size:
                 near = np.min(np.abs(bk.positions[:, None]
-                                     - targets[None, :]), axis=1) <= tol
+                                     - targets[None, :]), axis=1) <= _TOL
                 alive[k][near] = False
 
     for mag, j, i in pool:
@@ -578,8 +588,8 @@ def spc_resolve(pm: PeakMap, dt: DriftTable, tol: int = 1,
     validated.sort(key=lambda v: -v.magnitude)
     kept: list[ValidatedPeak] = []
     for v in validated:
-        if any(abs(v.position - u.position) <= tol
-               and abs(v.cfo - u.cfo) <= 2 * cfo_slack for u in kept):
+        if any(abs(v.position - u.position) <= _TOL
+               and abs(v.cfo - u.cfo) <= 2 * _CFO_SLACK for u in kept):
             continue
         kept.append(v)
     kept.sort(key=lambda v: v.position)
@@ -616,7 +626,7 @@ def extract_sequences(ev: DetectionEvent, validated: list[ValidatedPeak],
     return out
 
 
-def fine_cfo(seq: ComplexSignal, p: SystemParams, pad: int = 32) -> float:
+def fine_cfo(seq: ComplexSignal, p: SystemParams) -> float:
     """Residual offset from the preamble after coarse demodulation.
 
     The wiped preamble leaves a tone at the residual; the refinement is
@@ -627,7 +637,7 @@ def fine_cfo(seq: ComplexSignal, p: SystemParams, pad: int = 32) -> float:
     if seq.samples.size < pre.size:
         raise InvalidParamsError("sequence shorter than the preamble")
     r = seq.samples[: pre.size] * np.conj(pre)
-    nfft = pad * pre.size
+    nfft = _FINE_CFO_PAD * pre.size
     spec = np.abs(np.fft.fft(r, nfft))
     k = int(np.argmax(spec))
     frac = _parabolic(20 * np.log10(np.maximum(spec, 1e-300)), k)
@@ -635,8 +645,7 @@ def fine_cfo(seq: ComplexSignal, p: SystemParams, pad: int = 32) -> float:
     return float(f + frac * seq.fs / nfft)
 
 
-def demap_payload(seq: ComplexSignal, p: SystemParams,
-                  refine_cfo: bool = True) -> np.ndarray:
+def demap_payload(seq: ComplexSignal, p: SystemParams) -> np.ndarray:
     """Coherent payload demodulation of an extracted packet.
 
     Removes the residual CFO measured on the preamble, equalizes with
@@ -644,9 +653,8 @@ def demap_payload(seq: ComplexSignal, p: SystemParams,
     slices to Gray bits.
     """
     x = seq.samples
-    if refine_cfo:
-        df = fine_cfo(seq, p)
-        x = x * np.exp(-2j * math.pi * df * np.arange(x.size) / seq.fs)
+    df = fine_cfo(seq, p)
+    x = x * np.exp(-2j * math.pi * df * np.arange(x.size) / seq.fs)
     pre = upsampled_preamble(p)
     gain = np.vdot(pre, x[: pre.size]) / np.vdot(pre, pre)
     if gain == 0:

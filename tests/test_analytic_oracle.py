@@ -177,15 +177,6 @@ def test_saturated_table_changes_only_the_top_bin():
     assert new.cdf[-1] == pytest.approx(ref.cdf[-1], rel=1e-12)
 
 
-def test_max_iter_zero_evaluates_the_floor():
-    base = _base("paper", P)
-    lam = nominal_lambda(0.1, P)
-    res = itf.solve_offered_load(lam, P, base=base, max_iter=0)
-    assert res.status == "max-iterations" and res.iterations == 0
-    assert res.load.g == P.N * lam
-    assert res.po == itf.analytic_outage(base, P.N * lam, P)
-
-
 # ---------------------------------------------------------------------------
 # Overload: the damped iterate reaches interferer counts near 1e6
 # ---------------------------------------------------------------------------

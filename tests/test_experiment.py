@@ -3,9 +3,12 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gfaloha import experiment as ex
+from gfaloha import interference as itf
+from gfaloha import kpi, mcsim
 from gfaloha.params import InvalidParamsError
 
 
@@ -96,6 +99,32 @@ def test_run_experiment_files_and_rows(tmp_path):
                           "expected_delay", "spectral_efficiency"}
     assert set(cross["energy_efficiency"]) == {"n=2"}
     assert set(cross["energy_efficiency"]["n=2"]) == {"analytic", "empirical"}
+
+
+@pytest.mark.parametrize("policy", ["none", "sc"])
+def test_run_experiment_kpi_policy(tmp_path, policy):
+    # "none" is one receiver in both columns: the analytic cells are the
+    # no-combining fixed point; sc has no closed form, so none at all
+    cfg = tiny(tmp_path, figures=("ee", "lifetime"), kpi_policy=policy, reps=1)
+    ex.run_experiment(cfg)
+    base = itf.build_base_cdf(cfg.system, rng=np.random.default_rng(cfg.seed),
+                              samples=cfg.oracle_samples)
+    for fig, kpi_name in (("ee", "energy_efficiency"),
+                          ("lifetime", "battery_lifetime")):
+        gf = [r for r in read_rows(tmp_path / f"fig-{fig}.csv")
+              if r["scheme"] == "grant-free"]
+        assert len(gf) == 2
+        for r in gf:
+            assert r["policy"] == policy and r["empirical"] != ""
+            if policy == "sc":
+                assert r["analytic"] == r["status"] == ""
+                continue
+            pn = cfg.system.with_replicas(int(r["n_replicas"]))
+            lam = mcsim.nominal_lambda(float(r["load"]), pn)
+            res = itf.solve_offered_load(lam, pn, "none", base=base)
+            want = kpi.grant_free_kpis(lam, res.po, pn, cfg.energy)
+            assert r["analytic"] == ex._fmt(getattr(want, kpi_name))
+            assert r["status"] == res.status
 
 
 def test_run_experiment_reproducible(tmp_path):

@@ -4,12 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gfaloha.interference import (DegenerateInputError, InterferenceCdf,
                                   _convolve_pmf, analytic_outage, area_grid,
-                                  build_base_cdf, combined_sinr, mmse_weights,
-                                  offered_load_of, outage_independent,
-                                  outage_mrc_sinr, outage_single,
+                                  area_threshold, build_base_cdf,
+                                  combined_sinr, mmse_weights,
+                                  offered_load_of, outage_mrc_sinr,
+                                  outage_no_combining, outage_single,
                                   overlap_area, overlap_ccdf_paper,
                                   overlap_cdf_oracle, sinr,
                                   solve_offered_load, unconditional_cdf)
@@ -19,20 +21,27 @@ P = SystemParams()
 
 
 def test_sinr_limits():
-    assert sinr(0.0, P) == pytest.approx(P.gamma)
-    # full overlap of one equal-power interferer: 1/(1 + 1/gamma)
+    # no overlap leaves the SNR; full overlap of one equal-power
+    # interferer gives 1/(1 + 1/gamma); the threshold area gives St
     full = P.W * P.Tp
-    assert sinr(full, P) == pytest.approx(1.0 / (1.0 + 1.0 / P.gamma))
-    with pytest.raises(InvalidParamsError):
-        sinr(-1.0, P)
+    got = sinr(np.array([0.0, full, area_threshold(P)]), P)
+    assert got == pytest.approx([P.gamma, 1.0 / (1.0 + 1.0 / P.gamma), P.St])
+    assert np.all(np.diff(sinr(np.linspace(0.0, 2 * full, 9), P)) < 0)
 
 
 def test_overlap_area_geometry():
-    assert overlap_area(0.0, 0.0, P) == pytest.approx(P.W * P.Tp)
-    assert overlap_area(P.Tp, 0.0, P) == 0.0
-    assert overlap_area(0.0, P.W, P) == 0.0
-    assert overlap_area(0.25, 50.0, P) == pytest.approx(0.25 * 150.0)
-    assert overlap_area(-0.25, -50.0, P) == overlap_area(0.25, 50.0, P)
+    dt = np.array([0.0, P.Tp, 0.0, 0.25, -0.25, 0.7])
+    df = np.array([0.0, 0.0, P.W, 50.0, -50.0, 0.0])
+    assert overlap_area(dt, df, P) == pytest.approx(
+        [P.W * P.Tp, 0.0, 0.0, 0.25 * 150.0, 0.25 * 150.0, 0.0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(1.0, 1e4), st.floats(1e-3, 10.0), st.floats(0.1, 1e3),
+       st.floats(1e-3, 1.0))
+def test_sinr_at_the_area_threshold_is_st(w, tp, gamma, frac):
+    p = SystemParams(W=w, Tp=tp, gamma=gamma, St=frac * gamma)
+    assert sinr(area_threshold(p), p) == pytest.approx(p.St, rel=1e-12)
 
 
 def test_closed_form_ccdf_endpoints():
@@ -117,7 +126,7 @@ def test_outage_orderings():
         agg = unconditional_cdf(base, g, P)
         po_1 = outage_single(agg, P)
         assert 0.0 <= po_1 <= 1.0
-        assert outage_independent(agg, P) == pytest.approx(po_1 ** P.N)
+        assert outage_no_combining(agg, P) == pytest.approx(po_1 ** P.N)
         # combining never loses to a single branch
         assert outage_mrc_sinr(agg, P) <= po_1 + 1e-12
 
@@ -130,8 +139,10 @@ def test_outage_monotone_in_rate():
 
 def test_analytic_outage_rejects_unknown_modes():
     base = build_base_cdf(P, base="paper")
-    with pytest.raises(ValueError):
-        analytic_outage(base, 0.1, P, policy="selection")
+    # the policies are the simulator's names; sc has no closed form
+    for policy in ("selection", "independent", "single", "sc"):
+        with pytest.raises(ValueError):
+            analytic_outage(base, 0.1, P, policy=policy)
     with pytest.raises(ValueError):
         analytic_outage(base, 0.1, P, policy="mrc", mixture="binomial")
 

@@ -11,7 +11,7 @@ from gfaloha.kpi import (RA_OPPORTUNITIES, RA_PERIOD, attempt_energy,
                          energy_efficiency, expected_delay, grant_free_kpis,
                          granted_attempt_energy, granted_kpis,
                          granted_report_energy, ra_contention,
-                         spectral_efficiency, throughput, transmit_power_at)
+                         spectral_efficiency, throughput)
 from gfaloha.params import EnergyParams, InvalidParamsError, SystemParams
 
 P = SystemParams()
@@ -25,16 +25,6 @@ def test_expected_delay():
     assert expected_delay(1.0, P) == math.inf
     with pytest.raises(InvalidParamsError):
         expected_delay(1.5, P)
-
-
-def test_transmit_power_control():
-    near = transmit_power_at(100.0, P, E)
-    far = transmit_power_at(900.0, P, E)
-    assert near <= far <= 0.1
-    with pytest.raises(InvalidParamsError):
-        transmit_power_at(0.0, P, E)
-    with pytest.warns(UserWarning):
-        transmit_power_at(5000.0, P, E)   # outside power-controlled coverage
 
 
 def test_avg_transmit_power_formula():
@@ -57,11 +47,6 @@ def test_battery_lifetime():
     assert full == pytest.approx(E.E0 * E.Tr / (E.Est + attempt_energy(P, E)))
     assert battery_lifetime(0.5, P, E) < full
     assert battery_lifetime(1.0, P, E) == 0.0
-    # the literal 1/Po balance coincides with 1/(1-Po) at Po = 0.5 only
-    assert battery_lifetime(0.5, P, E, paper_literal=True) == pytest.approx(
-        battery_lifetime(0.5, P, E))
-    with pytest.raises(InvalidParamsError):
-        battery_lifetime(0.0, P, E, paper_literal=True)
 
 
 def test_energy_and_spectral_efficiency():

@@ -4,10 +4,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gfaloha.mcsim import (build_collision_graph, nominal_lambda, rng_for,
                            run_granted_baseline, run_trial, sic_decode)
-from gfaloha.interference import offered_load_of
+from gfaloha.interference import offered_load_of, overlap_area
 from gfaloha.params import EnergyParams, InvalidParamsError, SystemParams
 
 P = SystemParams()
@@ -33,6 +34,23 @@ def test_pairwise_overlap_area():
     assert edges(g) == ([0], [1])
     assert g.area[0] == pytest.approx(0.3 * 150.0)
     assert g.dt[0] == pytest.approx(0.2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 60),
+       st.sampled_from([None, 12.0, 40.0]), st.sampled_from([50.0, 100.0, 300.0]))
+def test_graph_edges_carry_the_shared_overlap_area(seed, n, horizon, fm):
+    # the simulator's edge areas are the analytic chain's rectangle
+    # overlap, bit for bit
+    p = replace(P, Fm=fm)
+    rng = np.random.default_rng(seed)
+    t0 = rng.uniform(0.0, 12.0, n)
+    t0[rng.random(n) < 0.2] = 3.0        # exact ties in start time
+    df = rng.uniform(-fm, fm, n)
+    g = build_collision_graph((t0, df, rng.integers(0, n, n)), p, horizon)
+    want = overlap_area(g.dt, g.df[g.ea] - g.df[g.eb], p)
+    assert np.array_equal(g.area, want)
+    assert np.all(g.area > 0.0)
 
 
 def test_no_edge_outside_vulnerable_zone():

@@ -1,4 +1,7 @@
-"""Public export list of the package."""
+"""Public export list of the package, and no definition without a caller."""
+
+import ast
+from pathlib import Path
 
 import gfaloha
 
@@ -14,3 +17,28 @@ def test_removed_names_stay_unexported():
     for name in ("sweep", "Replica", "VirtualFrame", "draw_virtual_frame"):
         assert name not in gfaloha.__all__
         assert not hasattr(gfaloha, name)
+
+
+def test_every_top_level_definition_is_reached():
+    # a top-level function or class must be named somewhere in the
+    # package outside its own body, be exported, or be the CLI entry
+    # point; code only tests reach is deleted or merged into the path
+    # the program uses (names are matched across modules, not resolved)
+    src = Path(gfaloha.__file__).parent
+    defined, used = [], set()
+    for path in sorted(src.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            own = None
+            if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                ast.ClassDef)):
+                own = top.name
+                defined.append((path.stem, own))
+            for node in ast.walk(top):
+                name = (node.id if isinstance(node, ast.Name) else
+                        node.attr if isinstance(node, ast.Attribute) else None)
+                if name is not None and name != own:
+                    used.add(name)
+    orphans = [f"{mod}.{name}" for mod, name in defined
+               if name not in used and name not in gfaloha.__all__
+               and (mod, name) != ("cli", "main")]
+    assert orphans == []

@@ -6,14 +6,13 @@ import math
 import pytest
 
 from gfaloha.params import (EnergyParams, InvalidParamsError, SystemParams,
-                            db2lin, lin2db, load_params, packet_duration,
+                            db2lin, load_params, packet_duration,
                             slots_for_replicas, zc_root_ok)
 
 
 def test_db_roundtrip():
-    for x in (0.01, 1.0, 3.9811, 250.0):
-        assert lin2db(db2lin(lin2db(x))) == pytest.approx(lin2db(x), rel=1e-12)
     assert db2lin(0.0) == 1.0
+    assert db2lin(-3.0) * db2lin(3.0) == pytest.approx(1.0, rel=1e-12)
     assert db2lin(10.0) == pytest.approx(10.0)
 
 

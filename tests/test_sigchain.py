@@ -148,6 +148,20 @@ def test_frame_events_split_at_cap():
     assert evs[1].start_time == pytest.approx(evs[0].end_time)
 
 
+def test_frame_events_long_run_splits_evenly(dt):
+    # a run just over the cap splits into two near-equal frames, not a
+    # full frame plus a sliver too short for the periodogram
+    rng = np.random.default_rng(8)
+    specs = [(k * 2000, 30.0 * k - 45.0, None) for k in range(4)]
+    sig = packet_stream(specs, 8010, rng=rng)
+    evs = sg.frame_events(sg.ComplexSignal(sig, P.Fs), P, power_threshold=0.1)
+    assert [ev.buffer.samples.size for ev in evs] == [4005, 4005]
+    assert evs[1].start_time == pytest.approx(evs[0].end_time)
+    # the chain runs on both frames (a 10-sample frame used to raise)
+    found = {pos for pos, _, bits in chain(sig, dt, thr=0.1) if bits is not None}
+    assert {2000, 6000} <= found
+
+
 # ---------------------------------------------------------------------------
 # CFO estimation and correlation
 # ---------------------------------------------------------------------------
@@ -265,7 +279,7 @@ def test_drift_table_rejects_bad_grids(grid):
 # ---------------------------------------------------------------------------
 
 def test_spc_empty_map(dt):
-    assert sg.spc_resolve(sg.PeakMap([], None), dt) == []
+    assert sg.spc_resolve(sg.PeakMap([], 0), dt) == []
 
 
 def test_spc_single_branch_vacuous(dt):
