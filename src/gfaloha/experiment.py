@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from . import interference as itf
 from . import kpi as kpi_mod
@@ -153,7 +153,7 @@ def _mean_ci(vals: list[float]) -> tuple[float, float]:
     arr = np.asarray(vals, dtype=float)
     if len(arr) < 2:
         return float(arr.mean()), 0.0
-    t = stats.t.ppf(0.975, len(arr) - 1)
+    t = special.stdtrit(len(arr) - 1, 0.975)   # Student-t 0.975 quantile
     return float(arr.mean()), float(t * arr.std(ddof=1) / math.sqrt(len(arr)))
 
 
@@ -366,7 +366,12 @@ def _decode_stream(samples: np.ndarray, p: SystemParams, dt: sg.DriftTable,
                    power_threshold: float,
                    decisions) -> list[tuple[int, float, object]]:
     """Full chain over a sample stream: (position, cfo, bits|None) triples,
-    each also fed into the `decisions` hash."""
+    each also fed into the `decisions` hash.
+
+    Frames of a long run overlap by one preamble, so a packet can be
+    validated in two of them; a validation within one sample and twice
+    the CFO slack of an earlier one is that packet again and is dropped.
+    """
     out = []
     stream = sg.ComplexSignal(samples, p.Fs)
     for ev in sg.frame_events(stream, p, power_threshold=power_threshold):
@@ -374,9 +379,13 @@ def _decode_stream(samples: np.ndarray, p: SystemParams, dt: sg.DriftTable,
         off = int(round(ev.start_time * p.Fs))
         vs = sg.spc_resolve(pm, dt)
         for v, sq in zip(vs, sg.extract_sequences(ev, vs, p)):
+            pos = off + v.position
+            if any(abs(pos - q) <= 1 and abs(v.cfo - c) <= 2 * sg._CFO_SLACK
+                   for q, c, _ in out):
+                continue
             bits = None if sq.partial else sg.demap_payload(sq.z, p)
-            out.append((off + v.position, v.cfo, bits))
-            decisions.update(struct.pack("<qdq", off + v.position, v.cfo,
+            out.append((pos, v.cfo, bits))
+            decisions.update(struct.pack("<qdq", pos, v.cfo,
                                          -1 if bits is None else bits.size))
             if bits is not None:
                 decisions.update(bits.tobytes())

@@ -21,7 +21,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .params import InvalidParamsError, SystemParams
 
@@ -262,6 +262,22 @@ def _interferer_powers(base: InterferenceCdf) -> _PmfPowers:
     return base._powers
 
 
+def _poisson_pmf(k, mu: float) -> np.ndarray:
+    """Poisson(mu) pmf at the counts k, by the expression scipy.stats
+    evaluates (so the mixture weights keep their bits)."""
+    return np.clip(np.exp(special.xlogy(k, mu) - special.gammaln(k + 1) - mu),
+                   0.0, 1.0)
+
+
+def _poisson_ppf(q: float, mu: float) -> int:
+    """Smallest count whose Poisson(mu) CDF reaches q, for 0 < q < 1:
+    the inverse CDF rounded up, one count lower when that count already
+    reaches q (scipy.stats' evaluation)."""
+    n = math.ceil(special.pdtrik(q, mu))
+    below = max(n - 1, 0)
+    return below if special.pdtr(below, mu) >= q else n
+
+
 def _mean_count(mu: float) -> int:
     """Interferer count used by the fixed-count shortcut: ceil(mu) - 1."""
     return max(int(math.ceil(mu)) - 1, 0)
@@ -287,14 +303,14 @@ def unconditional_cdf(base: InterferenceCdf, g: float, p: SystemParams,
         if mu == 0.0:
             n_max = 0
         else:
-            n_max = int(stats.poisson.ppf(1.0 - _TAIL_TOL, mu))
+            n_max = _poisson_ppf(1.0 - _TAIL_TOL, mu)
         rows = _interferer_powers(base).upto(n_max)
         n_top = len(rows) - 1
-        weights = stats.poisson.pmf(np.arange(n_top + 1), mu)
+        weights = _poisson_pmf(np.arange(n_top + 1), mu)
         if n_top < n_max:
             # Rows n_top..n_max are all the saturated row below the top bin.
-            weights[n_top] = stats.poisson.pmf(
-                np.arange(n_top, n_max + 1), mu).sum()
+            weights[n_top] = _poisson_pmf(np.arange(n_top, n_max + 1),
+                                          mu).sum()
         mix = weights @ rows
     elif mixture == "mean-count":
         mix = _interferer_powers(base).upto(_mean_count(mu))[-1]
@@ -427,6 +443,9 @@ class SolveResult:
 
 
 def offered_load_of(g: float, p: SystemParams) -> float:
+    """Normalized offered load of replica rate g: g*Tp scaled by the share
+    W/(2*Fm + W) of the carrier-offset band one replica occupies.
+    mcsim.nominal_lambda is its inverse at g = N*lambda."""
     return p.W / (2.0 * p.Fm + p.W) * g * p.Tp
 
 

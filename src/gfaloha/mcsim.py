@@ -302,7 +302,9 @@ class TrialResult:
 
 
 def nominal_lambda(load: float, p: SystemParams) -> float:
-    """Arrival rate whose first-attempt traffic realizes the given load."""
+    """Arrival rate whose first-attempt traffic realizes the given load:
+    the inverse of interference.offered_load_of at replica rate N*lambda,
+    written out in closed form (the sweep's load axis keeps its bits)."""
     return load * (2.0 * p.Fm + p.W) / (p.W * p.N * p.Tp)
 
 

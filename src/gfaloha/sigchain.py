@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy import fft as sp_fft
 
 from .params import ZC_ROOT, InvalidParamsError, SystemParams, zc_root_ok
 
@@ -174,6 +174,28 @@ def awgn(sig: ComplexSignal, snr: float,
 # Event framing
 # ---------------------------------------------------------------------------
 
+def _convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Full linear convolution along the last axis, broadcasting the others.
+
+    Evaluated as scipy.signal.fftconvolve does, so the bits match it: the
+    product of the two spectra at next_fast_len (real transforms for real
+    input), or the plain product when either length is 1.
+    """
+    na, nb = a.shape[-1], b.shape[-1]
+    if na == 0 or nb == 0:
+        shape = np.broadcast_shapes(a.shape[:-1], b.shape[:-1]) + (0,)
+        return np.zeros(shape, dtype=np.result_type(a, b))
+    if na == 1 or nb == 1:
+        return a * b
+    n = na + nb - 1
+    real = not (np.iscomplexobj(a) or np.iscomplexobj(b))
+    nfft = sp_fft.next_fast_len(n, real)
+    fwd, inv = (sp_fft.rfftn, sp_fft.irfftn) if real else (sp_fft.fftn, sp_fft.ifftn)
+    axes = (a.ndim - 1,)
+    spec = fwd(a, (nfft,), axes=axes) * fwd(b, (nfft,), axes=axes)
+    return inv(spec, (nfft,), axes=axes)[..., :n]
+
+
 def frame_events(signal: ComplexSignal, p: SystemParams,
                  power_threshold: float) -> list[DetectionEvent]:
     """Cut supra-threshold stretches of smoothed power into events.
@@ -184,7 +206,10 @@ def frame_events(signal: ComplexSignal, p: SystemParams,
     merge, and each run is widened by the smoothing span so
     threshold-crossing lag cannot clip a preamble. A run longer than
     Tmax splits into the fewest frames of near-equal length no longer
-    than Tmax, so no frame is a sliver too short for the periodogram.
+    than Tmax, so no frame is a sliver too short for the periodogram;
+    consecutive frames overlap by one preamble, so every preamble lies
+    whole inside some frame (one starting exactly where the later frame
+    starts lies in both, and the caller drops the duplicate).
     Each event also carries up to a packet length of the stream past
     the detected end as an extraction tail (a deep fade can cut a run
     mid-packet, and a preamble validated near the end of the event must
@@ -194,10 +219,15 @@ def frame_events(signal: ComplexSignal, p: SystemParams,
     if power_threshold <= 0:
         raise InvalidParamsError("power threshold must be positive")
     sps = max(1, round(signal.fs * p.Tb))
+    max_len = int(round(p.Tmax * signal.fs))
+    overlap = p.Nzc * sps
+    if max_len <= overlap:
+        raise InvalidParamsError("frame cap Tmax must exceed the preamble length")
     win = _SMOOTH_SYMBOLS * sps
     pw = np.abs(signal.samples) ** 2
     kernel = np.ones(win) / win
-    smooth = fftconvolve(pw, kernel, mode="same").real
+    lead = (win - 1) // 2   # the centered ("same") part of the convolution
+    smooth = _convolve(pw, kernel)[lead: lead + pw.size]
     above = smooth > power_threshold
     if not above.any():
         return []
@@ -216,12 +246,15 @@ def frame_events(signal: ComplexSignal, p: SystemParams,
             merged.append((int(s), int(e)))
 
     events = []
-    max_len = int(round(p.Tmax * signal.fs))
     tail_len = int(round(p.Tp * signal.fs))
     for s, e in merged:
-        n = -(-(e - s) // max_len)
-        cuts = [s + (e - s) * i // n for i in range(n + 1)]
-        for fs_, fe in zip(cuts[:-1], cuts[1:]):
+        # n frames of near-equal length <= max_len, each overlapping the
+        # next by one preamble; a run under the cap is one frame [s, e)
+        step = e - s - overlap
+        n = max(1, -(-step // (max_len - overlap)))
+        for i in range(n):
+            fs_ = s + step * i // n
+            fe = s + step * (i + 1) // n + overlap
             buf = ComplexSignal(signal.samples[fs_:fe], signal.fs,
                                 signal.t0 + fs_ / signal.fs)
             tail = signal.samples[fe: min(fe + tail_len, signal.samples.size)]
@@ -319,8 +352,9 @@ def peak_map(ev: DetectionEvent, cfos: list[float], p: SystemParams,
         corr = np.empty((f.shape[0], 0))
     else:
         y = x * np.exp(-2j * math.pi * f * k / fs)
-        corr = np.abs(fftconvolve(y, np.conj(pre[::-1])[None, :],
-                                  mode="valid", axes=1))
+        # the "valid" part: lags where the preamble lies inside the buffer
+        full = _convolve(y, np.conj(pre[::-1])[None, :])
+        corr = np.abs(full[:, pre.size - 1: x.size])
     is_max = np.ones(corr.shape, dtype=bool)
     if span > 1:
         is_max[:, 0] = corr[:, 0] >= corr[:, 1]

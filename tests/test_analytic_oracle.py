@@ -197,3 +197,29 @@ def test_overload_stays_bounded(n, mixture, load):
     assert 2.0 * res.load.g * p.Tp > 1e4        # far past the table
     assert base._powers.saturated
     assert base._powers.n + 1 <= itf.GRID_POINTS
+
+
+# ---------------------------------------------------------------------------
+# The Poisson weights without scipy.stats
+# ---------------------------------------------------------------------------
+
+def test_poisson_helpers_match_scipy_stats():
+    # mu from a light load up to far past saturation, plus the interferer
+    # means where the default sweep's MRC solves at loads 0.5 and 0.75
+    # stop as overload (about 43.4 and 324)
+    overload = [2.0 * itf.solve_offered_load(nominal_lambda(load, P), P).load.g
+                * P.Tp for load in (0.5, 0.75)]
+    q = 1.0 - 1e-9
+    for mu in [*np.geomspace(1e-12, 2000.0, 600), 42.8, *overload]:
+        n = itf._poisson_ppf(q, mu)
+        assert n == int(stats.poisson.ppf(q, mu))
+        k = np.arange(n + 3)
+        assert (itf._poisson_pmf(k, mu).tobytes()
+                == stats.poisson.pmf(k, mu).tobytes())
+    # at q equal to the CDF of a count, the rounded-up inverse can land one
+    # count high; the step down must bring it back as scipy.stats does
+    for mu in (0.3, 2.5, 43.4, 324.0):
+        for k in range(int(2 * mu) + 5):
+            q = float(stats.poisson.cdf(k, mu))
+            if 0.0 < q < 1.0:
+                assert itf._poisson_ppf(q, mu) == int(stats.poisson.ppf(q, mu))

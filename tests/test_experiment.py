@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from gfaloha import experiment as ex
 from gfaloha import interference as itf
@@ -145,6 +146,17 @@ def test_mean_ci_degenerate():
     mean, ci = ex._mean_ci([1.0, 2.0, 3.0])
     # t(0.975, 2) * s / sqrt(3) with s = 1
     assert (mean, ci) == (2.0, pytest.approx(4.302652730 / 3 ** 0.5))
+
+
+def test_mean_ci_matches_scipy_stats_t():
+    # the half-width reads the t quantile from scipy.special; it must keep
+    # the bits scipy.stats.t.ppf gives, for every count of repetitions
+    rng = np.random.default_rng(3)
+    for df in range(1, 201):
+        vals = rng.normal(size=df + 1)
+        half = (stats.t.ppf(0.975, df) * vals.std(ddof=1)
+                / np.sqrt(df + 1))
+        assert ex._mean_ci(list(vals)) == (float(vals.mean()), float(half))
 
 
 def test_run_experiment_empty_grid(tmp_path):

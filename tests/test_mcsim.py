@@ -230,3 +230,13 @@ def test_sweep_rows_and_worker_independence(tmp_path):
         assert r1["empirical_ci"] == r2["empirical_ci"]
     for r in rows1:
         assert r["empirical"] != "" and r["empirical_ci"] != ""
+
+
+@settings(max_examples=200, deadline=None)
+@given(W=st.floats(1.0, 1e5), Fm=st.floats(0.0, 1e4), Tp=st.floats(1e-3, 10.0),
+       N=st.integers(1, 8), load=st.floats(1e-6, 10.0))
+def test_nominal_lambda_inverts_offered_load_of(W, Fm, Tp, N, load):
+    # the sweep's load axis and a trial's realized load are two formulas
+    p = SystemParams(W=W, Fm=Fm, Tp=Tp, N=N, M=max(N, 4))
+    assert offered_load_of(p.N * nominal_lambda(load, p), p) == pytest.approx(
+        load, rel=1e-12)

@@ -6,11 +6,13 @@ on noise-free inputs; the statistical error rates of the same pipeline
 under noise live in the acceptance suite.
 """
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from gfaloha import experiment as ex
 from gfaloha import sigchain as sg
 from gfaloha.params import InvalidParamsError, SystemParams
 
@@ -25,16 +27,7 @@ def dt():
 
 def chain(samples, dt, thr=1.4 / P.gamma):
     """Decode a raw stream into (position, cfo, bits|None) triples."""
-    out = []
-    stream = sg.ComplexSignal(samples, P.Fs)
-    for ev in sg.frame_events(stream, P, power_threshold=thr):
-        pm = sg.peak_map(ev, sg.periodogram_cfos(ev, P), P)
-        off = int(round(ev.start_time * P.Fs))
-        vs = sg.spc_resolve(pm, dt)
-        for v, sq in zip(vs, sg.extract_sequences(ev, vs, P)):
-            bits = None if sq.partial else sg.demap_payload(sq.z, P)
-            out.append((off + v.position, v.cfo, bits))
-    return out
+    return ex._decode_stream(samples, P, dt, thr, hashlib.sha256())
 
 
 def packet_stream(specs, n, rng=None):
@@ -144,8 +137,9 @@ def test_frame_events_split_at_cap():
     assert len(evs) >= 2
     cap = round(P.Tmax * P.Fs)
     assert all(ev.buffer.samples.size <= cap for ev in evs)
-    # consecutive frames of one run tile it without a gap
-    assert evs[1].start_time == pytest.approx(evs[0].end_time)
+    # consecutive frames of one run overlap by exactly one preamble
+    for a, b in zip(evs, evs[1:]):
+        assert b.start_time == pytest.approx(a.end_time - E_PRE / P.Fs)
 
 
 def test_frame_events_long_run_splits_evenly(dt):
@@ -155,11 +149,36 @@ def test_frame_events_long_run_splits_evenly(dt):
     specs = [(k * 2000, 30.0 * k - 45.0, None) for k in range(4)]
     sig = packet_stream(specs, 8010, rng=rng)
     evs = sg.frame_events(sg.ComplexSignal(sig, P.Fs), P, power_threshold=0.1)
-    assert [ev.buffer.samples.size for ev in evs] == [4005, 4005]
-    assert evs[1].start_time == pytest.approx(evs[0].end_time)
-    # the chain runs on both frames (a 10-sample frame used to raise)
-    found = {pos for pos, _, bits in chain(sig, dt, thr=0.1) if bits is not None}
-    assert {2000, 6000} <= found
+    assert [ev.buffer.samples.size for ev in evs] == [4465, 4465]
+    assert evs[1].start_time == pytest.approx(evs[0].end_time - E_PRE / P.Fs)
+    # the chain runs on both frames (a 10-sample frame used to raise), and
+    # the packet whose preamble straddles the old cut at 4005 is decoded
+    found = [pos for pos, _, bits in chain(sig, dt, thr=0.1) if bits is not None]
+    assert {2000, 4000, 6000} <= set(found)
+    assert len(found) == len(set(found))
+
+
+def test_frame_events_rejects_cap_under_one_preamble():
+    sig = sg.ComplexSignal(np.ones(4000, dtype=complex), P.Fs)
+    short = SystemParams(Tmax=E_PRE / P.Fs)
+    with pytest.raises(InvalidParamsError):
+        sg.frame_events(sig, short, power_threshold=0.1)
+
+
+def test_decode_stream_drops_a_packet_seen_in_two_frames(dt, monkeypatch):
+    # overlapping frames can validate one preamble twice; the chain keeps
+    # the first and leaves the decisions digest as if it came once
+    rng = np.random.default_rng(9)
+    sig = packet_stream([(300, -20.0, None), (2600, 35.0, None)], 5000, rng=rng)
+    once = hashlib.sha256()
+    single = ex._decode_stream(sig, P, dt, 0.1, once)
+    assert len(single) == 2
+    frame = sg.frame_events
+    monkeypatch.setattr(sg, "frame_events", lambda *a, **k: 2 * frame(*a, **k))
+    twice = hashlib.sha256()
+    doubled = ex._decode_stream(sig, P, dt, 0.1, twice)
+    assert [(q, c) for q, c, _ in doubled] == [(q, c) for q, c, _ in single]
+    assert twice.digest() == once.digest()
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,9 @@
 array selections, and `peak_map` correlates every CFO branch of an event
 in one batched FFT convolution. The per-row drift loop and the
 per-branch correlation they replaced are kept here as a test-only
-reference; every field must come out bit-equal, dtypes included.
+reference; every field must come out bit-equal, dtypes included. The
+receiver's own FFT convolution is checked bit for bit against
+scipy.signal.fftconvolve, which it replaces.
 """
 
 import math
@@ -292,3 +294,65 @@ def test_peak_map_matches_on_framed_events():
         for ev in sg.frame_events(noisy, P, power_threshold=1.4 / P.gamma):
             cfos = sg.periodogram_cfos(ev, P)
             assert_same_map(sg.peak_map(ev, cfos, P), ref_peak_map(ev, cfos, P))
+
+
+# ---------------------------------------------------------------------------
+# The FFT convolution against scipy.signal.fftconvolve
+# ---------------------------------------------------------------------------
+
+def cut(a, b, mode):
+    """fftconvolve(a, b, mode) along the last axis, from sg._convolve."""
+    na, nb = a.shape[-1], b.shape[-1]
+    if mode == "same":
+        lead = (nb - 1) // 2
+        return sg._convolve(a, b)[..., lead: lead + na]
+    # fftconvolve's valid mode transforms the longer input first whenever
+    # both are longer than 1; the spectra's product rounds by that order
+    if na < nb and na > 1:
+        a, b = b, a
+    return sg._convolve(a, b)[..., min(na, nb) - 1: max(na, nb)]
+
+
+LENGTHS = st.sampled_from([0, 1, 2, 3]) | st.integers(0, 300)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), LENGTHS, LENGTHS, st.booleans(),
+       st.booleans(), st.sampled_from([None, 1, 3]),
+       st.sampled_from(["valid", "same"]))
+def test_convolve_matches_fftconvolve(seed, na, nb, complex_a, complex_b,
+                                      rows, mode):
+    rng = np.random.default_rng(seed)
+
+    def draw(shape, cplx):
+        x = rng.standard_normal(shape)
+        return x + 1j * rng.standard_normal(shape) if cplx else x
+
+    if rows is None:   # one signal, as frame_events smooths its power
+        a, b = draw(na, complex_a), draw(nb, complex_b)
+        ref = fftconvolve(a, b, mode=mode)
+    else:              # a branch matrix against one kernel, as peak_map
+        a, b = draw((rows, na), complex_a), draw((1, nb), complex_b)
+        ref = fftconvolve(a, b, mode=mode, axes=1)
+    got = cut(a, b, mode)
+    if na == 0 or nb == 0:
+        assert ref.size == 0 and got.size == 0
+        return
+    assert got.shape == ref.shape and got.dtype == ref.dtype
+    assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("na, nb", [(1, 1), (1, 5), (5, 1), (2, 2), (2, 7),
+                                    (7, 2), (920, 920), (919, 920),
+                                    (921, 920), (4000, 920)])
+@pytest.mark.parametrize("mode", ["valid", "same"])
+def test_convolve_edge_lengths_match_fftconvolve(na, nb, mode):
+    # the receiver's shapes (a 920-sample preamble) and the short lengths
+    # where fftconvolve multiplies without transforming
+    rng = np.random.default_rng(na * 1000 + nb)
+    a = rng.standard_normal((2, na)) + 1j * rng.standard_normal((2, na))
+    b = rng.standard_normal((1, nb)) + 1j * rng.standard_normal((1, nb))
+    ref = fftconvolve(a, b, mode=mode, axes=1)
+    assert cut(a, b, mode).tobytes() == ref.tobytes()
+    ref = fftconvolve(a[0].real, b[0].real, mode=mode)
+    assert cut(a[0].real, b[0].real, mode).tobytes() == ref.tobytes()
