@@ -87,8 +87,8 @@ def main(argv=None) -> int:
         cfg = _config_from_args(args)
         if args.command == "run":
             summary = run_experiment(cfg)
-            for path in summary["files"].values():
-                print(f"wrote {path}")
+            for name in summary["files"].values():
+                print(f"wrote {cfg.out_dir}/{name}")
             print(f"wrote {cfg.out_dir}/summary.json")
             return 0
         report = validate_receiver(cfg)

@@ -299,9 +299,8 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
 
     files = {}
     for fig in cfg.figures:
-        path = out / f"fig-{fig}.csv"
-        _write_csv(path, figure_rows[fig])
-        files[fig] = str(path)
+        files[fig] = f"fig-{fig}.csv"
+        _write_csv(out / files[fig], figure_rows[fig])
 
     summary = {
         "config": _config_echo(cfg),
@@ -315,7 +314,10 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
 
 
 def _config_echo(cfg: ExperimentConfig) -> dict:
+    """The config as JSON, less out_dir: the same sweep writes the same
+    summary bytes into any directory."""
     echo = asdict(cfg)
+    del echo["out_dir"]
     for key, val in echo.items():
         if isinstance(val, tuple):
             echo[key] = list(val)

@@ -8,26 +8,34 @@ SINR of a replica carrying unit energy density is
     SINR = 1 / (A / (W*Tp) + 1/gamma)
 
 with A the summed intersection areas with all other undecoded replicas.
-This module builds the distribution of A (single interferer law, n-fold
-convolutions, Poisson mixture over the interferer count), turns it into
-outage probabilities for the supported combining schemes, and solves the
+This module builds the distribution of A (single interferer law, then
+the compound law over the interferer count), turns it into outage
+probabilities for the supported combining schemes, and solves the
 retry-inflated offered-load fixed point.
+
+Every random sum (the Poisson or fixed count of interferers, the N
+branch SINRs of MRC) is one transform: with phi the FFT of one term's
+pmf and P the count's generating function, the sum's pmf is
+irfft(P(phi)), computed on a zero-padded, exponentially tilted grid so
+that no count is truncated and the wrap-around of the circular FFT is
+damped by exp(-30), about 1e-13 (Gruebel and Hermesmeier, ASTIN
+Bulletin 1999).
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .params import InvalidParamsError, SystemParams
 
 GRID_POINTS = 2048      # area-grid points of every interference law
 _SINR_POINTS = 4096     # SINR-grid points of the MRC outage
-_TAIL_TOL = 1e-9        # Poisson mass left out of the interferer-count mixture
+_PAD = 4                # compound-law transform length over the grid length
+_TILT = 30.0            # exponential tilt: theta**L = exp(-_TILT)
 # Offered-load fixed point
 _DAMPING = 0.5
 _STEP_TOL = 1e-6        # relative step at which the iteration has converged
@@ -103,10 +111,6 @@ class InterferenceCdf:
     grid: np.ndarray
     cdf: np.ndarray
     meta: dict
-    # Convolution powers of the thinned single-interferer pmf, built on
-    # first use by unconditional_cdf (see _interferer_powers).
-    _powers: _PmfPowers | None = field(default=None, init=False,
-                                       repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.grid) != len(self.cdf) or len(self.grid) < 2:
@@ -197,85 +201,28 @@ def build_base_cdf(p: SystemParams, *, base: str = "oracle", rng=None,
 
 
 # ---------------------------------------------------------------------------
-# Convolutions and the interferer-count mixture
+# Compound laws and the interferer-count mixture
 # ---------------------------------------------------------------------------
 
-def _convolve_pmf(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
-    """Linear convolution folded back onto the grid length.
+def _compound(pmf1: np.ndarray, pgf) -> np.ndarray:
+    """Law of a random sum of i.i.d. draws from pmf1, on pmf1's grid.
 
-    Mass that lands beyond the top bin is accumulated there, so total
-    mass is preserved and F(s) stays exact for s below the grid maximum.
+    pgf is the count's generating function, applied elementwise to the
+    discrete Fourier transform of pmf1: the sum's transform is
+    pgf(rfft(pmf1)). The transform runs on a zero-padded length
+    L = _PAD * len(pmf1) with the pmf tilted by theta**k, theta =
+    exp(-_TILT / L): the mass the circular transform wraps from bin k + L
+    onto bin k is damped by theta**L = exp(-_TILT) before the tilt is
+    undone. Bins below the top are the law itself; the top bin holds
+    the rest of the unit mass, everything at or past the grid maximum.
     """
-    full = np.convolve(pa, pb)
-    out = full[: len(pa)].copy()
-    out[-1] += full[len(pa):].sum()
-    return out
-
-
-def _nfold(pmf: np.ndarray, n: int) -> np.ndarray:
-    """n-fold self-convolution of pmf (n >= 1), folded onto its length."""
-    out = pmf
-    for _ in range(n - 1):
-        out = _convolve_pmf(out, pmf)
-    return out
-
-
-class _PmfPowers:
-    """Rows 0, 1, 2, ... of the n-fold self-convolution of one pmf.
-
-    Rows are computed on demand and kept, so a fixed-point solve pays for
-    each row once however many rates it visits. Growth stops at the first
-    row with no mass below the top bin (`saturated`): convolving it again
-    only moves mass within the top bin, so every later row equals it
-    below the top and the table stays bounded at any interferer count.
-    """
-
-    def __init__(self, pmf: np.ndarray):
-        self.pmf = pmf
-        self._rows = np.zeros((64, len(pmf)))
-        self._rows[0, 0] = 1.0
-        self.n = 0              # highest row computed
-        self.saturated = False
-
-    def upto(self, n_max: int) -> np.ndarray:
-        """Rows 0..n_max, or 0..n if row n < n_max is saturated."""
-        while self.n < n_max and not self.saturated:
-            if self.n + 1 == len(self._rows):
-                grown = np.zeros((2 * len(self._rows), len(self.pmf)))
-                grown[: self.n + 1] = self._rows
-                self._rows = grown
-            row = self._rows[self.n + 1]
-            row[:] = _convolve_pmf(self._rows[self.n], self.pmf)
-            self.n += 1
-            self.saturated = not row[:-1].any()
-        return self._rows[: min(n_max, self.n) + 1]
-
-
-def _interferer_powers(base: InterferenceCdf) -> _PmfPowers:
-    """Power table of one interferer's area law, thinned by the base's
-    conditional-overlap probability; built once per base."""
-    if base._powers is None:
-        p_ov = base.meta.get("overlap_prob", 1.0)
-        pmf1 = base.pmf() * p_ov
-        pmf1[0] += 1.0 - p_ov
-        base._powers = _PmfPowers(pmf1)
-    return base._powers
-
-
-def _poisson_pmf(k, mu: float) -> np.ndarray:
-    """Poisson(mu) pmf at the counts k, by the expression scipy.stats
-    evaluates (so the mixture weights keep their bits)."""
-    return np.clip(np.exp(special.xlogy(k, mu) - special.gammaln(k + 1) - mu),
-                   0.0, 1.0)
-
-
-def _poisson_ppf(q: float, mu: float) -> int:
-    """Smallest count whose Poisson(mu) CDF reaches q, for 0 < q < 1:
-    the inverse CDF rounded up, one count lower when that count already
-    reaches q (scipy.stats' evaluation)."""
-    n = math.ceil(special.pdtrik(q, mu))
-    below = max(n - 1, 0)
-    return below if special.pdtr(below, mu) >= q else n
+    n = len(pmf1)
+    size = _PAD * n
+    tilt = np.exp(-_TILT / size * np.arange(n))
+    law = np.fft.irfft(pgf(np.fft.rfft(pmf1 * tilt, size)), size)[:n] / tilt
+    law = np.clip(law, 0.0, None)
+    law[-1] = max(1.0 - law[:-1].sum(), 0.0)
+    return law
 
 
 def _mean_count(mu: float) -> int:
@@ -289,34 +236,33 @@ def unconditional_cdf(base: InterferenceCdf, g: float, p: SystemParams,
 
     Interferers arrive in the 2*Tp vulnerable window as a Poisson process
     with mean mu = 2*g*Tp; each contributes the base law, thinned by the
-    base's conditional-overlap probability. mixture selects either the
-    full Poisson mixture over the count or the fixed-count shortcut
-    ceil(mu) - 1. The n-fold laws come from the base's power table, so
-    repeated calls on one base (a fixed-point solve) convolve each count
-    once; counts past the table's saturated row read that row, which
-    differs from the true law only inside the top bin.
+    base's conditional-overlap probability. With phi the transform of
+    that thinned law, mixture selects the count:
+
+    - "poisson": the full Poisson mixture, exp(mu*(phi - 1)), with no
+      count left out;
+    - "mean-count": the fixed count n = ceil(mu) - 1, phi**n.
+
+    Either law comes from one tilted FFT (_compound) and is exact below
+    the grid maximum up to rounding; the top bin holds the rest.
     """
     if g < 0:
         raise InvalidParamsError("replica rate must be nonnegative")
     mu = 2.0 * g * p.Tp
     if mixture == "poisson":
-        if mu == 0.0:
-            n_max = 0
-        else:
-            n_max = _poisson_ppf(1.0 - _TAIL_TOL, mu)
-        rows = _interferer_powers(base).upto(n_max)
-        n_top = len(rows) - 1
-        weights = _poisson_pmf(np.arange(n_top + 1), mu)
-        if n_top < n_max:
-            # Rows n_top..n_max are all the saturated row below the top bin.
-            weights[n_top] = _poisson_pmf(np.arange(n_top, n_max + 1),
-                                          mu).sum()
-        mix = weights @ rows
+        def pgf(phi):
+            return np.exp(mu * (phi - 1.0))
     elif mixture == "mean-count":
-        mix = _interferer_powers(base).upto(_mean_count(mu))[-1]
+        n = _mean_count(mu)
+
+        def pgf(phi):
+            return phi ** n
     else:
         raise ValueError(f"unknown mixture mode {mixture!r}")
-    cdf = np.minimum(np.cumsum(mix), 1.0)
+    p_ov = base.meta.get("overlap_prob", 1.0)
+    pmf1 = base.pmf() * p_ov
+    pmf1[0] += 1.0 - p_ov
+    cdf = np.minimum(np.cumsum(_compound(pmf1, pgf)), 1.0)
     meta = {"kind": "aggregate", "g": g, "mu": mu, "mixture": mixture,
             "base_mode": base.meta.get("mode")}
     return InterferenceCdf(base.grid, cdf, meta)
@@ -339,10 +285,11 @@ def outage_mrc_sinr(cdf: InterferenceCdf, p: SystemParams) -> float:
 
     Exact construction for the summed-SINR decision rule: the aggregate
     area law of one branch is pushed through s = 1/(a/(W*Tp) + 1/gamma)
-    onto a uniform SINR grid, convolved N-fold, and read at St. This is
-    what an SINR-summing receiver actually tests, so it tracks the
-    simulator closely (a threshold on the summed areas would over-count
-    interference split across branches).
+    onto a uniform SINR grid, summed over the N branches (transform
+    phi**N), and read at St. This is what an SINR-summing receiver
+    actually tests, so it tracks the simulator closely (a threshold on
+    the summed areas would over-count interference split across
+    branches).
     """
     if p.St > p.N * p.gamma:
         return 1.0
@@ -352,10 +299,11 @@ def outage_mrc_sinr(cdf: InterferenceCdf, p: SystemParams) -> float:
     idx = np.rint(s_of_a / ds).astype(np.int64)
     # Only the CDF at St is read, and a convolution's first k bins depend
     # only on its inputs' first k bins: keep the bins up to St plus two,
-    # so the folded top bin of the truncated convolution is never read.
+    # so the top bin of the truncated sum, which holds the rest of the
+    # mass, is never read.
     keep = min(_SINR_POINTS, int(p.St / ds) + 3)
     branch = np.bincount(idx, weights=pmf, minlength=_SINR_POINTS)[:keep]
-    total = _nfold(branch, p.N)
+    total = _compound(branch, lambda phi: phi ** p.N)
     grid = np.arange(total.size) * ds
     return float(np.interp(p.St, grid, np.minimum(np.cumsum(total), 1.0)))
 
@@ -456,8 +404,9 @@ def solve_offered_load(lambda_agg: float, p: SystemParams, policy: str = "mrc",
 
     Retries re-enter the channel, so the replica rate seen on air exceeds
     N*lambda by the retry factor. Divergence (offered traffic beyond the
-    sustainable region) is reported via status="overload" with the last
-    iterate, never raised.
+    sustainable region) is reported via status="overload", never raised:
+    g is the last iterate and po the ceiling 1 - 1e-6 the outage reached,
+    so KPIs computed from it are bounds, not values of the iterate.
     """
     if lambda_agg < 0:
         raise InvalidParamsError("arrival rate must be nonnegative")
@@ -469,6 +418,7 @@ def solve_offered_load(lambda_agg: float, p: SystemParams, policy: str = "mrc",
     for it in range(1, _MAX_ITER + 1):
         po = analytic_outage(base, g, p, policy, mixture=mixture)
         if po >= _PO_CEILING:
+            po = _PO_CEILING
             status = "overload"
             break
         target = g_floor / (1.0 - po)

@@ -140,6 +140,36 @@ def test_run_experiment_reproducible(tmp_path):
         assert (c / f"fig-{fig}.csv").read_bytes() == ref
 
 
+def test_summary_names_no_directory(tmp_path):
+    # the same config run into two directories writes the same summary
+    a, b = tmp_path / "a", tmp_path / "b"
+    for out in (a, b):
+        ex.run_experiment(tiny(out, figures=("ee",), loads=(0.05,), reps=1))
+    assert (a / "summary.json").read_bytes() == (b / "summary.json").read_bytes()
+    summary = json.loads((a / "summary.json").read_text())
+    assert summary["files"] == {"ee": "fig-ee.csv"}
+    assert "out_dir" not in summary["config"]
+
+
+def test_overload_rows_are_the_ceiling_bounds(tmp_path):
+    # past the sustainable load the fixed point stops at outage 1 - 1e-6;
+    # the analytic cells are the finite KPIs there, not the last iterate
+    cfg = tiny(tmp_path, figures=("ee", "lifetime", "delay", "se"),
+               loads=(0.5,), reps=1, packets_per_point=200)
+    ex.run_experiment(cfg)
+    pn = cfg.system.with_replicas(2)
+    lam = mcsim.nominal_lambda(0.5, pn)
+    want = kpi.grant_free_kpis(lam, 1.0 - 1e-6, pn, cfg.energy)
+    for fig, kpi_name in ex._FIG_KPI.items():
+        if fig == "reliability":
+            continue
+        [row] = [r for r in read_rows(tmp_path / f"fig-{fig}.csv")
+                 if r["scheme"] == "grant-free"]
+        assert row["status"] == "overload"
+        assert np.isfinite(float(row["analytic"]))
+        assert row["analytic"] == ex._fmt(getattr(want, kpi_name))
+
+
 def test_mean_ci_degenerate():
     assert ex._mean_ci([1.0]) == (1.0, 0.0)
     assert ex._mean_ci([1.0, 1.0, 1.0]) == (1.0, 0.0)
