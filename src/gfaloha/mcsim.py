@@ -321,8 +321,7 @@ def run_trial(rng: np.random.Generator, lambda_agg: float, horizon: float,
     before it. Later waves never rewrite earlier outcomes; the first and
     last 2*M*Tp of arrivals are excluded from the statistics.
     """
-    if horizon <= 8 * p.M * p.Tp:
-        raise InvalidParamsError("horizon too short for warm-up exclusion")
+    _check_horizon(horizon, p)
     arrivals = generate_arrivals(rng, lambda_agg, horizon)
     n_rep = arrivals.size
     margin = 2.0 * p.M * p.Tp
@@ -425,6 +424,144 @@ class GrantedTrialResult:
     kpis: kpi_mod.KpiReport
 
 
+_PICK_CHUNK = 16384     # RA picks drawn per refill: bounded memory at unstable loads
+_SMALL_BACKLOG = 24     # backlogs up to this size resolve their picks in plain Python
+
+
+class _PickStream:
+    """The RA picks of one granted run, drawn ahead in bounded chunks.
+
+    Any split of ``rng.integers(0, m, size=k)`` calls, scalar draws
+    included, gives the same values and the same final generator state
+    as one draw of the total (a test checks this). So the run reads its
+    picks from chunks, and `close` leaves the generator where drawing
+    exactly the used picks, one period at a time, leaves it.
+    """
+
+    def __init__(self, rng: np.random.Generator, m: int):
+        self.rng, self.m = rng, m
+        self.buf = np.empty(0, dtype=np.int64)
+        self.listed: list[int] | None = None    # buf.tolist(), made on demand
+        self.pos = 0            # next unused pick in buf
+        self.drawn = 0          # picks the last refill drew
+        self.saved: dict = {}   # generator state before the last refill
+
+    def take(self, k: int) -> np.ndarray:
+        short = self.pos + k - self.buf.size
+        if short > 0:
+            self.saved = self.rng.bit_generator.state
+            self.drawn = max(short, _PICK_CHUNK)
+            more = self.rng.integers(0, self.m, size=self.drawn)
+            self.buf = np.concatenate((self.buf[self.pos:], more))
+            self.pos = 0
+            self.listed = None
+        out = self.buf[self.pos:self.pos + k]
+        self.pos += k
+        return out
+
+    def take_list(self, k: int) -> list[int]:
+        self.take(k)
+        if self.listed is None:
+            self.listed = self.buf.tolist()
+        return self.listed[self.pos - k:self.pos]
+
+    def close(self) -> None:
+        """Redraw, from the state before the last refill, only the part
+        of it that was used."""
+        unused = self.buf.size - self.pos
+        if unused:
+            self.rng.bit_generator.state = self.saved
+            self.rng.integers(0, self.m, size=self.drawn - unused)
+
+
+def _contend(rng: np.random.Generator, first_period: np.ndarray,
+             n_periods: int, m: int) -> np.ndarray:
+    """Period in which each report's RA pick wins, -1 if none does.
+
+    first_period is sorted. In each period every pending report picks
+    one of m opportunities, and a pick nobody else made wins. The
+    backlog keeps its order (survivors, then that period's arrivals),
+    because the order decides which report gets which pick.
+    """
+    n = first_period.size
+    done = np.full(n, -1, dtype=np.int64)
+    busy, starts = np.unique(first_period, return_index=True)
+    k = int(np.searchsorted(busy, n_periods))   # busy[:k] lie in the horizon
+    bounds = starts.tolist() + [n]
+    # busy periods with two or more fresh reports, then a sentinel
+    crowded = np.flatnonzero(np.diff(bounds)[:k] > 1).tolist() + [k]
+    busy_at = busy.tolist()
+    picks = _PickStream(rng, m)
+    won_by: list[int] = []
+    won_at: list[int] = []
+    i = c = 0
+    while i < k:
+        # Empty backlog: each lone report up to the next crowded period
+        # wins in its own period. Its pick is still drawn.
+        while crowded[c] < i:
+            c += 1
+        j = crowded[c]
+        if j > i:
+            done[starts[i:j]] = busy[i:j]
+            picks.take(j - i)
+            i = j
+            continue
+        # A crowded period opens a backlog: the survivors of the last
+        # resolved period, then every report that arrived since.
+        t = busy_at[i]
+        kept: list[int] | np.ndarray = []
+        lo = bounds[i]
+        i += 1
+        hi = bounds[i]
+        while True:
+            b = len(kept) + hi - lo
+            if b <= _SMALL_BACKLOG:
+                if not isinstance(kept, list):
+                    kept = kept.tolist()
+                backlog = kept + list(range(lo, hi))
+                mine = picks.take_list(b)
+                count = [0] * m
+                for x in mine:
+                    count[x] += 1
+                kept = backlog
+                if 1 in count:
+                    kept = []
+                    for r, x in zip(backlog, mine):
+                        if count[x] == 1:
+                            won_by.append(r)
+                            won_at.append(t)
+                        else:
+                            kept.append(r)
+                lo = hi
+            else:
+                mine = picks.take(b)
+                count = np.bincount(mine, minlength=m)
+                if 1 in count.tolist():
+                    backlog = np.concatenate((np.asarray(kept, dtype=np.int64),
+                                              np.arange(lo, hi)))
+                    won = count[mine] == 1
+                    done[backlog[won]] = t
+                    kept = backlog[~won]
+                    lo = hi
+            if len(kept) == 0 and lo == hi:
+                break
+            t += 1
+            if t == n_periods:
+                break
+            if i < k and busy_at[i] == t:
+                i += 1
+                hi = bounds[i]
+    picks.close()
+    done[won_by] = won_at
+    return done
+
+
+def _check_horizon(horizon: float, p: SystemParams) -> None:
+    """Both simulators leave out 2*M*Tp of arrivals at each end."""
+    if horizon <= 8 * p.M * p.Tp:
+        raise InvalidParamsError("horizon too short for warm-up exclusion")
+
+
 def run_granted_baseline(rng: np.random.Generator, lambda_agg: float,
                          horizon: float, p: SystemParams, e: EnergyParams,
                          opportunities: int = kpi_mod.RA_OPPORTUNITIES,
@@ -433,65 +570,34 @@ def run_granted_baseline(rng: np.random.Generator, lambda_agg: float,
 
     Devices with a pending report pick one of the period's RA
     opportunities; a singleton pick wins a collision-free data slot.
-    Losers retry next period. Energy uses the same accounting as the
-    analytic baseline with the measured attempt count. Periods with an
-    empty backlog and no fresh arrival draw nothing and are skipped.
+    Losers retry next period, so a report that wins made one attempt per
+    period from its arrival period to its winning one. Energy uses the
+    same accounting as the analytic baseline with the measured attempt
+    count. All picks come from one stream (`_PickStream`); the result
+    and the generator's final state are those of drawing each period's
+    picks in turn.
     """
+    _check_horizon(horizon, p)
+    if opportunities < 1:
+        raise InvalidParamsError("need at least one RA opportunity")
+    if period <= 0:
+        raise InvalidParamsError("RA period must be positive")
     arrivals = generate_arrivals(rng, lambda_agg, horizon)
-    n = arrivals.size
     margin = 2.0 * p.M * p.Tp
     measured = (arrivals >= margin) & (arrivals < horizon - margin)
     # A report contends at the RA instant closing its arrival period.
     first_period = np.floor(arrivals / period).astype(np.int64)
-    n_periods = int(math.floor(horizon / period))
-
-    attempts = np.zeros(n, dtype=np.int64)
-    done_period = np.full(n, -1, dtype=np.int64)
-    order = np.argsort(first_period, kind="stable")
-    # Periods with a fresh arrival, and each one's slice of `order`.
-    busy, starts = np.unique(first_period[order], return_index=True)
-    k = int(np.searchsorted(busy, n_periods))   # busy[:k] lie in the horizon
-    busy = busy.tolist()
-    bounds = starts.tolist() + [n]
-    i = 0
-    t = 0
-    backlog = order[:0]
-    while True:
-        if backlog.size == 0:
-            # Idle periods draw nothing: jump to the next fresh arrival.
-            if i == k:
-                break
-            t = busy[i]
-        elif t == n_periods:
-            break
-        if i < k and busy[i] == t:
-            fresh = order[bounds[i]:bounds[i + 1]]
-            backlog = np.concatenate([backlog, fresh]) if backlog.size else fresh
-            i += 1
-        if backlog.size == 1:
-            # A lone report always wins. Its pick is still drawn (a scalar
-            # draw takes the same stream as size=1) so the generator state
-            # does not depend on this shortcut.
-            rng.integers(0, opportunities)
-            j = backlog[0]
-            attempts[j] += 1
-            done_period[j] = t
-            backlog = backlog[:0]
-        else:
-            picks = rng.integers(0, opportunities, size=backlog.size)
-            won = np.bincount(picks, minlength=opportunities)[picks] == 1
-            attempts[backlog] += 1
-            done_period[backlog[won]] = t
-            backlog = backlog[~won]
-        t += 1
+    done_period = _contend(rng, first_period, int(math.floor(horizon / period)),
+                           opportunities)
 
     got = measured & (done_period >= 0)
     delivered = int(got.sum())
     offered = int(measured.sum())
     delay = ((done_period[got] + 1) * period - arrivals[got]
              + e.Dsynch + p.Tp)
+    attempts = done_period[got] - first_period[got] + 1
     mean_delay = float(delay.mean()) if delivered else math.inf
-    mean_att = float(attempts[got].mean()) if delivered else math.inf
+    mean_att = float(attempts.mean()) if delivered else math.inf
 
     kpis = kpi_mod.granted_path_kpis(
         lambda_agg, mean_att, 1.0 - delivered / offered if offered else 0.0,

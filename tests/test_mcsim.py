@@ -195,6 +195,20 @@ def test_granted_baseline_low_load():
     assert r.kpis.energy_efficiency > 0.0
 
 
+@pytest.mark.parametrize("horizon, opportunities, period", [
+    (8 * P.M * P.Tp, 10, 2.0),    # at the warm-up bound
+    (4 * P.M * P.Tp, 10, 2.0),    # no measured span left
+    (100.0, 10, 0.0),
+    (100.0, 10, -1.0),
+    (100.0, 0, 2.0),
+], ids=["horizon-at-bound", "horizon-short", "period-zero", "period-negative",
+        "no-opportunity"])
+def test_granted_baseline_rejects_bad_input(horizon, opportunities, period):
+    with pytest.raises(InvalidParamsError):
+        run_granted_baseline(rng_for(12, 0), 0.5, horizon, P, E,
+                             opportunities=opportunities, period=period)
+
+
 def test_rng_substreams():
     a = rng_for(1, 2, 3).integers(0, 1 << 30, 4)
     b = rng_for(1, 2, 3).integers(0, 1 << 30, 4)
