@@ -14,12 +14,10 @@ import hashlib
 import json
 import math
 import struct
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
-from scipy import special
 
 from . import interference as itf
 from . import kpi as kpi_mod
@@ -143,6 +141,8 @@ def _run_cell(args):
 
 def _execute(jobs: list, workers: int) -> list:
     if workers > 1:
+        # imported here: a serial run need not load multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_run_cell, jobs))
     return [_run_cell(j) for j in jobs]
@@ -153,6 +153,8 @@ def _mean_ci(vals: list[float]) -> tuple[float, float]:
     arr = np.asarray(vals, dtype=float)
     if len(arr) < 2:
         return float(arr.mean()), 0.0
+    # imported here: the only scipy the program reads, and only for reps >= 2
+    from scipy import special
     t = special.stdtrit(len(arr) - 1, 0.975)   # Student-t 0.975 quantile
     return float(arr.mean()), float(t * arr.std(ddof=1) / math.sqrt(len(arr)))
 
@@ -193,14 +195,15 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     loads = tuple(cfg.loads)
     p0, e0 = cfg.system, cfg.energy
 
+    need_kpi = any(f != "reliability" for f in cfg.figures)
+    need_rel = "reliability" in cfg.figures
+
+    # only the analytic KPI solve reads the base law; its stream is its own
     base = None
-    if loads:
+    if loads and need_kpi and cfg.kpi_policy != "sc":
         base = itf.build_base_cdf(
             p0, base="paper" if cfg.paper_literal else "oracle",
             rng=np.random.default_rng(cfg.seed), samples=cfg.oracle_samples)
-
-    need_kpi = any(f != "reliability" for f in cfg.figures)
-    need_rel = "reliability" in cfg.figures
 
     # --- empirical cells -------------------------------------------------
     jobs, tags = [], []
@@ -314,10 +317,10 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
 
 
 def _config_echo(cfg: ExperimentConfig) -> dict:
-    """The config as JSON, less out_dir: the same sweep writes the same
-    summary bytes into any directory."""
+    """The config as JSON, less out_dir and workers: the same sweep writes
+    the same summary bytes into any directory with any worker count."""
     echo = asdict(cfg)
-    del echo["out_dir"]
+    del echo["out_dir"], echo["workers"]
     for key, val in echo.items():
         if isinstance(val, tuple):
             echo[key] = list(val)

@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.special import lambertw
-
 from .params import EnergyParams, InvalidParamsError, SystemParams
 
 # Granted-access baseline: contention opportunities per access period.
@@ -131,9 +129,34 @@ def ra_contention(lambda_agg: float, opportunities: int = RA_OPPORTUNITIES,
         return 1.0, 1.0, True
     if demand > opportunities / math.e:
         return math.inf, 0.0, False
-    a = -opportunities * float(lambertw(-demand / opportunities, 0).real)
+    a = -opportunities * _lambertw0(-demand / opportunities)
     p_succ = demand / a
     return 1.0 / p_succ, p_succ, True
+
+
+def _lambertw0(x: float) -> float:
+    """Principal branch of Lambert W on [-1/e, 0): the w >= -1 solving
+    w*exp(w) = x, by Halley's iteration.
+
+    Starts from the branch-point series in p = sqrt(2*(e*x + 1)) near
+    -1/e and from x itself nearer 0; from either start the cubic
+    convergence reaches full precision within four steps. Within a few
+    ulps of -1/e, where w is ill-conditioned, the steps only stir
+    rounding noise, so the loop stops after eight.
+    """
+    p = math.sqrt(max(2.0 * (math.e * x + 1.0), 0.0))
+    if p == 0.0:
+        return -1.0
+    w = -1.0 + p - p * p / 3.0 + 11.0 / 72.0 * p ** 3 if x < -0.25 else x
+    for _ in range(8):
+        ew = math.exp(w)
+        f = w * ew - x
+        wp1 = w + 1.0
+        step = f / (ew * wp1 - (w + 2.0) * f / (2.0 * wp1))
+        w -= step
+        if abs(step) <= 1e-15 * abs(w):
+            break
+    return w
 
 
 def granted_attempt_energy(p: SystemParams, e: EnergyParams) -> float:

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft as sp_fft
 
 from .params import ZC_ROOT, InvalidParamsError, SystemParams, zc_root_ok
 
@@ -174,12 +173,28 @@ def awgn(sig: ComplexSignal, snr: float,
 # Event framing
 # ---------------------------------------------------------------------------
 
+def _fast_len(n: int, real: bool) -> int:
+    """Smallest transform length >= n that pocketfft runs fast: 5-smooth
+    for real input, 11-smooth otherwise (scipy.fft.next_fast_len's rule)."""
+    primes = (2, 3, 5) if real else (2, 3, 5, 7, 11)
+    m = n
+    while True:
+        r = m
+        for q in primes:
+            while r % q == 0:
+                r //= q
+        if r == 1:
+            return m
+        m += 1
+
+
 def _convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Full linear convolution along the last axis, broadcasting the others.
 
     Evaluated as scipy.signal.fftconvolve does, so the bits match it: the
-    product of the two spectra at next_fast_len (real transforms for real
-    input), or the plain product when either length is 1.
+    product of the two spectra at its transform length (real transforms
+    when both inputs are real), or the plain product when either length
+    is 1.
     """
     na, nb = a.shape[-1], b.shape[-1]
     if na == 0 or nb == 0:
@@ -189,11 +204,28 @@ def _convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return a * b
     n = na + nb - 1
     real = not (np.iscomplexobj(a) or np.iscomplexobj(b))
-    nfft = sp_fft.next_fast_len(n, real)
-    fwd, inv = (sp_fft.rfftn, sp_fft.irfftn) if real else (sp_fft.fftn, sp_fft.ifftn)
-    axes = (a.ndim - 1,)
-    spec = fwd(a, (nfft,), axes=axes) * fwd(b, (nfft,), axes=axes)
-    return inv(spec, (nfft,), axes=axes)[..., :n]
+    nfft = _fast_len(n, real)
+    if real:
+        return np.fft.irfft(np.fft.rfft(a, nfft) * np.fft.rfft(b, nfft),
+                            nfft)[..., :n]
+    return np.fft.ifft(_fft(a, nfft) * _fft(b, nfft), nfft)[..., :n]
+
+
+def _fft(x: np.ndarray, nfft: int) -> np.ndarray:
+    """Complex spectrum along the last axis, as scipy.fft.fft gives it.
+
+    A real x goes through the real transform, and each bin k is then
+    written as the conjugate of bin -k, as pocketfft does (so the DC
+    bin, and the Nyquist bin of an even length, carry an imaginary -0).
+    """
+    if np.iscomplexobj(x):
+        return np.fft.fft(x, nfft)
+    half = np.fft.rfft(x, nfft)
+    m = half.shape[-1]
+    full = np.empty(half.shape[:-1] + (nfft,), dtype=half.dtype)
+    full[..., :m] = half
+    full[..., -np.arange(m) % nfft] = half.conj()
+    return full
 
 
 def frame_events(signal: ComplexSignal, p: SystemParams,
@@ -674,8 +706,10 @@ def fine_cfo(seq: ComplexSignal, p: SystemParams) -> float:
     nfft = _FINE_CFO_PAD * pre.size
     spec = np.abs(np.fft.fft(r, nfft))
     k = int(np.argmax(spec))
-    frac = _parabolic(20 * np.log10(np.maximum(spec, 1e-300)), k)
-    f = np.fft.fftfreq(nfft, 1.0 / seq.fs)[k]
+    near = spec[[(k - 1) % nfft, k, (k + 1) % nfft]]
+    frac = _parabolic(20 * np.log10(np.maximum(near, 1e-300)), 1)
+    # bin k's frequency, as np.fft.fftfreq(nfft, 1 / fs)[k] gives it
+    f = (k if k < (nfft + 1) // 2 else k - nfft) * (1.0 / (nfft * (1.0 / seq.fs)))
     return float(f + frac * seq.fs / nfft)
 
 

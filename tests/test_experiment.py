@@ -129,15 +129,15 @@ def test_run_experiment_kpi_policy(tmp_path, policy):
 
 
 def test_run_experiment_reproducible(tmp_path):
-    # byte-identical figures on a rerun and for any worker count
+    # byte-identical figures and summary on a rerun and for any worker count
     a, b, c = tmp_path / "a", tmp_path / "b", tmp_path / "c"
     ex.run_experiment(tiny(a))
     ex.run_experiment(tiny(b))
     ex.run_experiment(tiny(c, workers=2))
-    for fig in ex.FIGURES:
-        ref = (a / f"fig-{fig}.csv").read_bytes()
-        assert (b / f"fig-{fig}.csv").read_bytes() == ref
-        assert (c / f"fig-{fig}.csv").read_bytes() == ref
+    for name in [f"fig-{fig}.csv" for fig in ex.FIGURES] + ["summary.json"]:
+        ref = (a / name).read_bytes()
+        assert (b / name).read_bytes() == ref
+        assert (c / name).read_bytes() == ref
 
 
 def test_summary_names_no_directory(tmp_path):
@@ -149,6 +149,19 @@ def test_summary_names_no_directory(tmp_path):
     summary = json.loads((a / "summary.json").read_text())
     assert summary["files"] == {"ee": "fig-ee.csv"}
     assert "out_dir" not in summary["config"]
+    assert "workers" not in summary["config"]
+
+
+@pytest.mark.parametrize("kw", [dict(figures=("reliability",)),
+                                dict(figures=("ee", "delay"), kpi_policy="sc")])
+def test_base_law_built_only_for_the_analytic_solve(tmp_path, monkeypatch, kw):
+    # only the analytic KPI solve reads the base law; a run without one
+    # never draws it
+    def refuse(*args, **kwargs):
+        raise AssertionError("base law built for a run that never reads it")
+    monkeypatch.setattr(ex.itf, "build_base_cdf", refuse)
+    ex.run_experiment(tiny(tmp_path, loads=(0.05,), reps=1,
+                           packets_per_point=200, **kw))
 
 
 def test_overload_rows_are_the_ceiling_bounds(tmp_path):

@@ -49,31 +49,48 @@ def test_every_top_level_definition_is_reached():
     assert orphans == []
 
 
-# Run in a fresh interpreter: every entry point's work, then the scipy
-# modules that got loaded (a lazy import inside a call would show here).
-COLD_RUN = """
-import json, sys, tempfile
-import gfaloha
-with tempfile.TemporaryDirectory() as out:
-    cfg = gfaloha.ExperimentConfig(loads=(0.05, 0.5), reps=2,
-                                   packets_per_point=200, oracle_samples=5000,
-                                   receiver_trials=2, out_dir=out)
-    gfaloha.run_experiment(cfg)
-    gfaloha.validate_receiver(cfg)
-print(json.dumps(sorted(m for m in sys.modules if m.startswith("scipy."))))
-"""
-
-
-def test_program_never_loads_scipy_stats_or_signal():
-    # both cost over a second of cold start, for four numbers that
-    # scipy.special and scipy.fft give bit for bit
+def cold_run(code: str) -> list[str]:
+    """The scipy modules loaded in a fresh interpreter after running code
+    (a lazy import inside a call would show here)."""
     env = dict(os.environ)
     src = str(Path(gfaloha.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(
         [src, *filter(None, [env.get("PYTHONPATH")])])
-    run = subprocess.run([sys.executable, "-c", COLD_RUN], env=env,
+    code += ("\nimport json, sys\n"
+             "print(json.dumps(sorted(m for m in sys.modules"
+             " if m == 'scipy' or m.startswith('scipy.'))))\n")
+    run = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, timeout=300,
                          check=True)
-    loaded = json.loads(run.stdout.splitlines()[-1])
-    assert "scipy.special" in loaded and "scipy.fft" in loaded
-    assert [m for m in loaded if m.startswith(("scipy.stats", "scipy.signal"))] == []
+    return json.loads(run.stdout.splitlines()[-1])
+
+
+# every entry point's work at a given repetition count
+ENTRY_POINTS = """
+import tempfile
+import gfaloha
+with tempfile.TemporaryDirectory() as out:
+    cfg = gfaloha.ExperimentConfig(loads=(0.05, 0.5), reps={reps},
+                                   packets_per_point=200, oracle_samples=5000,
+                                   receiver_trials=2, out_dir=out)
+    gfaloha.run_experiment(cfg)
+    gfaloha.validate_receiver(cfg)
+"""
+
+
+def test_import_and_single_repetition_run_load_no_scipy():
+    # numpy gives the FFTs and the Lambert W is plain Python: importing
+    # the package, and a run that needs no t quantile, load no scipy
+    assert cold_run("import gfaloha") == []
+    assert cold_run(ENTRY_POINTS.format(reps=1)) == []
+
+
+def test_program_never_loads_scipy_stats_or_signal():
+    # with two repetitions the confidence half-width reads the Student-t
+    # quantile from scipy.special; no other scipy subpackage is loaded
+    # (scipy's own __init__ brings in scipy.version and private modules)
+    loaded = cold_run(ENTRY_POINTS.format(reps=2))
+    subpackages = {m.split(".")[1] for m in loaded if m.startswith("scipy.")}
+    assert "special" in subpackages
+    assert {s for s in subpackages if not s.startswith("_")} \
+        <= {"special", "version"}

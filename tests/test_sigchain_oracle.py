@@ -6,7 +6,10 @@ in one batched FFT convolution. The per-row drift loop and the
 per-branch correlation they replaced are kept here as a test-only
 reference; every field must come out bit-equal, dtypes included. The
 receiver's own FFT convolution is checked bit for bit against
-scipy.signal.fftconvolve, which it replaces.
+scipy.signal.fftconvolve, which it replaces, and its transform length
+against scipy.fft.next_fast_len. `fine_cfo` reads three bins of its
+padded spectrum; the full-spectrum version it replaced is kept as a
+reference too.
 """
 
 import math
@@ -16,6 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from scipy.fft import next_fast_len
 from scipy.signal import fftconvolve
 
 from gfaloha import sigchain as sg
@@ -356,3 +360,41 @@ def test_convolve_edge_lengths_match_fftconvolve(na, nb, mode):
     assert cut(a, b, mode).tobytes() == ref.tobytes()
     ref = fftconvolve(a[0].real, b[0].real, mode=mode)
     assert cut(a[0].real, b[0].real, mode).tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("real", [True, False])
+def test_fast_len_matches_next_fast_len(real):
+    got = [sg._fast_len(n, real) for n in range(1, 20001)]
+    assert got == [next_fast_len(n, real) for n in range(1, 20001)]
+
+
+# ---------------------------------------------------------------------------
+# fine_cfo against the full-spectrum refinement it replaced
+# ---------------------------------------------------------------------------
+
+def ref_fine_cfo(seq, p):
+    pre = sg.upsampled_preamble(p)
+    r = seq.samples[: pre.size] * np.conj(pre)
+    nfft = sg._FINE_CFO_PAD * pre.size
+    spec = np.abs(np.fft.fft(r, nfft))
+    k = int(np.argmax(spec))
+    frac = sg._parabolic(20 * np.log10(np.maximum(spec, 1e-300)), k)
+    f = np.fft.fftfreq(nfft, 1.0 / seq.fs)[k]
+    return float(f + frac * seq.fs / nfft)
+
+
+def test_fine_cfo_matches_full_spectrum():
+    # residuals across the whole spectrum, both signs and the wrap at 0,
+    # at SNRs from clean to noise-dominated; plus an all-zero sequence
+    # (every bin at the 1e-300 floor, argmax 0)
+    rng = np.random.default_rng(2024)
+    n_pre = sg.upsampled_preamble(P).size
+    cases = [sg.ComplexSignal(np.zeros(n_pre, complex), P.Fs)]
+    for cfo in np.concatenate([rng.uniform(-0.5, 0.5, 40) * P.Fs / 46,
+                               [0.0, 1e-3, -1e-3, P.Fs / 2 - 1.0]]):
+        pk = sg.synthesize_packet(None, P, float(cfo), rng=rng)
+        cases.append(pk)
+        for snr in (0.1, 1.0, 10.0):
+            cases.append(sg.awgn(pk, snr, rng))
+    for seq in cases:
+        assert sg.fine_cfo(seq, P) == ref_fine_cfo(seq, P)
