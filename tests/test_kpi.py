@@ -5,6 +5,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from scipy.special import lambertw
 
 from gfaloha.kpi import (RA_OPPORTUNITIES, RA_PERIOD, attempt_energy,
                          avg_transmit_power, battery_lifetime,
@@ -72,8 +73,7 @@ def test_ra_contention_fixed_point():
 
 def test_ra_contention_matches_scipy_lambertw():
     # the plain-Python Lambert W against scipy's on 10^4 demands over the
-    # whole stable range; the demand == 0 and saturation returns stay
-    from scipy.special import lambertw
+    # whole stable range
     opp = RA_OPPORTUNITIES
     top = (1 - 1e-9) * opp / math.e
     rng = np.random.default_rng(10)
@@ -85,16 +85,12 @@ def test_ra_contention_matches_scipy_lambertw():
         assert stable
         assert p_succ == pytest.approx(demand / a, rel=1e-12, abs=0)
         assert attempts == pytest.approx(a / demand, rel=1e-12, abs=0)
-    assert ra_contention(0.0) == (1.0, 1.0, True)
-    assert ra_contention(opp / math.e / RA_PERIOD * (1 + 1e-12)) \
-        == (math.inf, 0.0, False)
 
 
 def test_ra_contention_near_the_branch_point():
     # near demand = O/e, w is ill-conditioned: dw/dx = 1/(e^w (1 + w))
     # turns one ulp of x into ~1e-12 of w, in scipy's value as in this
     # one, so the two agree to that scale there, not to the last bits
-    from scipy.special import lambertw
     opp = RA_OPPORTUNITIES
     top = (1 - 1e-9) * opp / math.e
     for demand in np.linspace(top * (1 - 1e-6), top, 2000):
@@ -107,6 +103,7 @@ def test_ra_contention_saturates():
     lam_max = RA_OPPORTUNITIES / math.e / RA_PERIOD
     attempts, p_succ, stable = ra_contention(lam_max * 1.01)
     assert not stable and attempts == math.inf and p_succ == 0.0
+    assert ra_contention(lam_max * (1 + 1e-12)) == (math.inf, 0.0, False)
     assert ra_contention(lam_max * 0.99)[2]
 
 
