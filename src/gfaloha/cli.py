@@ -43,7 +43,8 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="offered packets per sweep point")
     run.add_argument("--workers", type=int, help="parallel worker processes")
     run.add_argument("--paper-literal", action="store_true",
-                     help="closed-form base interference law instead of the oracle")
+                     help="the paper's clamped closed-form base interference "
+                          "law instead of the exact one")
     run.add_argument("--mixture", choices=("poisson", "mean-count"),
                      help="interferer-count mixture mode")
 

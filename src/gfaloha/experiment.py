@@ -68,9 +68,8 @@ class ExperimentConfig:
     seed: int = 1234
     out_dir: str = "results"
     figures: tuple = FIGURES
-    paper_literal: bool = False    # closed-form base law instead of the oracle
+    paper_literal: bool = False    # paper's clamped base law instead of the exact one
     mixture: str = "poisson"       # interferer-count mixture mode
-    oracle_samples: int = 1_000_000
     low_load_cutoff: float = 0.2   # loads the divergence flag checks
     divergence_tol: float = 0.03
     receiver_trials: int = 1000
@@ -198,13 +197,6 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     need_kpi = any(f != "reliability" for f in cfg.figures)
     need_rel = "reliability" in cfg.figures
 
-    # only the analytic KPI solve reads the base law; its stream is its own
-    base = None
-    if loads and need_kpi and cfg.kpi_policy != "sc":
-        base = itf.build_base_cdf(
-            p0, base="paper" if cfg.paper_literal else "oracle",
-            rng=np.random.default_rng(cfg.seed), samples=cfg.oracle_samples)
-
     # --- empirical cells -------------------------------------------------
     jobs, tags = [], []
     for li, load in enumerate(loads):
@@ -241,6 +233,9 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     # --- analytic rows ----------------------------------------------------
     analytic: dict[tuple, tuple] = {}    # (load, n) -> (KpiReport, po, status)
     if need_kpi:
+        if cfg.kpi_policy != "sc":
+            base = itf.build_base_cdf(
+                p0, base="paper" if cfg.paper_literal else "exact")
         for load in loads:
             for n in cfg.kpi_replicas:
                 pn = p0.with_replicas(n)

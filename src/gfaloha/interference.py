@@ -8,8 +8,8 @@ SINR of a replica carrying unit energy density is
     SINR = 1 / (A / (W*Tp) + 1/gamma)
 
 with A the summed intersection areas with all other undecoded replicas.
-This module builds the distribution of A (single interferer law, then
-the compound law over the interferer count), turns it into outage
+This module builds the distribution of A (single-interferer law in
+closed form, then the compound law over the interferer count), turns it into outage
 probabilities for the supported combining schemes, and solves the
 retry-inflated offered-load fixed point.
 
@@ -69,12 +69,15 @@ def overlap_area(dt, df, p: SystemParams):
 
 
 def overlap_ccdf_paper(s, p: SystemParams):
-    """Closed-form complementary CDF of the single-interferer overlap.
+    """The paper's closed-form complementary CDF of the single-interferer
+    overlap.
 
-    Pr(S > s) = [W*(Tp - s/W) + s*ln(s/(Tp*W))] / (Tp*Fm), evaluated on
-    s in [0, W*Tp]. The s -> 0 limit is W/Fm, which exceeds 1 whenever
-    W > Fm; results are clamped to [0, 1] and the second return value
-    flags elementwise where clamping fired.
+    Pr(S > s) = [W*(Tp - s/W) + s*ln(s/(Tp*W))] / (Tp*Fm) on s in
+    [0, W*Tp], or (W/Fm)*(1 - x + x*ln x) with x = s/(W*Tp): the exact
+    law (overlap_ccdf_exact) without its quadratic term, up to 0.34 off
+    it at the defaults. Its s -> 0 limit W/Fm exceeds 1 whenever W > Fm;
+    results are clamped to [0, 1] and the second return value flags
+    elementwise where clamping fired.
 
     Returns (value, clamped) as scalars or arrays matching the input.
     """
@@ -92,6 +95,40 @@ def overlap_ccdf_paper(s, p: SystemParams):
     if np.isscalar(s):
         return float(value), bool(clamped)
     return value, clamped
+
+
+def overlap_ccdf_exact(s, p: SystemParams):
+    """Exact complementary CDF of the single-interferer overlap area,
+    elementwise over s in [0, W*Tp].
+
+    With x = s/(W*Tp), U = 1 - |dt|/Tp uniform on (0, 1) and G the CDF of
+    |df|, triangular on [0, 2*Fm] (the difference of two uniform CFOs),
+    Pr(S > s) = integral over u in (x, 1) of G(W*(1 - x/u)). With a = W/Fm,
+    b = (W/(2*Fm))**2 and H(u) = a*(u - x*ln u) - b*(u - 2*x*ln u - x**2/u)
+    it is H(u*) - H(x) + (1 - u*), u* = min(1, x/(1 - 2*Fm/W)) where G
+    reaches 1 (u* = 1 when W <= 2*Fm); 1 - x when Fm = 0. At s = 0 it is
+    Pr(S > 0): a - b when W < 2*Fm, else 1.
+    """
+    smax = p.W * p.Tp
+    x = np.asarray(s, dtype=float) / smax
+    if np.any(x < 0) or np.any(x > 1 + 1e-12):
+        raise ValueError(f"overlap area must lie in [0, {smax:g}]")
+    x = np.minimum(x, 1.0)
+    if p.Fm == 0:
+        return 1.0 - x
+    c = p.W / (2.0 * p.Fm)
+    u = np.minimum(1.0, x * c / (c - 1.0)) if c > 1.0 else np.ones_like(x)
+    # With q = x/u* and w = 1 - q, H(u*) - H(x) = c*u*(2*f1 - c*f2),
+    # f1 = w + q*ln q and f2 = w + 2*q*ln q + q*w: terms of size w where
+    # the H form has terms of size a and b, so the absolute error is
+    # about max(1, c) times the float precision even where W >> Fm.
+    w = np.where(u < 1.0, 1.0 / c, 1.0 - x)
+    q = np.where(u < 1.0, 1.0 - 1.0 / c, x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        qlogq = np.where(q > 0, q * np.where(w < 0.5, np.log1p(-w), np.log(q)), 0.0)
+    f1 = w + qlogq
+    f2 = w + 2.0 * qlogq + q * w
+    return np.clip((1.0 - u) + c * u * (2.0 * f1 - c * f2), 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -136,38 +173,6 @@ def area_grid(p: SystemParams) -> np.ndarray:
     return np.linspace(0.0, p.N * p.W * p.Tp, GRID_POINTS)
 
 
-def overlap_cdf_oracle(rng: np.random.Generator, p: SystemParams,
-                       samples: int = 1_000_000) -> InterferenceCdf:
-    """Monte Carlo law of the overlap with one interferer, given overlap.
-
-    Draws the interferer start uniform on (-Tp, Tp) and the CFO difference
-    triangular on [-2Fm, 2Fm] (the exact difference of two uniform CFOs).
-    The returned CDF is conditioned on a strictly positive area;
-    meta["overlap_prob"] carries the conditioning probability.
-    """
-    if samples < 1:
-        raise DegenerateInputError("oracle needs at least one sample")
-    dt = rng.uniform(-p.Tp, p.Tp, size=samples)
-    if p.Fm == 0:
-        dfq = np.zeros(samples)
-    else:
-        dfq = rng.triangular(-2.0 * p.Fm, 0.0, 2.0 * p.Fm, size=samples)
-    areas = overlap_area(dt, dfq, p)
-    hit = areas[areas > 0.0]
-    if hit.size == 0:
-        raise DegenerateInputError("no overlapping draw; increase samples")
-    grid = area_grid(p)
-    cdf = np.searchsorted(np.sort(hit), grid, side="right") / hit.size
-    meta = {
-        "kind": "single-conditional",
-        "mode": "triangular",
-        "samples": samples,
-        "overlap_prob": hit.size / samples,
-        "tp": p.Tp, "w": p.W, "fm": p.Fm,
-    }
-    return InterferenceCdf(grid, cdf, meta)
-
-
 def single_overlap_cdf_paper(p: SystemParams) -> InterferenceCdf:
     """Single-interferer CDF from the clamped closed form, on the grid.
 
@@ -175,29 +180,26 @@ def single_overlap_cdf_paper(p: SystemParams) -> InterferenceCdf:
     (overlap_prob = 1), matching the closed form's own convention.
     """
     grid = area_grid(p)
-    smax = p.W * p.Tp
-    inside = np.minimum(grid, smax)
-    ccdf, _ = overlap_ccdf_paper(inside, p)
-    cdf = 1.0 - ccdf
-    meta = {
-        "kind": "single-conditional",
-        "mode": "paper",
-        "overlap_prob": 1.0,
-        "tp": p.Tp, "w": p.W, "fm": p.Fm,
-    }
-    return InterferenceCdf(grid, np.asarray(cdf), meta)
+    ccdf, _ = overlap_ccdf_paper(np.minimum(grid, p.W * p.Tp), p)
+    return InterferenceCdf(grid, 1.0 - ccdf, {"mode": "paper", "overlap_prob": 1.0})
 
 
-def build_base_cdf(p: SystemParams, *, base: str = "oracle", rng=None,
-                   samples: int = 1_000_000) -> InterferenceCdf:
-    """Single-interferer base law: Monte Carlo oracle or closed form."""
-    if base == "oracle":
-        if rng is None:
-            rng = np.random.default_rng(0)
-        return overlap_cdf_oracle(rng, p, samples=samples)
+def build_base_cdf(p: SystemParams, *, base: str = "exact") -> InterferenceCdf:
+    """Single-interferer base law on the grid: the exact law ("exact") or
+    the paper's clamped closed form ("paper"). Neither draws a random
+    number.
+
+    The exact CDF is conditioned on a strictly positive area,
+    1 - Pr(S > s)/Pr(S > 0); meta["overlap_prob"] carries Pr(S > 0).
+    """
     if base == "paper":
         return single_overlap_cdf_paper(p)
-    raise ValueError(f"unknown base CDF kind {base!r}")
+    if base != "exact":
+        raise ValueError(f"unknown base CDF kind {base!r}")
+    grid = area_grid(p)
+    ccdf = overlap_ccdf_exact(np.minimum(grid, p.W * p.Tp), p)
+    return InterferenceCdf(grid, 1.0 - ccdf / ccdf[0],
+                           {"mode": "exact", "overlap_prob": float(ccdf[0])})
 
 
 # ---------------------------------------------------------------------------

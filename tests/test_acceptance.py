@@ -6,6 +6,7 @@ fixed, so the suite is reproducible bit for bit; tolerances already
 include the Monte Carlo margin at the configured sample sizes.
 """
 
+import math
 import time
 from dataclasses import replace
 
@@ -18,6 +19,7 @@ from gfaloha import mcsim
 from gfaloha.experiment import ExperimentConfig, run_experiment, validate_receiver
 from gfaloha.params import (EnergyParams, SystemParams, db2lin,
                             packet_duration)
+from overlap_reference import overlap_ccdf_quad, overlap_cdf_oracle
 
 P = SystemParams()
 E = EnergyParams()
@@ -40,8 +42,8 @@ def test_c1_packet_duration_design_point():
 
 def test_c2_overlap_law_oracle_and_closed_form():
     t0 = time.perf_counter()
-    f1 = itf.overlap_cdf_oracle(np.random.default_rng(101), P, samples=10**6)
-    f2 = itf.overlap_cdf_oracle(np.random.default_rng(202), P, samples=10**6)
+    f1 = overlap_cdf_oracle(np.random.default_rng(101), P, samples=10**6)
+    f2 = overlap_cdf_oracle(np.random.default_rng(202), P, samples=10**6)
     assert np.array_equal(f1.grid, f2.grid)
     sup = float(np.max(np.abs(f1.cdf - f2.cdf)))
 
@@ -55,18 +57,34 @@ def test_c2_overlap_law_oracle_and_closed_form():
                          s / P.W, P.Tp, limit=200)[0] / (P.Tp * P.Fm))
             for s, v, c in zip(grid, vals, clamped) if s > 0 and not c]
     quad_err = max(errs)
+
+    # the exact law against quadrature of its defining integral, from
+    # x = 1e-4 where the quadrature is good to 1e-9
+    xs = [x for x in np.linspace(0.0, 1.0, 201) if x >= 1e-4]
+    exact_errs = [abs(float(itf.overlap_ccdf_exact(x * smax, P))
+                      - overlap_ccdf_quad(x, P)) for x in xs]
+    exact_quad_err = max(exact_errs)
+
+    # the exact law against the oracle: within the 99.9% DKW band of the
+    # empirical CDF of the oracle's hits
+    exact = itf.build_base_cdf(P)
+    dkw = math.sqrt(math.log(2 / 1e-3) / (2 * f1.meta["hits"]))
+    oracle_err = float(np.max(np.abs(exact.cdf - f1.cdf)))
     elapsed = time.perf_counter() - t0
-    report(2, "overlap law: oracle seed-stable and closed form matches "
-              "quadrature on its valid range",
-           sup < 0.005 and quad_err < 1e-6 and elapsed < 60,
+    report(2, "overlap law: oracle seed-stable, paper closed form matches "
+              "quadrature on its valid range, exact law matches quadrature "
+              "and the oracle",
+           sup < 0.005 and quad_err < 1e-6 and exact_quad_err < 1e-9
+           and oracle_err < dkw and elapsed < 60,
            f"sup|dF|={sup:.4f}, quad err={quad_err:.2e}, "
-           f"{len(errs)} points, {elapsed:.1f} s")
+           f"{len(errs)} points, exact quad err={exact_quad_err:.2e}, "
+           f"{len(exact_errs)} points, exact vs oracle={oracle_err:.2e} "
+           f"< DKW {dkw:.2e}, {elapsed:.1f} s")
 
 
 def test_c3_analytic_outage_tracks_simulation():
     t0 = time.perf_counter()
-    base = itf.build_base_cdf(P, base="oracle",
-                              rng=np.random.default_rng(42), samples=10**6)
+    base = itf.build_base_cdf(P)
     diffs = []
     for li, load in enumerate((0.02, 0.05, 0.1, 0.2)):
         lam = mcsim.nominal_lambda(load, P)
@@ -93,8 +111,7 @@ def test_c4_high_reliability_operating_point():
 
 
 def test_c5_lifetime_advantage_at_low_load():
-    base = itf.build_base_cdf(P, base="oracle",
-                              rng=np.random.default_rng(55), samples=400_000)
+    base = itf.build_base_cdf(P)
     ratios = []
     for load in (0.02, 0.05, 0.1):
         lam = mcsim.nominal_lambda(load, P)

@@ -22,6 +22,7 @@ from scipy import stats
 from gfaloha import interference as itf
 from gfaloha.mcsim import nominal_lambda
 from gfaloha.params import SystemParams
+from overlap_reference import overlap_cdf_oracle
 
 P = SystemParams()
 TAIL = 1e-16          # Poisson mass the reference leaves out
@@ -121,8 +122,13 @@ def _ref_solve(lambda_agg, p, base, mixture, damping=0.5, tol=1e-6,
 
 @functools.lru_cache(maxsize=None)
 def _base(kind, n):
-    return itf.build_base_cdf(P.with_replicas(n), base=kind,
-                              rng=np.random.default_rng(5), samples=200_000)
+    """Base law of each kind: the shipped exact law, the paper's clamped
+    form, and the Monte Carlo oracle, whose noisy pmf exercises the chain
+    on a law unlike either closed form."""
+    p = P.with_replicas(n)
+    if kind == "oracle":
+        return overlap_cdf_oracle(np.random.default_rng(5), p, samples=200_000)
+    return itf.build_base_cdf(p, base=kind)
 
 
 def _assert_laws_match(base, g, p, mixture):
@@ -146,7 +152,7 @@ LOADS = (0.2, 0.01, 0.1, 0.05)
 
 
 @pytest.mark.parametrize("mixture", ["poisson", "mean-count"])
-@pytest.mark.parametrize("kind", ["oracle", "paper"])
+@pytest.mark.parametrize("kind", ["oracle", "paper", "exact"])
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_solve_matches_reference(n, kind, mixture):
     p = P.with_replicas(n)
@@ -172,7 +178,7 @@ def test_solve_matches_reference(n, kind, mixture):
 
 
 @pytest.mark.parametrize("mixture", ["poisson", "mean-count"])
-@pytest.mark.parametrize("kind", ["oracle", "paper"])
+@pytest.mark.parametrize("kind", ["oracle", "paper", "exact"])
 def test_unconditional_cdf_matches_reference(kind, mixture):
     # interferer means from none through the converged range to where
     # almost all mass sits past the grid

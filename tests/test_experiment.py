@@ -15,7 +15,7 @@ from gfaloha.params import InvalidParamsError
 
 def tiny(tmp_path, **kw):
     base = dict(loads=(0.05, 0.2), reps=2, packets_per_point=800,
-                oracle_samples=20_000, seed=7, out_dir=str(tmp_path))
+                seed=7, out_dir=str(tmp_path))
     base.update(kw)
     return ex.ExperimentConfig(**base)
 
@@ -61,9 +61,11 @@ def test_from_file(tmp_path):
     assert cfg.figures == ("ee",)
     assert cfg.reps == 1
 
-    path.write_text(json.dumps({"experiment": {"repetitions": 3}}))
-    with pytest.raises(InvalidParamsError, match="unknown experiment"):
-        ex.ExperimentConfig.from_file(path)
+    # oracle_samples sized a Monte Carlo base law the program no longer draws
+    for key in ("repetitions", "oracle_samples"):
+        path.write_text(json.dumps({"experiment": {key: 3}}))
+        with pytest.raises(InvalidParamsError, match="unknown experiment"):
+            ex.ExperimentConfig.from_file(path)
 
 
 # ---------------------------------------------------------------------------
@@ -108,8 +110,7 @@ def test_run_experiment_kpi_policy(tmp_path, policy):
     # no-combining fixed point; sc has no closed form, so none at all
     cfg = tiny(tmp_path, figures=("ee", "lifetime"), kpi_policy=policy, reps=1)
     ex.run_experiment(cfg)
-    base = itf.build_base_cdf(cfg.system, rng=np.random.default_rng(cfg.seed),
-                              samples=cfg.oracle_samples)
+    base = itf.build_base_cdf(cfg.system)
     for fig, kpi_name in (("ee", "energy_efficiency"),
                           ("lifetime", "battery_lifetime")):
         gf = [r for r in read_rows(tmp_path / f"fig-{fig}.csv")
@@ -152,16 +153,20 @@ def test_summary_names_no_directory(tmp_path):
     assert "workers" not in summary["config"]
 
 
-@pytest.mark.parametrize("kw", [dict(figures=("reliability",)),
-                                dict(figures=("ee", "delay"), kpi_policy="sc")])
-def test_base_law_built_only_for_the_analytic_solve(tmp_path, monkeypatch, kw):
-    # only the analytic KPI solve reads the base law; a run without one
-    # never draws it
-    def refuse(*args, **kwargs):
-        raise AssertionError("base law built for a run that never reads it")
-    monkeypatch.setattr(ex.itf, "build_base_cdf", refuse)
-    ex.run_experiment(tiny(tmp_path, loads=(0.05,), reps=1,
-                           packets_per_point=200, **kw))
+def test_analytic_columns_equal_across_seeds(tmp_path):
+    # the analytic chain draws no random number: the seed moves the
+    # empirical columns and leaves every analytic cell byte for byte
+    kpi_figs = ("ee", "lifetime", "delay", "se")
+    rows = {}
+    for seed in (1, 2):
+        ex.run_experiment(tiny(tmp_path / str(seed), figures=kpi_figs,
+                               loads=(0.05, 0.5), reps=1,
+                               packets_per_point=200, seed=seed))
+        rows[seed] = [r for fig in kpi_figs
+                      for r in read_rows(tmp_path / str(seed) / f"fig-{fig}.csv")]
+    analytic = [[r["analytic"] for r in rows[seed]] for seed in (1, 2)]
+    assert analytic[0] == analytic[1] and "" not in analytic[0]
+    assert [r["empirical"] for r in rows[1]] != [r["empirical"] for r in rows[2]]
 
 
 def test_overload_rows_are_the_ceiling_bounds(tmp_path):

@@ -12,10 +12,12 @@ from gfaloha.interference import (DegenerateInputError, InterferenceCdf,
                                   combined_sinr, mmse_weights,
                                   offered_load_of, outage_mrc_sinr,
                                   outage_no_combining, outage_single,
-                                  overlap_area, overlap_ccdf_paper,
-                                  overlap_cdf_oracle, sinr,
+                                  overlap_area, overlap_ccdf_exact,
+                                  overlap_ccdf_paper, sinr,
+                                  single_overlap_cdf_paper,
                                   solve_offered_load, unconditional_cdf)
 from gfaloha.params import InvalidParamsError, SystemParams
+from overlap_reference import overlap_ccdf_quad, overlap_cdf_oracle
 
 P = SystemParams()
 
@@ -93,6 +95,66 @@ def test_oracle_seed_stability_smoke():
     assert np.max(np.abs(a.cdf - b.cdf)) < 0.02
 
 
+def test_exact_base_law_at_the_defaults():
+    base = build_base_cdf(P)
+    assert base.meta["mode"] == "exact"
+    # W = 2Fm: every CFO difference lies inside the band, so any two
+    # replicas in the vulnerable period overlap
+    assert base.meta["overlap_prob"] == 1.0
+    assert base.cdf[0] == 0.0 and base.cdf[-1] == 1.0
+    # at W = 2Fm, Pr(S > s) = 2(1 - x + x ln x) - (1 - x^2 + 2x ln x)
+    x = np.array([1e-3, 0.25, 0.5, 0.9])
+    want = 2 * (1 - x + x * np.log(x)) - (1 - x ** 2 + 2 * x * np.log(x))
+    assert overlap_ccdf_exact(x * P.W * P.Tp, P) == pytest.approx(want, abs=1e-15)
+    with pytest.raises(ValueError):
+        build_base_cdf(P, base="oracle")
+    with pytest.raises(ValueError):
+        overlap_ccdf_exact(2.0 * P.W * P.Tp, P)
+
+
+# 2Fm/W: Fm = 0, W = 2Fm, and both sides of it
+_CFO_SPANS = st.one_of(st.just(0.0), st.just(1.0), st.floats(1e-4, 0.999),
+                       st.floats(1.001, 1e3))
+
+
+@settings(max_examples=80, deadline=None)
+@given(tp=st.floats(1e-3, 10.0), w=st.floats(1.0, 1e4), span=_CFO_SPANS)
+def test_exact_base_law_properties(tp, w, span):
+    p = SystemParams(Tp=tp, W=w, Fm=span * w / 2)
+    smax = p.W * p.Tp
+    # the closed form against 1-D quadrature
+    x = np.array([1e-4, 1e-3, 0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 1.0])
+    got = overlap_ccdf_exact(x * smax, p)
+    assert got == pytest.approx([overlap_ccdf_quad(xi, p) for xi in x], abs=1e-9)
+    # a CDF: nondecreasing from 0 to 1
+    base = build_base_cdf(p)
+    assert np.all(np.diff(base.cdf) >= -1e-14)
+    assert base.cdf[0] == 0.0 and base.cdf[-1] == pytest.approx(1.0, abs=1e-14)
+    assert np.all(np.diff(overlap_ccdf_exact(np.linspace(0, smax, 4001), p)) <= 1e-14)
+    # Pr(S > 0) = G(W), the chance that |df| < W, and the s -> 0 limit
+    p0 = base.meta["overlap_prob"]
+    want = 1.0 if p.W >= 2 * p.Fm else p.W / p.Fm - (p.W / (2 * p.Fm)) ** 2
+    assert p0 == pytest.approx(want, rel=1e-12)
+    assert overlap_ccdf_exact(1e-12 * smax, p) == pytest.approx(p0, abs=1e-6)
+    if p.Fm == 0:
+        return
+    # the paper's closed form is the first term a(1 - x + x ln x) of the
+    # exact law wherever it is not clamped (its terms are of size a, so
+    # both sides round at a times the float precision)
+    a = p.W / p.Fm
+    xg = np.minimum(base.grid / smax, 1.0)
+    xlogx = np.where(xg > 0, xg * np.log(np.where(xg > 0, xg, 1.0)), 0.0)
+    first = a * (1 - xg + xlogx)
+    paper = 1.0 - single_overlap_cdf_paper(p).cdf
+    valid = (first >= 0.0) & (first <= 1.0)
+    assert paper[valid] == pytest.approx(first[valid], abs=1e-13 * max(a, 10.0))
+    if p.W <= 2 * p.Fm:
+        # ... and the exact law less its quadratic term
+        quadratic = (p.W / (2 * p.Fm)) ** 2 * (1 - xg ** 2 + 2 * xlogx)
+        exact = overlap_ccdf_exact(xg * smax, p)
+        assert exact + quadratic == pytest.approx(first, abs=1e-12)
+
+
 def test_unconditional_cdf_zero_rate():
     base = build_base_cdf(P, base="paper")
     agg = unconditional_cdf(base, 0.0, P)
@@ -113,8 +175,7 @@ def test_mixture_modes_agree_at_low_rate():
 
 
 def test_outage_orderings():
-    base = build_base_cdf(P, base="oracle",
-                          rng=np.random.default_rng(3), samples=200_000)
+    base = build_base_cdf(P)
     for g in (0.4, 0.8):
         agg = unconditional_cdf(base, g, P)
         po_1 = outage_single(agg, P)

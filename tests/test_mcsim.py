@@ -229,7 +229,7 @@ def test_sweep_rows_and_worker_independence(tmp_path):
     def ee_rows(out, workers):
         summary = run_experiment(ExperimentConfig(
             loads=(0.05, 0.1), reps=2, packets_per_point=1200,
-            figures=("ee",), oracle_samples=20_000, seed=99,
+            figures=("ee",), seed=99,
             out_dir=str(out), workers=workers))
         assert summary["config"]["reps"] == 2
         lines = (out / "fig-ee.csv").read_text().splitlines()

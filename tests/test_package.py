@@ -71,8 +71,8 @@ import tempfile
 import gfaloha
 with tempfile.TemporaryDirectory() as out:
     cfg = gfaloha.ExperimentConfig(loads=(0.05, 0.5), reps={reps},
-                                   packets_per_point=200, oracle_samples=5000,
-                                   receiver_trials=2, out_dir=out)
+                                   packets_per_point=200, receiver_trials=2,
+                                   out_dir=out)
     gfaloha.run_experiment(cfg)
     gfaloha.validate_receiver(cfg)
 """
