@@ -68,7 +68,7 @@ class ExperimentConfig:
     seed: int = 1234
     out_dir: str = "results"
     figures: tuple = FIGURES
-    paper_literal: bool = False    # paper's clamped base law instead of the exact one
+    paper_literal: bool = False    # the paper's clamped base law, not the exact one
     mixture: str = "poisson"       # interferer-count mixture mode
     low_load_cutoff: float = 0.2   # loads the divergence flag checks
     divergence_tol: float = 0.03
@@ -233,14 +233,14 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     # --- analytic rows ----------------------------------------------------
     analytic: dict[tuple, tuple] = {}    # (load, n) -> (KpiReport, po, status)
     if need_kpi:
-        if cfg.kpi_policy != "sc":
-            base = itf.build_base_cdf(
-                p0, base="paper" if cfg.paper_literal else "exact")
-        for load in loads:
-            for n in cfg.kpi_replicas:
-                pn = p0.with_replicas(n)
+        for n in cfg.kpi_replicas:
+            pn = p0.with_replicas(n)
+            # on pn's own area grid, which spans n*W*Tp
+            base = None if cfg.kpi_policy == "sc" else itf.build_base_cdf(
+                pn, base="paper" if cfg.paper_literal else "exact")
+            for load in loads:
                 lam = mcsim.nominal_lambda(load, pn)
-                if cfg.kpi_policy == "sc":
+                if base is None:
                     analytic[(load, n)] = (None, None, "")
                     continue
                 res = itf.solve_offered_load(lam, pn, cfg.kpi_policy,

@@ -9,9 +9,9 @@ SINR of a replica carrying unit energy density is
 
 with A the summed intersection areas with all other undecoded replicas.
 This module builds the distribution of A (single-interferer law in
-closed form, then the compound law over the interferer count), turns it into outage
-probabilities for the supported combining schemes, and solves the
-retry-inflated offered-load fixed point.
+closed form, then the compound law over the interferer count), turns it
+into outage probabilities for the supported combining schemes, and
+solves the retry-inflated offered-load fixed point.
 
 Every random sum (the Poisson or fixed count of interferers, the N
 branch SINRs of MRC) is one transform: with phi the FFT of one term's

@@ -129,6 +129,23 @@ def test_run_experiment_kpi_policy(tmp_path, policy):
             assert r["status"] == res.status
 
 
+def test_analytic_base_law_on_each_replica_grid(tmp_path):
+    # the area grid spans N*W*Tp: an N=4 row read on the system's N=2 grid
+    # would fold every aggregate area past 2*W*Tp into one bin
+    cfg = tiny(tmp_path, figures=("ee",), kpi_replicas=(1, 4), loads=(0.35,),
+               reps=1, packets_per_point=200)
+    ex.run_experiment(cfg)
+    gf = [r for r in read_rows(tmp_path / "fig-ee.csv")
+          if r["scheme"] == "grant-free"]
+    assert [r["n_replicas"] for r in gf] == ["1", "4"]
+    for r in gf:
+        pn = cfg.system.with_replicas(int(r["n_replicas"]))
+        lam = mcsim.nominal_lambda(0.35, pn)
+        res = itf.solve_offered_load(lam, pn, "mrc", base=itf.build_base_cdf(pn))
+        want = kpi.grant_free_kpis(lam, res.po, pn, cfg.energy)
+        assert r["analytic"] == ex._fmt(want.energy_efficiency)
+
+
 def test_run_experiment_reproducible(tmp_path):
     # byte-identical figures and summary on a rerun and for any worker count
     a, b, c = tmp_path / "a", tmp_path / "b", tmp_path / "c"
