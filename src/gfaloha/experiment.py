@@ -96,6 +96,8 @@ class ExperimentConfig:
             raise InvalidParamsError(f"unknown policy {self.kpi_policy!r}")
         if self.mixture not in ("poisson", "mean-count"):
             raise InvalidParamsError(f"unknown mixture {self.mixture!r}")
+        if self.paper_literal and self.system.Fm <= 0:
+            raise InvalidParamsError("the paper's base law needs Fm > 0")
         if not self.kpi_replicas or not self.reliability_replicas:
             raise InvalidParamsError("replica-count lists must be nonempty")
         if any(not (0.0 < c <= 1.0) for c in self.cr_grid):

@@ -185,13 +185,10 @@ def single_overlap_cdf_paper(p: SystemParams) -> InterferenceCdf:
 
 
 def build_base_cdf(p: SystemParams, *, base: str = "exact") -> InterferenceCdf:
-    """Single-interferer base law on the grid: the exact law ("exact") or
-    the paper's clamped closed form ("paper"). Neither draws a random
-    number.
-
-    The exact CDF is conditioned on a strictly positive area,
-    1 - Pr(S > s)/Pr(S > 0); meta["overlap_prob"] carries Pr(S > 0).
-    """
+    """Single-interferer base law on the grid, drawing no random number:
+    the exact law ("exact"), conditioned on a strictly positive area with
+    meta["overlap_prob"] = Pr(S > 0), or the paper's clamped closed form
+    ("paper")."""
     if base == "paper":
         return single_overlap_cdf_paper(p)
     if base != "exact":

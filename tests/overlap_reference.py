@@ -31,14 +31,8 @@ def overlap_cdf_oracle(rng: np.random.Generator, p,
     hit = np.sort(areas[areas > 0.0])
     grid = area_grid(p)
     cdf = np.searchsorted(hit, grid, side="right") / hit.size
-    meta = {
-        "kind": "single-conditional",
-        "mode": "triangular",
-        "samples": samples,
-        "hits": hit.size,
-        "overlap_prob": hit.size / samples,
-        "tp": p.Tp, "w": p.W, "fm": p.Fm,
-    }
+    meta = {"mode": "triangular", "hits": hit.size,
+            "overlap_prob": hit.size / samples}
     return InterferenceCdf(grid, cdf, meta)
 
 

@@ -10,7 +10,7 @@ from scipy import stats
 from gfaloha import experiment as ex
 from gfaloha import interference as itf
 from gfaloha import kpi, mcsim
-from gfaloha.params import InvalidParamsError
+from gfaloha.params import InvalidParamsError, SystemParams
 
 
 def tiny(tmp_path, **kw):
@@ -43,6 +43,8 @@ def read_rows(path):
     dict(mixture="binomial"),
     dict(kpi_replicas=()),
     dict(cr_grid=(0.5, 0.0)),
+    # the paper's formula divides by Fm; rejected before any cell runs
+    dict(paper_literal=True, system=SystemParams(Fm=0.0)),
 ])
 def test_config_rejects(tmp_path, kw):
     with pytest.raises(InvalidParamsError):
