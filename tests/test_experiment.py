@@ -172,6 +172,18 @@ def test_summary_names_no_directory(tmp_path):
     assert "workers" not in summary["config"]
 
 
+@pytest.mark.parametrize("kw", [dict(figures=("reliability",)),
+                                dict(figures=("ee", "delay"), kpi_policy="sc")])
+def test_base_law_built_only_for_the_analytic_solve(tmp_path, monkeypatch, kw):
+    # only the analytic KPI solve reads the base law; a run without one
+    # never builds it
+    def refuse(*args, **kwargs):
+        raise AssertionError("base law built for a run that never reads it")
+    monkeypatch.setattr(ex.itf, "build_base_cdf", refuse)
+    ex.run_experiment(tiny(tmp_path, loads=(0.05,), reps=1,
+                           packets_per_point=200, **kw))
+
+
 def test_analytic_columns_equal_across_seeds(tmp_path):
     # the analytic chain draws no random number: the seed moves the
     # empirical columns and leaves every analytic cell byte for byte
