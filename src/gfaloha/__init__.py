@@ -8,8 +8,8 @@ sweep orchestrator emitting figure data.
 
 from .experiment import ExperimentConfig, run_experiment, validate_receiver
 from .interference import (InterferenceCdf, analytic_outage, build_base_cdf,
-                           combined_sinr, mmse_weights, offered_load_of,
-                           solve_offered_load, unconditional_cdf)
+                           offered_load_of, solve_offered_load,
+                           unconditional_cdf)
 from .kpi import KpiReport, grant_free_kpis, granted_kpis
 from .mcsim import (CollisionGraph, build_collision_graph, nominal_lambda,
                     run_granted_baseline, run_trial, sic_decode)
@@ -22,9 +22,9 @@ __version__ = "0.1.0"
 __all__ = [
     "CollisionGraph", "EnergyParams", "ExperimentConfig", "InterferenceCdf",
     "InvalidParamsError", "KpiReport", "SystemParams", "analytic_outage",
-    "build_base_cdf", "build_collision_graph", "combined_sinr", "draw_frames",
+    "build_base_cdf", "build_collision_graph", "draw_frames",
     "generate_arrivals", "grant_free_kpis", "granted_kpis", "load_params",
-    "mmse_weights", "nominal_lambda", "offered_load_of", "packet_duration",
+    "nominal_lambda", "offered_load_of", "packet_duration",
     "run_experiment", "run_granted_baseline", "run_trial",
     "sic_decode", "slots_for_replicas", "solve_offered_load",
     "unconditional_cdf", "validate_receiver", "__version__",

@@ -42,11 +42,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--packets", type=int,
                      help="offered packets per sweep point")
     run.add_argument("--workers", type=int, help="parallel worker processes")
-    run.add_argument("--paper-literal", action="store_true",
-                     help="the paper's clamped closed-form base interference "
-                          "law instead of the exact one")
-    run.add_argument("--mixture", choices=("poisson", "mean-count"),
-                     help="interferer-count mixture mode")
 
     val.add_argument("--trials", type=int,
                      help="trials per synthetic suite (default 1000)")
@@ -71,10 +66,6 @@ def _config_from_args(args) -> ExperimentConfig:
         updates["packets_per_point"] = args.packets
     if getattr(args, "workers", None) is not None:
         updates["workers"] = args.workers
-    if getattr(args, "paper_literal", False):
-        updates["paper_literal"] = True
-    if getattr(args, "mixture", None) is not None:
-        updates["mixture"] = args.mixture
     if getattr(args, "trials", None) is not None:
         updates["receiver_trials"] = args.trials
     if updates:

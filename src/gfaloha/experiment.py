@@ -68,8 +68,6 @@ class ExperimentConfig:
     seed: int = 1234
     out_dir: str = "results"
     figures: tuple = FIGURES
-    paper_literal: bool = False    # the paper's clamped base law, not the exact one
-    mixture: str = "poisson"       # interferer-count mixture mode
     low_load_cutoff: float = 0.2   # loads the divergence flag checks
     divergence_tol: float = 0.03
     receiver_trials: int = 1000
@@ -94,12 +92,15 @@ class ExperimentConfig:
             raise InvalidParamsError(f"unknown figures: {sorted(unknown)}")
         if self.kpi_policy not in ("mrc", "sc", "none"):
             raise InvalidParamsError(f"unknown policy {self.kpi_policy!r}")
-        if self.mixture not in ("poisson", "mean-count"):
-            raise InvalidParamsError(f"unknown mixture {self.mixture!r}")
-        if self.paper_literal and self.system.Fm <= 0:
-            raise InvalidParamsError("the paper's base law needs Fm > 0")
         if not self.kpi_replicas or not self.reliability_replicas:
             raise InvalidParamsError("replica-count lists must be nonempty")
+        # cells and figures are keyed by value: a repeated entry would pool
+        # two cells or write a figure's rows twice
+        for name in ("kpi_replicas", "reliability_replicas", "cr_grid",
+                     "figures"):
+            entries = tuple(getattr(self, name))
+            if len(set(entries)) != len(entries):
+                raise InvalidParamsError(f"{name} repeats an entry: {entries}")
         if any(not (0.0 < c <= 1.0) for c in self.cr_grid):
             raise InvalidParamsError("cr values must lie in (0, 1]")
         return self
@@ -238,15 +239,13 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         for n in cfg.kpi_replicas:
             pn = p0.with_replicas(n)
             # on pn's own area grid, which spans n*W*Tp
-            base = None if cfg.kpi_policy == "sc" else itf.build_base_cdf(
-                pn, base="paper" if cfg.paper_literal else "exact")
+            base = None if cfg.kpi_policy == "sc" else itf.build_base_cdf(pn)
             for load in loads:
                 lam = mcsim.nominal_lambda(load, pn)
                 if base is None:
                     analytic[(load, n)] = (None, None, "")
                     continue
-                res = itf.solve_offered_load(lam, pn, cfg.kpi_policy,
-                                             base=base, mixture=cfg.mixture)
+                res = itf.solve_offered_load(lam, pn, cfg.kpi_policy, base=base)
                 rep = kpi_mod.grant_free_kpis(lam, res.po, pn, e0)
                 analytic[(load, n)] = (rep, res.po, res.status)
 

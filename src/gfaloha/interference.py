@@ -13,8 +13,8 @@ closed form, then the compound law over the interferer count), turns it
 into outage probabilities for the supported combining schemes, and
 solves the retry-inflated offered-load fixed point.
 
-Every random sum (the Poisson or fixed count of interferers, the N
-branch SINRs of MRC) is one transform: with phi the FFT of one term's
+Every random sum (the Poisson count of interferers, the N branch
+SINRs of MRC) is one transform: with phi the FFT of one term's
 pmf and P the count's generating function, the sum's pmf is
 irfft(P(phi)), computed on a zero-padded, exponentially tilted grid so
 that no count is truncated and the wrap-around of the circular FFT is
@@ -24,7 +24,6 @@ Bulletin 1999).
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -41,10 +40,6 @@ _DAMPING = 0.5
 _STEP_TOL = 1e-6        # relative step at which the iteration has converged
 _MAX_ITER = 200
 _PO_CEILING = 1.0 - 1e-6   # outage at which the point counts as overload
-
-
-class DegenerateInputError(ValueError):
-    """An input is degenerate (singular system, empty distribution, ...)."""
 
 
 # ---------------------------------------------------------------------------
@@ -66,35 +61,6 @@ def overlap_area(dt, df, p: SystemParams):
     """Intersection area of two replica rectangles offset by (dt, df),
     elementwise over arrays of offsets; 0 where they do not overlap."""
     return np.maximum(p.Tp - np.abs(dt), 0.0) * np.maximum(p.W - np.abs(df), 0.0)
-
-
-def overlap_ccdf_paper(s, p: SystemParams):
-    """The paper's closed-form complementary CDF of the single-interferer
-    overlap.
-
-    Pr(S > s) = [W*(Tp - s/W) + s*ln(s/(Tp*W))] / (Tp*Fm) on s in
-    [0, W*Tp], or (W/Fm)*(1 - x + x*ln x) with x = s/(W*Tp): the exact
-    law (overlap_ccdf_exact) without its quadratic term, up to 0.34 off
-    it at the defaults. Its s -> 0 limit W/Fm exceeds 1 whenever W > Fm;
-    results are clamped to [0, 1] and the second return value flags
-    elementwise where clamping fired.
-
-    Returns (value, clamped) as scalars or arrays matching the input.
-    """
-    if p.Fm <= 0:
-        raise InvalidParamsError("closed-form overlap CCDF requires Fm > 0")
-    arr = np.asarray(s, dtype=float)
-    smax = p.W * p.Tp
-    if np.any(arr < 0) or np.any(arr > smax * (1 + 1e-12)):
-        raise ValueError(f"overlap area must lie in [0, {smax:g}]")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_term = np.where(arr > 0, arr * np.log(arr / smax), 0.0)
-    raw = (p.W * (p.Tp - arr / p.W) + log_term) / (p.Tp * p.Fm)
-    clamped = (raw < 0.0) | (raw > 1.0)
-    value = np.clip(raw, 0.0, 1.0)
-    if np.isscalar(s):
-        return float(value), bool(clamped)
-    return value, clamped
 
 
 def overlap_ccdf_exact(s, p: SystemParams):
@@ -173,26 +139,10 @@ def area_grid(p: SystemParams) -> np.ndarray:
     return np.linspace(0.0, p.N * p.W * p.Tp, GRID_POINTS)
 
 
-def single_overlap_cdf_paper(p: SystemParams) -> InterferenceCdf:
-    """Single-interferer CDF from the clamped closed form, on the grid.
-
-    Every packet in the vulnerable period counts as interfering here
-    (overlap_prob = 1), matching the closed form's own convention.
-    """
-    grid = area_grid(p)
-    ccdf, _ = overlap_ccdf_paper(np.minimum(grid, p.W * p.Tp), p)
-    return InterferenceCdf(grid, 1.0 - ccdf, {"mode": "paper", "overlap_prob": 1.0})
-
-
-def build_base_cdf(p: SystemParams, *, base: str = "exact") -> InterferenceCdf:
+def build_base_cdf(p: SystemParams) -> InterferenceCdf:
     """Single-interferer base law on the grid, drawing no random number:
-    the exact law ("exact"), conditioned on a strictly positive area with
-    meta["overlap_prob"] = Pr(S > 0), or the paper's clamped closed form
-    ("paper")."""
-    if base == "paper":
-        return single_overlap_cdf_paper(p)
-    if base != "exact":
-        raise ValueError(f"unknown base CDF kind {base!r}")
+    the exact law conditioned on a strictly positive area, with
+    meta["overlap_prob"] = Pr(S > 0)."""
     grid = area_grid(p)
     ccdf = overlap_ccdf_exact(np.minimum(grid, p.W * p.Tp), p)
     return InterferenceCdf(grid, 1.0 - ccdf / ccdf[0],
@@ -224,47 +174,27 @@ def _compound(pmf1: np.ndarray, pgf) -> np.ndarray:
     return law
 
 
-def _mean_count(mu: float) -> int:
-    """Interferer count used by the fixed-count shortcut: ceil(mu) - 1."""
-    return max(int(math.ceil(mu)) - 1, 0)
-
-
-def unconditional_cdf(base: InterferenceCdf, g: float, p: SystemParams,
-                      mixture: str = "poisson") -> InterferenceCdf:
+def unconditional_cdf(base: InterferenceCdf, g: float,
+                      p: SystemParams) -> InterferenceCdf:
     """Aggregate overlap-area CDF of one replica at replica rate g.
 
     Interferers arrive in the 2*Tp vulnerable window as a Poisson process
     with mean mu = 2*g*Tp; each contributes the base law, thinned by the
     base's conditional-overlap probability. With phi the transform of
-    that thinned law, mixture selects the count:
-
-    - "poisson": the full Poisson mixture, exp(mu*(phi - 1)), with no
-      count left out;
-    - "mean-count": the fixed count n = ceil(mu) - 1, phi**n.
-
-    Either law comes from one tilted FFT (_compound) and is exact below
-    the grid maximum up to rounding; the top bin holds the rest.
+    that thinned law, the aggregate is the full Poisson mixture
+    exp(mu*(phi - 1)), with no count left out, from one tilted FFT
+    (_compound): exact below the grid maximum up to rounding; the top bin
+    holds the rest.
     """
     if g < 0:
         raise InvalidParamsError("replica rate must be nonnegative")
     mu = 2.0 * g * p.Tp
-    if mixture == "poisson":
-        def pgf(phi):
-            return np.exp(mu * (phi - 1.0))
-    elif mixture == "mean-count":
-        n = _mean_count(mu)
-
-        def pgf(phi):
-            return phi ** n
-    else:
-        raise ValueError(f"unknown mixture mode {mixture!r}")
     p_ov = base.meta.get("overlap_prob", 1.0)
     pmf1 = base.pmf() * p_ov
     pmf1[0] += 1.0 - p_ov
-    cdf = np.minimum(np.cumsum(_compound(pmf1, pgf)), 1.0)
-    meta = {"kind": "aggregate", "g": g, "mu": mu, "mixture": mixture,
-            "base_mode": base.meta.get("mode")}
-    return InterferenceCdf(base.grid, cdf, meta)
+    law = _compound(pmf1, lambda phi: np.exp(mu * (phi - 1.0)))
+    meta = {"kind": "aggregate", "g": g, "mu": mu}
+    return InterferenceCdf(base.grid, np.minimum(np.cumsum(law), 1.0), meta)
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +244,7 @@ def outage_no_combining(cdf: InterferenceCdf, p: SystemParams) -> float:
 
 
 def analytic_outage(base: InterferenceCdf, g: float, p: SystemParams,
-                    policy: str = "mrc", mixture: str = "poisson") -> float:
+                    policy: str = "mrc") -> float:
     """Full pipeline: base law -> aggregate at rate g -> policy outage.
 
     The policies are the simulator's decoding policies with a closed
@@ -322,50 +252,12 @@ def analytic_outage(base: InterferenceCdf, g: float, p: SystemParams,
     combining receiver measures; "none" decodes when some replica alone
     reaches St.
     """
-    agg = unconditional_cdf(base, g, p, mixture=mixture)
+    agg = unconditional_cdf(base, g, p)
     if policy == "mrc":
         return outage_mrc_sinr(agg, p)
     if policy == "none":
         return outage_no_combining(agg, p)
     raise ValueError(f"unknown analytic policy {policy!r}")
-
-
-# ---------------------------------------------------------------------------
-# MMSE combining weights
-# ---------------------------------------------------------------------------
-
-def mmse_weights(sigma_x2: float, sigma_i2) -> np.ndarray:
-    """MMSE combining weights for N noisy copies of one symbol.
-
-    Solves (sigma_x2 * J + diag(sigma_i2)) w = sigma_x2 * 1 with J the
-    all-ones matrix. With equal branch noise the weights are equal and
-    the combined SINR is N times the branch SINR.
-    """
-    noise = np.atleast_1d(np.asarray(sigma_i2, dtype=float))
-    if noise.ndim != 1 or noise.size == 0:
-        raise DegenerateInputError("need a flat, non-empty noise vector")
-    if np.any(noise <= 0):
-        raise DegenerateInputError("branch noise powers must be positive")
-    if sigma_x2 < 0:
-        raise InvalidParamsError("signal power cannot be negative")
-    n = noise.size
-    a = sigma_x2 * np.ones((n, n)) + np.diag(noise)
-    b = sigma_x2 * np.ones(n)
-    w = np.linalg.solve(a, b)
-    resid = np.max(np.abs(a @ w - b))
-    if resid > 1e-9 * max(1.0, float(np.max(np.abs(b)))):
-        raise DegenerateInputError(f"ill-conditioned combining system, residual {resid:g}")
-    return w
-
-
-def combined_sinr(sigma_x2: float, sigma_i2, w) -> float:
-    """Post-combining SINR (sum w)^2 sx2 / sum(w^2 si2)."""
-    noise = np.asarray(sigma_i2, dtype=float)
-    w = np.asarray(w, dtype=float)
-    denom = float(np.sum(w ** 2 * noise))
-    if denom == 0.0:
-        return math.inf
-    return float(np.sum(w)) ** 2 * sigma_x2 / denom
 
 
 # ---------------------------------------------------------------------------
@@ -397,8 +289,7 @@ def offered_load_of(g: float, p: SystemParams) -> float:
 
 
 def solve_offered_load(lambda_agg: float, p: SystemParams, policy: str = "mrc",
-                       *, base: InterferenceCdf | None = None,
-                       mixture: str = "poisson") -> SolveResult:
+                       *, base: InterferenceCdf | None = None) -> SolveResult:
     """Solve g = N*lambda / (1 - Po(g)) by damped fixed-point iteration.
 
     Retries re-enter the channel, so the replica rate seen on air exceeds
@@ -415,7 +306,7 @@ def solve_offered_load(lambda_agg: float, p: SystemParams, policy: str = "mrc",
     g = g_floor
     status = "max-iterations"
     for it in range(1, _MAX_ITER + 1):
-        po = analytic_outage(base, g, p, policy, mixture=mixture)
+        po = analytic_outage(base, g, p, policy)
         if po >= _PO_CEILING:
             po = _PO_CEILING
             status = "overload"

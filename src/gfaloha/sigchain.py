@@ -191,10 +191,12 @@ def _fast_len(n: int, real: bool) -> int:
 def _convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Full linear convolution along the last axis, broadcasting the others.
 
-    Evaluated as scipy.signal.fftconvolve does, so the bits match it: the
-    product of the two spectra at its transform length (real transforms
-    when both inputs are real), or the plain product when either length
-    is 1.
+    Evaluated as scipy.signal.fftconvolve does, so the bits match it when
+    both inputs are real or both complex: the product of the two spectra
+    at its transform length (real transforms when both inputs are real),
+    or the plain product when either length is 1. A real input beside a
+    complex one goes through the complex transform and matches it to
+    rounding; the receiver never mixes the two.
     """
     na, nb = a.shape[-1], b.shape[-1]
     if na == 0 or nb == 0:
@@ -208,24 +210,8 @@ def _convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if real:
         return np.fft.irfft(np.fft.rfft(a, nfft) * np.fft.rfft(b, nfft),
                             nfft)[..., :n]
-    return np.fft.ifft(_fft(a, nfft) * _fft(b, nfft), nfft)[..., :n]
-
-
-def _fft(x: np.ndarray, nfft: int) -> np.ndarray:
-    """Complex spectrum along the last axis, as scipy.fft.fft gives it.
-
-    A real x goes through the real transform, and each bin k is then
-    written as the conjugate of bin -k, as pocketfft does (so the DC
-    bin, and the Nyquist bin of an even length, carry an imaginary -0).
-    """
-    if np.iscomplexobj(x):
-        return np.fft.fft(x, nfft)
-    half = np.fft.rfft(x, nfft)
-    m = half.shape[-1]
-    full = np.empty(half.shape[:-1] + (nfft,), dtype=half.dtype)
-    full[..., :m] = half
-    full[..., -np.arange(m) % nfft] = half.conj()
-    return full
+    return np.fft.ifft(np.fft.fft(a, nfft) * np.fft.fft(b, nfft),
+                       nfft)[..., :n]
 
 
 def frame_events(signal: ComplexSignal, p: SystemParams,

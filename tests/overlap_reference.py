@@ -3,13 +3,17 @@
 gfaloha.interference computes the law in closed form (build_base_cdf).
 Tests check it against two references kept here: a Monte Carlo sampler,
 also used as a second, noisy base law for the analytic chain, and 1-D
-quadrature of the law's defining integral.
+quadrature of the law's defining integral. The paper's own closed form,
+which the program does not use, is kept here too: acceptance c2 checks
+it, and the analytic chain's differential tests run on it as a third
+law shape.
 """
 
 import numpy as np
 from scipy.integrate import quad
 
 from gfaloha.interference import InterferenceCdf, area_grid, overlap_area
+from gfaloha.params import InvalidParamsError
 
 
 def overlap_cdf_oracle(rng: np.random.Generator, p,
@@ -51,3 +55,43 @@ def overlap_ccdf_quad(x: float, p) -> float:
     return quad(lambda u: g(p.W * (1 - x / u)), x, 1,
                 points=[kink] if x < kink < 1 else None,
                 epsabs=1e-14, epsrel=1e-13, limit=200)[0]
+
+
+def overlap_ccdf_paper(s, p):
+    """The paper's closed-form complementary CDF of the single-interferer
+    overlap.
+
+    Pr(S > s) = [W*(Tp - s/W) + s*ln(s/(Tp*W))] / (Tp*Fm) on s in
+    [0, W*Tp], or (W/Fm)*(1 - x + x*ln x) with x = s/(W*Tp): the exact
+    law (overlap_ccdf_exact) without its quadratic term, up to 0.34 off
+    it at the defaults. Its s -> 0 limit W/Fm exceeds 1 whenever W > Fm;
+    results are clamped to [0, 1] and the second return value flags
+    elementwise where clamping fired.
+
+    Returns (value, clamped) as scalars or arrays matching the input.
+    """
+    if p.Fm <= 0:
+        raise InvalidParamsError("closed-form overlap CCDF requires Fm > 0")
+    arr = np.asarray(s, dtype=float)
+    smax = p.W * p.Tp
+    if np.any(arr < 0) or np.any(arr > smax * (1 + 1e-12)):
+        raise ValueError(f"overlap area must lie in [0, {smax:g}]")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_term = np.where(arr > 0, arr * np.log(arr / smax), 0.0)
+    raw = (p.W * (p.Tp - arr / p.W) + log_term) / (p.Tp * p.Fm)
+    clamped = (raw < 0.0) | (raw > 1.0)
+    value = np.clip(raw, 0.0, 1.0)
+    if np.isscalar(s):
+        return float(value), bool(clamped)
+    return value, clamped
+
+
+def paper_base_cdf(p) -> InterferenceCdf:
+    """The paper's clamped closed form as a base law on the grid.
+
+    Every packet in the vulnerable period counts as interfering here
+    (overlap_prob = 1), matching the closed form's own convention.
+    """
+    grid = area_grid(p)
+    ccdf, _ = overlap_ccdf_paper(np.minimum(grid, p.W * p.Tp), p)
+    return InterferenceCdf(grid, 1.0 - ccdf, {"mode": "paper", "overlap_prob": 1.0})

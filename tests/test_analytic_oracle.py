@@ -1,7 +1,7 @@
 """Differential tests: the analytic chain against its plain reference form.
 
-The reference below builds the interferer-count mixture from explicit
-n-fold convolutions, folded onto the grid, with a Poisson tail of 1e-16
+The reference below builds the Poisson interferer-count mixture from
+explicit n-fold convolutions, folded onto the grid, with a tail of 1e-16
 left out; it sums the MRC branches the same way over the full SINR grid
 and evaluates the outage once before the fixed-point loop. The module
 under test computes every compound law as one tilted FFT with no count
@@ -11,7 +11,6 @@ laws and point masses.
 """
 
 import functools
-import math
 import time
 
 import numpy as np
@@ -22,7 +21,7 @@ from scipy import stats
 from gfaloha import interference as itf
 from gfaloha.mcsim import nominal_lambda
 from gfaloha.params import SystemParams
-from overlap_reference import overlap_cdf_oracle
+from overlap_reference import overlap_cdf_oracle, paper_base_cdf
 
 P = SystemParams()
 TAIL = 1e-16          # Poisson mass the reference leaves out
@@ -50,25 +49,20 @@ def _ref_pmf_powers(pmf, n_max):
     return rows
 
 
-def _ref_count(g, p, mixture):
+def _ref_count(g, p):
     """Highest interferer count the mixture reads at rate g."""
     mu = 2.0 * g * p.Tp
-    if mixture == "poisson":
-        return 0 if mu == 0.0 else int(stats.poisson.isf(TAIL, mu))
-    return max(int(math.ceil(mu)) - 1, 0)
+    return 0 if mu == 0.0 else int(stats.poisson.isf(TAIL, mu))
 
 
-def _ref_unconditional(base, g, p, mixture):
+def _ref_unconditional(base, g, p):
     mu = 2.0 * g * p.Tp
     p_ov = base.meta.get("overlap_prob", 1.0)
     pmf1 = base.pmf() * p_ov
     pmf1[0] += 1.0 - p_ov
-    n_max = _ref_count(g, p, mixture)
-    if mixture == "poisson":
-        weights = stats.poisson.pmf(np.arange(n_max + 1), mu)
-        mix = weights @ _ref_pmf_powers(pmf1, n_max)
-    else:
-        mix = _ref_pmf_powers(pmf1, n_max)[n_max]
+    n_max = _ref_count(g, p)
+    weights = stats.poisson.pmf(np.arange(n_max + 1), mu)
+    mix = weights @ _ref_pmf_powers(pmf1, n_max)
     cdf = np.minimum(np.cumsum(mix), 1.0)
     return itf.InterferenceCdf(base.grid, cdf, {})
 
@@ -92,14 +86,14 @@ class _TooLarge(Exception):
     pass
 
 
-def _ref_solve(lambda_agg, p, base, mixture, damping=0.5, tol=1e-6,
+def _ref_solve(lambda_agg, p, base, damping=0.5, tol=1e-6,
                max_iter=200, po_ceiling=1.0 - 1e-6):
     """The reference fixed point; raises _TooLarge rather than convolve
     more than 1000 interferers (deep overload)."""
     def outage(g):
-        if _ref_count(g, p, mixture) > 1000:
+        if _ref_count(g, p) > 1000:
             raise _TooLarge
-        return _ref_outage_mrc_sinr(_ref_unconditional(base, g, p, mixture), p)
+        return _ref_outage_mrc_sinr(_ref_unconditional(base, g, p), p)
 
     g_floor = p.N * lambda_agg
     g = g_floor
@@ -123,20 +117,23 @@ def _ref_solve(lambda_agg, p, base, mixture, damping=0.5, tol=1e-6,
 @functools.lru_cache(maxsize=None)
 def _base(kind, n):
     """Base law of each kind: the shipped exact law, the paper's clamped
-    form, and the Monte Carlo oracle, whose noisy pmf exercises the chain
-    on a law unlike either closed form."""
+    form (built here, the program never reads it) and the Monte Carlo
+    oracle, whose noisy pmf exercises the chain on a law unlike either
+    closed form."""
     p = P.with_replicas(n)
     if kind == "oracle":
         return overlap_cdf_oracle(np.random.default_rng(5), p, samples=200_000)
-    return itf.build_base_cdf(p, base=kind)
+    if kind == "paper":
+        return paper_base_cdf(p)
+    return itf.build_base_cdf(p)
 
 
-def _assert_laws_match(base, g, p, mixture):
+def _assert_laws_match(base, g, p):
     """unconditional_cdf below the top bin agrees with the reference at
     rate g, and so does the MRC outage read from it wherever that stays
     below the overload ceiling (past it the solver reads no value)."""
-    new = itf.unconditional_cdf(base, g, p, mixture=mixture)
-    ref = _ref_unconditional(base, g, p, mixture)
+    new = itf.unconditional_cdf(base, g, p)
+    ref = _ref_unconditional(base, g, p)
     assert np.max(np.abs(new.cdf[:-1] - ref.cdf[:-1])) <= CDF_TOL, g
     assert new.cdf[-1] == pytest.approx(1.0, abs=1e-12), g
     po_ref = _ref_outage_mrc_sinr(ref, p)
@@ -151,18 +148,17 @@ def _assert_laws_match(base, g, p, mixture):
 LOADS = (0.2, 0.01, 0.1, 0.05)
 
 
-@pytest.mark.parametrize("mixture", ["poisson", "mean-count"])
 @pytest.mark.parametrize("kind", ["oracle", "paper", "exact"])
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_solve_matches_reference(n, kind, mixture):
+def test_solve_matches_reference(n, kind):
     p = P.with_replicas(n)
     base = _base(kind, n)
     converged = 0
     for load in LOADS:
         lam = nominal_lambda(load, p)
-        res = itf.solve_offered_load(lam, p, "mrc", base=base, mixture=mixture)
+        res = itf.solve_offered_load(lam, p, "mrc", base=base)
         try:
-            po, g, status, iterations = _ref_solve(lam, p, base, mixture)
+            po, g, status, iterations = _ref_solve(lam, p, base)
         except _TooLarge:
             assert res.status != "converged", load
             continue
@@ -173,19 +169,18 @@ def test_solve_matches_reference(n, kind, mixture):
         assert res.iterations == iterations, load
         assert res.load.g == pytest.approx(g, rel=1e-12, abs=0.0), load
         assert abs(res.po - po) <= PO_TOL, load
-        _assert_laws_match(base, g, p, mixture)
+        _assert_laws_match(base, g, p)
     assert converged >= 2
 
 
-@pytest.mark.parametrize("mixture", ["poisson", "mean-count"])
 @pytest.mark.parametrize("kind", ["oracle", "paper", "exact"])
-def test_unconditional_cdf_matches_reference(kind, mixture):
+def test_unconditional_cdf_matches_reference(kind):
     # interferer means from none through the converged range to where
     # almost all mass sits past the grid
     for n in (1, 2, 3, 4):
         p = P.with_replicas(n)
         for mu in (0.0, 0.001, 0.05, 0.5, 2.0, 10.0, 60.0):
-            _assert_laws_match(_base(kind, n), mu / (2.0 * p.Tp), p, mixture)
+            _assert_laws_match(_base(kind, n), mu / (2.0 * p.Tp), p)
 
 
 # ---------------------------------------------------------------------------
@@ -242,17 +237,15 @@ def test_compound_point_masses(size, data):
 # Overload: the damped iterate reaches interferer counts near 1e6
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("n, mixture, load", [
-    (1, "poisson", 0.35),
-    (3, "poisson", 1.0),
-    (2, "mean-count", 1.0),
-])
-def test_overload_stays_bounded(n, mixture, load):
+# loads at which the iterate's last step lands far past the grid (at
+# N=2, load 1.0 it stops at 2*g*Tp = 275)
+@pytest.mark.parametrize("n, load", [(1, 0.35), (3, 1.0), (2, 1.25)])
+def test_overload_stays_bounded(n, load):
     p = P.with_replicas(n)
     base = itf.build_base_cdf(p)
     t0 = time.perf_counter()
     res = itf.solve_offered_load(nominal_lambda(load, p), p, "mrc",
-                                 base=base, mixture=mixture)
+                                 base=base)
     assert time.perf_counter() - t0 < 30.0
     assert res.status == "overload"
     assert 2.0 * res.load.g * p.Tp > 1e4        # far past the grid

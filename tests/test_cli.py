@@ -48,6 +48,16 @@ def test_run_bad_args_exit_2(tmp_path, argv, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", [["--mixture", "poisson"],
+                                  ["--paper-literal"]])
+def test_run_removed_flags_exit_2(tmp_path, flag, capsys):
+    # the analytic chain has one base law and one count law: no switch
+    with pytest.raises(SystemExit) as exc:
+        main(["run", *flag, "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_run_missing_config_exit_2(tmp_path, capsys):
     rc = main(["run", "--config", str(tmp_path / "absent.json")])
     assert rc == 2

@@ -10,7 +10,7 @@ from scipy import stats
 from gfaloha import experiment as ex
 from gfaloha import interference as itf
 from gfaloha import kpi, mcsim
-from gfaloha.params import InvalidParamsError, SystemParams
+from gfaloha.params import InvalidParamsError
 
 
 def tiny(tmp_path, **kw):
@@ -40,11 +40,14 @@ def read_rows(path):
     dict(workers=0),
     dict(figures=("ee", "histogram")),
     dict(kpi_policy="best"),
-    dict(mixture="binomial"),
     dict(kpi_replicas=()),
     dict(cr_grid=(0.5, 0.0)),
-    # the paper's formula divides by Fm; rejected before any cell runs
-    dict(paper_literal=True, system=SystemParams(Fm=0.0)),
+    # cells and figures are keyed by value, so a repeated entry would pool
+    # two cells or write a figure's rows twice
+    dict(kpi_replicas=(2, 2)),
+    dict(reliability_replicas=(1, 2, 1)),
+    dict(cr_grid=(0.5, 0.5)),
+    dict(figures=("se", "se")),
 ])
 def test_config_rejects(tmp_path, kw):
     with pytest.raises(InvalidParamsError):
@@ -63,9 +66,12 @@ def test_from_file(tmp_path):
     assert cfg.figures == ("ee",)
     assert cfg.reps == 1
 
-    # oracle_samples sized a Monte Carlo base law the program no longer draws
-    for key in ("repetitions", "oracle_samples"):
-        path.write_text(json.dumps({"experiment": {key: 3}}))
+    # oracle_samples sized a Monte Carlo base law the program no longer
+    # draws; mixture and paper_literal chose count and base laws it no
+    # longer carries
+    for key, val in (("repetitions", 3), ("oracle_samples", 3),
+                     ("mixture", "poisson"), ("paper_literal", False)):
+        path.write_text(json.dumps({"experiment": {key: val}}))
         with pytest.raises(InvalidParamsError, match="unknown experiment"):
             ex.ExperimentConfig.from_file(path)
 

@@ -1,4 +1,5 @@
-"""Analytic interference law: overlap geometry, mixtures, outage, MMSE."""
+"""Analytic interference law: overlap geometry, the compound law, outage,
+the offered-load fixed point."""
 
 import math
 
@@ -6,18 +7,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gfaloha.interference import (DegenerateInputError, InterferenceCdf,
-                                  analytic_outage, area_grid,
-                                  area_threshold, build_base_cdf,
-                                  combined_sinr, mmse_weights,
+from gfaloha.interference import (InterferenceCdf, analytic_outage,
+                                  area_grid, area_threshold, build_base_cdf,
                                   offered_load_of, outage_mrc_sinr,
                                   outage_no_combining, outage_single,
-                                  overlap_area, overlap_ccdf_exact,
-                                  overlap_ccdf_paper, sinr,
-                                  single_overlap_cdf_paper,
+                                  overlap_area, overlap_ccdf_exact, sinr,
                                   solve_offered_load, unconditional_cdf)
 from gfaloha.params import InvalidParamsError, SystemParams
-from overlap_reference import overlap_ccdf_quad, overlap_cdf_oracle
+from overlap_reference import (overlap_ccdf_paper, overlap_ccdf_quad,
+                               overlap_cdf_oracle, paper_base_cdf)
 
 P = SystemParams()
 
@@ -107,8 +105,6 @@ def test_exact_base_law_at_the_defaults():
     want = 2 * (1 - x + x * np.log(x)) - (1 - x ** 2 + 2 * x * np.log(x))
     assert overlap_ccdf_exact(x * P.W * P.Tp, P) == pytest.approx(want, abs=1e-15)
     with pytest.raises(ValueError):
-        build_base_cdf(P, base="oracle")
-    with pytest.raises(ValueError):
         overlap_ccdf_exact(2.0 * P.W * P.Tp, P)
 
 
@@ -145,7 +141,7 @@ def test_exact_base_law_properties(tp, w, span):
     xg = np.minimum(base.grid / smax, 1.0)
     xlogx = np.where(xg > 0, xg * np.log(np.where(xg > 0, xg, 1.0)), 0.0)
     first = a * (1 - xg + xlogx)
-    paper = 1.0 - single_overlap_cdf_paper(p).cdf
+    paper = 1.0 - paper_base_cdf(p).cdf
     valid = (first >= 0.0) & (first <= 1.0)
     assert paper[valid] == pytest.approx(first[valid], abs=1e-13 * max(a, 10.0))
     if p.W <= 2 * p.Fm:
@@ -156,22 +152,11 @@ def test_exact_base_law_properties(tp, w, span):
 
 
 def test_unconditional_cdf_zero_rate():
-    base = build_base_cdf(P, base="paper")
+    base = build_base_cdf(P)
     agg = unconditional_cdf(base, 0.0, P)
     assert agg.value_at(0.0) == pytest.approx(1.0)   # no interferer at all
     with pytest.raises(InvalidParamsError):
         unconditional_cdf(base, -1.0, P)
-    with pytest.raises(ValueError):
-        unconditional_cdf(base, 1.0, P, mixture="binomial")
-
-
-def test_mixture_modes_agree_at_low_rate():
-    base = build_base_cdf(P, base="paper")
-    po_p = outage_single(unconditional_cdf(base, 0.01, P, "poisson"), P)
-    po_m = outage_single(unconditional_cdf(base, 0.01, P, "mean-count"), P)
-    # mean-count rounds the interferer count to zero here
-    assert po_m == 0.0
-    assert po_p < 0.02
 
 
 def test_outage_orderings():
@@ -186,40 +171,17 @@ def test_outage_orderings():
 
 
 def test_outage_monotone_in_rate():
-    base = build_base_cdf(P, base="paper")
+    base = build_base_cdf(P)
     pos = [analytic_outage(base, g, P, "mrc") for g in (0.1, 0.4, 1.0, 2.0)]
     assert all(a <= b + 1e-12 for a, b in zip(pos, pos[1:]))
 
 
 def test_analytic_outage_rejects_unknown_modes():
-    base = build_base_cdf(P, base="paper")
+    base = build_base_cdf(P)
     # the policies are the simulator's names; sc has no closed form
     for policy in ("selection", "independent", "single", "sc"):
         with pytest.raises(ValueError):
             analytic_outage(base, 0.1, P, policy=policy)
-    with pytest.raises(ValueError):
-        analytic_outage(base, 0.1, P, policy="mrc", mixture="binomial")
-
-
-def test_mmse_weights_equal_noise():
-    w = mmse_weights(2.0, np.full(4, 0.5))
-    assert np.allclose(w, w[0])
-    branch = 2.0 / 0.5
-    assert combined_sinr(2.0, np.full(4, 0.5), w) == pytest.approx(4 * branch)
-
-
-def test_mmse_weights_validation():
-    with pytest.raises(DegenerateInputError):
-        mmse_weights(1.0, [1.0, -1.0])
-    with pytest.raises(DegenerateInputError):
-        mmse_weights(1.0, [])
-    with pytest.raises(InvalidParamsError):
-        mmse_weights(-1.0, [1.0])
-
-
-def test_mmse_favors_clean_branches():
-    w = mmse_weights(1.0, np.array([0.1, 10.0]))
-    assert w[0] > w[1] > 0.0
 
 
 def test_offered_load_axis():
@@ -228,7 +190,7 @@ def test_offered_load_axis():
 
 
 def test_solve_offered_load_converges():
-    base = build_base_cdf(P, base="paper")
+    base = build_base_cdf(P)
     res = solve_offered_load(0.1, P, base=base)
     assert res.status == "converged"
     assert res.load.g >= P.N * 0.1            # retries only inflate
@@ -238,7 +200,7 @@ def test_solve_offered_load_converges():
 
 
 def test_solve_offered_load_overload():
-    base = build_base_cdf(P, base="paper")
+    base = build_base_cdf(P)
     res = solve_offered_load(20.0, P, base=base)
     assert res.status == "overload"
     assert res.po == 1.0 - 1e-6

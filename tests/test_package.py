@@ -18,8 +18,10 @@ def test_every_export_resolves():
 
 def test_removed_names_stay_unexported():
     # the scalar frame draw and the second sweep driver were merged into
-    # traffic.draw_frames and experiment.run_experiment
-    for name in ("sweep", "Replica", "VirtualFrame", "draw_virtual_frame"):
+    # traffic.draw_frames and experiment.run_experiment; the MMSE helpers
+    # had no caller in the program
+    for name in ("sweep", "Replica", "VirtualFrame", "draw_virtual_frame",
+                 "mmse_weights", "combined_sinr"):
         assert name not in gfaloha.__all__
         assert not hasattr(gfaloha, name)
 
