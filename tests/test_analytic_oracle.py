@@ -146,9 +146,12 @@ def _assert_laws_match(base, g, p):
 # ---------------------------------------------------------------------------
 
 LOADS = (0.2, 0.01, 0.1, 0.05)
+KINDS = ("oracle", "paper", "exact")
+# case ids name the interferer-count law, which is always Poisson
+KIND_IDS = [f"{kind}-poisson" for kind in KINDS]
 
 
-@pytest.mark.parametrize("kind", ["oracle", "paper", "exact"])
+@pytest.mark.parametrize("kind", KINDS, ids=KIND_IDS)
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_solve_matches_reference(n, kind):
     p = P.with_replicas(n)
@@ -173,7 +176,7 @@ def test_solve_matches_reference(n, kind):
     assert converged >= 2
 
 
-@pytest.mark.parametrize("kind", ["oracle", "paper", "exact"])
+@pytest.mark.parametrize("kind", KINDS, ids=KIND_IDS)
 def test_unconditional_cdf_matches_reference(kind):
     # interferer means from none through the converged range to where
     # almost all mass sits past the grid
@@ -239,7 +242,9 @@ def test_compound_point_masses(size, data):
 
 # loads at which the iterate's last step lands far past the grid (at
 # N=2, load 1.0 it stops at 2*g*Tp = 275)
-@pytest.mark.parametrize("n, load", [(1, 0.35), (3, 1.0), (2, 1.25)])
+@pytest.mark.parametrize("n, load", [(1, 0.35), (3, 1.0), (2, 1.25)],
+                         ids=["1-poisson-0.35", "3-poisson-1.0",
+                              "2-poisson-1.25"])
 def test_overload_stays_bounded(n, load):
     p = P.with_replicas(n)
     base = itf.build_base_cdf(p)
