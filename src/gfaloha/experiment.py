@@ -24,7 +24,7 @@ from . import kpi as kpi_mod
 from . import mcsim
 from . import sigchain as sg
 from .params import (EnergyParams, InvalidParamsError, SystemParams,
-                     load_params)
+                     is_integer, load_params)
 
 FIGURES = ("reliability", "ee", "lifetime", "delay", "se")
 _FIG_KPI = {
@@ -76,6 +76,13 @@ class ExperimentConfig:
     def validate(self) -> "ExperimentConfig":
         self.system.validate()
         self.energy.validate()
+        for name in ("reps", "packets_per_point", "max_retries", "seed",
+                     "receiver_trials", "workers"):
+            if not is_integer(getattr(self, name)):
+                raise InvalidParamsError(f"{name} must be an integer")
+        if not all(map(is_integer, (*self.kpi_replicas,
+                                    *self.reliability_replicas))):
+            raise InvalidParamsError("replica counts must be integers")
         loads = tuple(self.loads)
         if any(b <= a for a, b in zip(loads, loads[1:])):
             raise InvalidParamsError("load grid must be strictly ascending")
@@ -120,6 +127,8 @@ class ExperimentConfig:
         for key in ("loads", "kpi_replicas", "reliability_replicas",
                     "cr_grid", "figures"):
             if key in exp:
+                if not isinstance(exp[key], list):
+                    raise InvalidParamsError(f"{key} must be a list")
                 exp[key] = tuple(exp[key])
         return cls(system=p, energy=e, **exp).validate()
 
@@ -363,34 +372,14 @@ def _crossovers(cfg: ExperimentConfig, figure_rows: dict) -> dict:
 # Receiver validation
 # ---------------------------------------------------------------------------
 
-def _decode_stream(samples: np.ndarray, p: SystemParams, dt: sg.DriftTable,
-                   power_threshold: float,
-                   decisions) -> list[tuple[int, float, object]]:
-    """Full chain over a sample stream: (position, cfo, bits|None) triples,
-    each also fed into the `decisions` hash.
-
-    Frames of a long run overlap by one preamble, so a packet can be
-    validated in two of them; a validation within one sample and twice
-    the CFO slack of an earlier one is that packet again and is dropped.
-    """
-    out = []
-    stream = sg.ComplexSignal(samples, p.Fs)
-    for ev in sg.frame_events(stream, p, power_threshold=power_threshold):
-        pm = sg.peak_map(ev, sg.periodogram_cfos(ev, p), p)
-        off = int(round(ev.start_time * p.Fs))
-        vs = sg.spc_resolve(pm, dt)
-        for v, sq in zip(vs, sg.extract_sequences(ev, vs, p)):
-            pos = off + v.position
-            if any(abs(pos - q) <= 1 and abs(v.cfo - c) <= 2 * sg._CFO_SLACK
-                   for q, c, _ in out):
-                continue
-            bits = None if sq.partial else sg.demap_payload(sq.z, p)
-            out.append((pos, v.cfo, bits))
-            decisions.update(struct.pack("<qdq", pos, v.cfo,
-                                         -1 if bits is None else bits.size))
-            if bits is not None:
-                decisions.update(bits.tobytes())
-    return out
+def _digest(decisions, got: list[tuple]) -> list[tuple]:
+    """Feed sg.decode_stream's triples into the decisions hash; return them."""
+    for pos, cfo, bits in got:
+        decisions.update(struct.pack("<qdq", pos, cfo,
+                                     -1 if bits is None else bits.size))
+        if bits is not None:
+            decisions.update(bits.tobytes())
+    return got
 
 
 def validate_receiver(cfg: ExperimentConfig) -> dict:
@@ -436,8 +425,8 @@ def validate_receiver(cfg: ExperimentConfig) -> dict:
     bits = rng.integers(0, 2, nbits).astype(np.uint8)
     clean = np.zeros(2 * n_pkt, dtype=complex)
     pk = sg.synthesize_packet(bits, p, 31.0)
-    clean[300: 300 + n_pkt] += pk.samples
-    got = _decode_stream(clean, p, dt, 0.1, decisions)
+    clean[300: 300 + n_pkt] += pk
+    got = _digest(decisions, sg.decode_stream(clean, p, dt, 0.1))
     errs = (nbits if len(got) != 1 or got[0][2] is None
             else int(np.sum(got[0][2] != bits)))
     noise_free = {"validated": len(got), "bit_errors": errs,
@@ -449,10 +438,10 @@ def validate_receiver(cfg: ExperimentConfig) -> dict:
         cfo = rng.uniform(-p.Fm, p.Fm)
         s0 = int(rng.integers(200, 1200))
         sig = np.zeros(2 * n_pkt, dtype=complex)
-        sig[s0: s0 + n_pkt] += sg.synthesize_packet(tb, p, cfo).samples
-        noisy = sg.awgn(sg.ComplexSignal(sig, p.Fs), p.gamma, rng)
-        hit = [g for g in _decode_stream(noisy.samples, p, dt, thr, decisions)
-               if abs(g[0] - s0) <= 1]
+        sig[s0: s0 + n_pkt] += sg.synthesize_packet(tb, p, cfo)
+        noisy = sg.awgn(sig, p.gamma, rng)
+        got = _digest(decisions, sg.decode_stream(noisy, p, dt, thr))
+        hit = [g for g in got if abs(g[0] - s0) <= 1]
         if not hit or hit[0][2] is None:
             missed += 1
         elif not np.array_equal(hit[0][2], tb):
@@ -467,11 +456,10 @@ def validate_receiver(cfg: ExperimentConfig) -> dict:
         sig = np.zeros(3 * n_pkt, dtype=complex)
         truth = []
         for c, s0 in zip(cfos, starts):
-            sig[s0: s0 + n_pkt] += sg.synthesize_packet(
-                None, p, c, rng=rng).samples
+            sig[s0: s0 + n_pkt] += sg.synthesize_packet(None, p, c, rng=rng)
             truth.append((int(s0), float(c)))
-        noisy = sg.awgn(sg.ComplexSignal(sig, p.Fs), p.gamma, rng)
-        got = _decode_stream(noisy.samples, p, dt, thr, decisions)
+        noisy = sg.awgn(sig, p.gamma, rng)
+        got = _digest(decisions, sg.decode_stream(noisy, p, dt, thr))
         n_val += len(got)
         used = [False] * len(got)
         for s0, c in truth:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+from numbers import Integral
 from dataclasses import dataclass, field, fields, replace
 
 
@@ -24,6 +25,11 @@ ZC_ROOT = 5
 
 class InvalidParamsError(ValueError):
     """A parameter set violates one of its invariants."""
+
+
+def is_integer(x) -> bool:
+    """An integer, Python or numpy, that is not a bool."""
+    return isinstance(x, Integral) and not isinstance(x, bool)
 
 
 def zc_root_ok(nzc: int, root: int = ZC_ROOT) -> bool:
@@ -68,6 +74,8 @@ class SystemParams:
         chain needs (integer samples per symbol, adequate sampling rate,
         a preamble length the Zadoff-Chu root ZC_ROOT is valid for).
         """
+        if not all(map(is_integer, (self.N, self.M, self.Nzc))):
+            raise InvalidParamsError("N, M and Nzc must be integers")
         if self.W <= 0 or self.Fm < 0 or self.Fs <= 0 or self.Tb <= 0:
             raise InvalidParamsError("W, Fs, Tb must be positive and Fm >= 0")
         if self.Tp <= 0 or self.Tmax <= 0 or self.Tack < 0:

@@ -5,7 +5,8 @@ energy events out of a stream, estimates per-packet CFOs with a
 periodogram, locates preambles by matched filtering per CFO branch, and
 cross-validates peaks across branches through the frequency-dependent
 correlation-peak drift of the Zadoff-Chu preamble. Validated packets
-are cut out for the decoding stage.
+are cut out and demodulated; decode_stream runs the whole chain.
+Streams are plain complex arrays sampled at SystemParams.Fs.
 
 Conventions: all SNRs here are per-sample power ratios of the complex
 baseband stream (signal power over complex noise variance at rate Fs).
@@ -45,28 +46,10 @@ _GRAY_BITS = np.array([[0, 0], [0, 1], [1, 1], [1, 0]], dtype=np.uint8)
 # ---------------------------------------------------------------------------
 
 @dataclass
-class ComplexSignal:
-    samples: np.ndarray
-    fs: float
-    t0: float = 0.0
-
-    def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=np.complex128)
-        if self.fs <= 0:
-            raise InvalidParamsError("sample rate must be positive")
-
-    @property
-    def duration(self) -> float:
-        return self.samples.size / self.fs
-
-
-@dataclass
 class DetectionEvent:
-    start_time: float
-    end_time: float
-    buffer: ComplexSignal
-    frame_len: float
-    tail: np.ndarray | None = None   # stream continuing past the buffer
+    start: int              # stream sample index of buffer[0]
+    buffer: np.ndarray
+    tail: np.ndarray        # stream continuing past the buffer, possibly empty
 
 
 @dataclass
@@ -90,22 +73,14 @@ class ValidatedPeak:
     magnitude: float
 
 
-@dataclass
-class ExtractedSequence:
-    z: ComplexSignal
-    cfo: float
-    tau: float
-    partial: bool
-
-
-def zc_preamble(nzc: int = 23, root: int = ZC_ROOT) -> ComplexSignal:
+def zc_preamble(nzc: int = 23, root: int = ZC_ROOT) -> np.ndarray:
     """Constant-modulus Zadoff-Chu sequence at symbol rate."""
     if not zc_root_ok(nzc, root):
         raise InvalidParamsError(
             f"Zadoff-Chu length {nzc} must be odd and >= 3, and root {root} "
             "must lie in (0, length) and be coprime with it")
     n = np.arange(nzc)
-    return ComplexSignal(np.exp(-1j * math.pi * root * n * (n + 1) / nzc), 1.0)
+    return np.exp(-1j * math.pi * root * n * (n + 1) / nzc)
 
 
 def pam4_map(bits) -> np.ndarray:
@@ -140,7 +115,7 @@ def _upsample(symbols: np.ndarray, sps: int) -> np.ndarray:
 
 
 def synthesize_packet(bits, p: SystemParams, df: float,
-                      rng: np.random.Generator | None = None) -> ComplexSignal:
+                      rng: np.random.Generator | None = None) -> np.ndarray:
     """Preamble + 4-PAM payload, upsampled to Fs and shifted by df.
 
     bits=None draws a random full-packet payload from rng.
@@ -151,22 +126,20 @@ def synthesize_packet(bits, p: SystemParams, df: float,
             raise InvalidParamsError("random payload needs an rng")
         bits = rng.integers(0, 2, size=payload_bits_per_packet(p))
     sps = p.samples_per_symbol
-    symbols = np.concatenate([zc_preamble(p.Nzc).samples, pam4_map(bits)])
+    symbols = np.concatenate([zc_preamble(p.Nzc), pam4_map(bits)])
     x = _upsample(symbols, sps).astype(np.complex128)
     t = np.arange(x.size) / p.Fs
-    return ComplexSignal(x * np.exp(2j * math.pi * df * t), p.Fs)
+    return x * np.exp(2j * math.pi * df * t)
 
 
-def awgn(sig: ComplexSignal, snr: float,
-         rng: np.random.Generator) -> ComplexSignal:
+def awgn(x: np.ndarray, snr: float, rng: np.random.Generator) -> np.ndarray:
     """Add complex white noise at the given per-sample SNR (linear)."""
     if snr <= 0:
         raise InvalidParamsError("snr must be positive")
-    power = float(np.mean(np.abs(sig.samples) ** 2))
+    power = float(np.mean(np.abs(x) ** 2))
     sigma2 = power / snr
-    noise = rng.normal(scale=math.sqrt(sigma2 / 2), size=(sig.samples.size, 2))
-    return ComplexSignal(sig.samples + noise[:, 0] + 1j * noise[:, 1],
-                         sig.fs, sig.t0)
+    noise = rng.normal(scale=math.sqrt(sigma2 / 2), size=(x.size, 2))
+    return x + noise[:, 0] + 1j * noise[:, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +187,7 @@ def _convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
                        nfft)[..., :n]
 
 
-def frame_events(signal: ComplexSignal, p: SystemParams,
+def frame_events(x: np.ndarray, p: SystemParams,
                  power_threshold: float) -> list[DetectionEvent]:
     """Cut supra-threshold stretches of smoothed power into events.
 
@@ -227,7 +200,7 @@ def frame_events(signal: ComplexSignal, p: SystemParams,
     than Tmax, so no frame is a sliver too short for the periodogram;
     consecutive frames overlap by one preamble, so every preamble lies
     whole inside some frame (one starting exactly where the later frame
-    starts lies in both, and the caller drops the duplicate).
+    starts lies in both, and decode_stream drops the duplicate).
     Each event also carries up to a packet length of the stream past
     the detected end as an extraction tail (a deep fade can cut a run
     mid-packet, and a preamble validated near the end of the event must
@@ -236,13 +209,13 @@ def frame_events(signal: ComplexSignal, p: SystemParams,
     """
     if power_threshold <= 0:
         raise InvalidParamsError("power threshold must be positive")
-    sps = max(1, round(signal.fs * p.Tb))
-    max_len = int(round(p.Tmax * signal.fs))
+    sps = p.samples_per_symbol
+    max_len = int(round(p.Tmax * p.Fs))
     overlap = p.Nzc * sps
     if max_len <= overlap:
         raise InvalidParamsError("frame cap Tmax must exceed the preamble length")
     win = _SMOOTH_SYMBOLS * sps
-    pw = np.abs(signal.samples) ** 2
+    pw = np.abs(x) ** 2
     kernel = np.ones(win) / win
     lead = (win - 1) // 2   # the centered ("same") part of the convolution
     smooth = _convolve(pw, kernel)[lead: lead + pw.size]
@@ -254,7 +227,7 @@ def frame_events(signal: ComplexSignal, p: SystemParams,
     guard = win
     run_starts = np.maximum(np.concatenate([[idx[0]], idx[breaks + 1]]) - guard, 0)
     run_ends = np.minimum(np.concatenate([idx[breaks], [idx[-1]]]) + 1 + guard,
-                          signal.samples.size)
+                          x.size)
     # Guard widening can make neighbors touch; merge those.
     merged = [(int(run_starts[0]), int(run_ends[0]))]
     for s, e in zip(run_starts[1:], run_ends[1:]):
@@ -264,20 +237,16 @@ def frame_events(signal: ComplexSignal, p: SystemParams,
             merged.append((int(s), int(e)))
 
     events = []
-    tail_len = int(round(p.Tp * signal.fs))
+    tail_len = int(round(p.Tp * p.Fs))
     for s, e in merged:
         # n frames of near-equal length <= max_len, each overlapping the
         # next by one preamble; a run under the cap is one frame [s, e)
         step = e - s - overlap
         n = max(1, -(-step // (max_len - overlap)))
         for i in range(n):
-            fs_ = s + step * i // n
-            fe = s + step * (i + 1) // n + overlap
-            buf = ComplexSignal(signal.samples[fs_:fe], signal.fs,
-                                signal.t0 + fs_ / signal.fs)
-            tail = signal.samples[fe: min(fe + tail_len, signal.samples.size)]
-            events.append(DetectionEvent(buf.t0, signal.t0 + fe / signal.fs,
-                                         buf, buf.duration, tail))
+            a = s + step * i // n
+            b = s + step * (i + 1) // n + overlap
+            events.append(DetectionEvent(a, x[a:b], x[b: b + tail_len]))
     return events
 
 
@@ -295,15 +264,14 @@ def _parabolic(logmag: np.ndarray, k: int) -> float:
     return float(0.5 * (a - c) / denom)
 
 
-def periodogram_cfos(ev: DetectionEvent, p: SystemParams) -> list[float]:
-    """Carrier-line CFO estimates from the event spectrum.
+def periodogram_cfos(x: np.ndarray, p: SystemParams) -> list[float]:
+    """Carrier-line CFO estimates from the spectrum of an event buffer.
 
     The nonnegative constellation puts a discrete line at each packet's
     offset; up to eight lines within Fm (plus a margin) of zero, 10 dB
     above the median and at least one resolution bin apart are
     returned, refined parabolically.
     """
-    x = ev.buffer.samples
     if x.size < 64:
         raise InvalidParamsError("event buffer too short for a periodogram")
     if not np.any(x):
@@ -311,7 +279,7 @@ def periodogram_cfos(ev: DetectionEvent, p: SystemParams) -> list[float]:
     pad = 4
     nfft = pad * x.size
     spec = np.abs(np.fft.fft(x, nfft))
-    freqs = np.fft.fftfreq(nfft, 1.0 / ev.buffer.fs)
+    freqs = np.fft.fftfreq(nfft, 1.0 / p.Fs)
     logmag = 20 * np.log10(np.maximum(spec, 1e-300))
     floor = np.median(logmag)
     min_sep = pad  # one pre-padding resolution bin, in padded bins
@@ -331,7 +299,7 @@ def periodogram_cfos(ev: DetectionEvent, p: SystemParams) -> list[float]:
     out = []
     for k in chosen:
         frac = _parabolic(logmag, k)
-        out.append(float(freqs[k] + frac * ev.buffer.fs / nfft))
+        out.append(float(freqs[k] + frac * p.Fs / nfft))
     return sorted(out)
 
 
@@ -340,12 +308,12 @@ def periodogram_cfos(ev: DetectionEvent, p: SystemParams) -> list[float]:
 # ---------------------------------------------------------------------------
 
 def upsampled_preamble(p: SystemParams) -> np.ndarray:
-    return _upsample(zc_preamble(p.Nzc).samples, p.samples_per_symbol)
+    return _upsample(zc_preamble(p.Nzc), p.samples_per_symbol)
 
 
-def peak_map(ev: DetectionEvent, cfos: list[float], p: SystemParams,
+def peak_map(x: np.ndarray, cfos: list[float], p: SystemParams,
              eta: float = 0.5) -> PeakMap:
-    """Correlate the event against the preamble on every CFO branch.
+    """Correlate an event buffer against the preamble on every CFO branch.
 
     The buffer is demodulated for all branches at once and matched-
     filtered in one batched FFT convolution. Each branch keeps the local
@@ -356,20 +324,18 @@ def peak_map(ev: DetectionEvent, cfos: list[float], p: SystemParams,
     CFO): a real arrival concentrates a packet-long tone there while
     sidelobe lines run well below it.
     """
-    x = ev.buffer.samples
-    fs = ev.buffer.fs
     pre = upsampled_preamble(p)
     span = max(0, x.size - pre.size + 1)
     if len(cfos) == 0:
         return PeakMap([], span)
     f = np.asarray(cfos, dtype=float)[:, None]
     k = np.arange(x.size)
-    t = k / fs
+    t = k / p.Fs
     weights = np.abs(np.sum(x * np.exp(-2j * math.pi * f * t), axis=1))
     if span == 0:
         corr = np.empty((f.shape[0], 0))
     else:
-        y = x * np.exp(-2j * math.pi * f * k / fs)
+        y = x * np.exp(-2j * math.pi * f * k / p.Fs)
         # the "valid" part: lags where the preamble lies inside the buffer
         full = _convolve(y, np.conj(pre[::-1])[None, :])
         corr = np.abs(full[:, pre.size - 1: x.size])
@@ -475,7 +441,7 @@ def build_drift_table(nzc: int, tb: float, fs: float,
     step = np.diff(cfo_grid)
     if not (np.all(step > 0) and np.ptp(step) <= 1e-6 * step[0]):
         raise InvalidParamsError("cfo_grid must be ascending and uniform")
-    pre = _upsample(zc_preamble(nzc).samples, sps)
+    pre = _upsample(zc_preamble(nzc), sps)
     n = pre.size
     t = np.arange(n) / fs
     nfft = 1 << int(math.ceil(math.log2(2 * n - 1)))
@@ -653,32 +619,28 @@ def spc_resolve(pm: PeakMap, dt: DriftTable) -> list[ValidatedPeak]:
 # ---------------------------------------------------------------------------
 
 def extract_sequences(ev: DetectionEvent, validated: list[ValidatedPeak],
-                      p: SystemParams) -> list[ExtractedSequence]:
+                      p: SystemParams) -> list[np.ndarray]:
     """Cut each validated packet out of the demodulated event buffer.
 
     Packets running past the buffer end finish from the event's
-    extraction tail; a cut stays partial only when the stream itself
-    ends first.
+    extraction tail; a cut is shorter than a packet only when the
+    stream itself ends first.
     """
     out = []
-    n_pkt = round(p.Tp * ev.buffer.fs)
+    n_pkt = round(p.Tp * p.Fs)
     for v in validated:
-        if not (0 <= v.position < ev.buffer.samples.size):
+        if not (0 <= v.position < ev.buffer.size):
             raise InvalidParamsError("validated offset outside the event buffer")
-        x = ev.buffer.samples
+        x = ev.buffer
         need = v.position + n_pkt
-        if need > x.size and ev.tail is not None and ev.tail.size:
+        if need > x.size:
             x = np.concatenate([x, ev.tail[: need - x.size]])
-        y = x * np.exp(-2j * math.pi * v.cfo * np.arange(x.size) / ev.buffer.fs)
-        seg = y[v.position: v.position + n_pkt]
-        partial = seg.size < n_pkt
-        z = ComplexSignal(seg, ev.buffer.fs,
-                          ev.buffer.t0 + v.position / ev.buffer.fs)
-        out.append(ExtractedSequence(z, v.cfo, z.t0, partial))
+        y = x * np.exp(-2j * math.pi * v.cfo * np.arange(x.size) / p.Fs)
+        out.append(y[v.position: v.position + n_pkt])
     return out
 
 
-def fine_cfo(seq: ComplexSignal, p: SystemParams) -> float:
+def fine_cfo(seq: np.ndarray, p: SystemParams) -> float:
     """Residual offset from the preamble after coarse demodulation.
 
     The wiped preamble leaves a tone at the residual; the refinement is
@@ -686,29 +648,28 @@ def fine_cfo(seq: ComplexSignal, p: SystemParams) -> float:
     wrap instead of collapsing to the bin edge.
     """
     pre = upsampled_preamble(p)
-    if seq.samples.size < pre.size:
+    if seq.size < pre.size:
         raise InvalidParamsError("sequence shorter than the preamble")
-    r = seq.samples[: pre.size] * np.conj(pre)
+    r = seq[: pre.size] * np.conj(pre)
     nfft = _FINE_CFO_PAD * pre.size
     spec = np.abs(np.fft.fft(r, nfft))
     k = int(np.argmax(spec))
     near = spec[[(k - 1) % nfft, k, (k + 1) % nfft]]
     frac = _parabolic(20 * np.log10(np.maximum(near, 1e-300)), 1)
     # bin k's frequency, as np.fft.fftfreq(nfft, 1 / fs)[k] gives it
-    f = (k if k < (nfft + 1) // 2 else k - nfft) * (1.0 / (nfft * (1.0 / seq.fs)))
-    return float(f + frac * seq.fs / nfft)
+    f = (k if k < (nfft + 1) // 2 else k - nfft) * (1.0 / (nfft * (1.0 / p.Fs)))
+    return float(f + frac * p.Fs / nfft)
 
 
-def demap_payload(seq: ComplexSignal, p: SystemParams) -> np.ndarray:
+def demap_payload(seq: np.ndarray, p: SystemParams) -> np.ndarray:
     """Coherent payload demodulation of an extracted packet.
 
     Removes the residual CFO measured on the preamble, equalizes with
     the preamble-estimated complex gain, integrates each symbol, and
     slices to Gray bits.
     """
-    x = seq.samples
     df = fine_cfo(seq, p)
-    x = x * np.exp(-2j * math.pi * df * np.arange(x.size) / seq.fs)
+    x = seq * np.exp(-2j * math.pi * df * np.arange(seq.size) / p.Fs)
     pre = upsampled_preamble(p)
     gain = np.vdot(pre, x[: pre.size]) / np.vdot(pre, pre)
     if gain == 0:
@@ -720,3 +681,27 @@ def demap_payload(seq: ComplexSignal, p: SystemParams) -> np.ndarray:
     sym = payload[: n_sym * sps].reshape(n_sym, sps).mean(axis=1)
     return pam4_demap(sym.real)
 
+
+def decode_stream(x: np.ndarray, p: SystemParams, dt: DriftTable,
+                  power_threshold: float) -> list[tuple]:
+    """The full chain over a sample stream: one (position, cfo, bits)
+    triple per packet in decoding order, bits None where the stream ends
+    before the packet does.
+
+    Frames of a long run overlap by one preamble, so a packet can be
+    validated in two of them; a validation within _TOL samples and twice
+    the CFO slack of an earlier one is that packet again and is dropped.
+    """
+    out = []
+    n_pkt = round(p.Tp * p.Fs)
+    for ev in frame_events(x, p, power_threshold):
+        cfos = periodogram_cfos(ev.buffer, p)
+        vs = spc_resolve(peak_map(ev.buffer, cfos, p), dt)
+        for v, seq in zip(vs, extract_sequences(ev, vs, p)):
+            pos = ev.start + v.position
+            if any(abs(pos - q) <= _TOL and abs(v.cfo - c) <= 2 * _CFO_SLACK
+                   for q, c, _ in out):
+                continue
+            out.append((pos, v.cfo,
+                        None if seq.size < n_pkt else demap_payload(seq, p)))
+    return out

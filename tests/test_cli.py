@@ -58,6 +58,16 @@ def test_run_removed_flags_exit_2(tmp_path, flag, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+def test_run_malformed_config_exit_2(tmp_path, capsys):
+    # a float where an integer belongs is a bad config, not a traceback
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": {"reps": 1.5}}))
+    rc = main(["run", "--config", str(cfg), "--out", str(tmp_path / "res")])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: reps must be an integer\n"
+    assert not (tmp_path / "res").exists()
+
+
 def test_run_missing_config_exit_2(tmp_path, capsys):
     rc = main(["run", "--config", str(tmp_path / "absent.json")])
     assert rc == 2

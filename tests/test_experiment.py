@@ -48,10 +48,34 @@ def read_rows(path):
     dict(reliability_replicas=(1, 2, 1)),
     dict(cr_grid=(0.5, 0.5)),
     dict(figures=("se", "se")),
+    # counts, the seed and replica numbers are integers, and not bools
+    dict(reps=1.5),
+    dict(reps=True),
+    dict(packets_per_point=800.0),
+    dict(max_retries=2.5),
+    dict(seed=7.0),
+    dict(receiver_trials=True),
+    dict(workers=1.0),
+    dict(kpi_replicas=(2.5,)),
+    dict(reliability_replicas=(2, True)),
 ])
 def test_config_rejects(tmp_path, kw):
     with pytest.raises(InvalidParamsError):
         tiny(tmp_path, **kw).validate()
+
+
+def test_config_accepts_numpy_integers(tmp_path):
+    tiny(tmp_path, reps=np.int64(2), seed=np.uint32(7),
+         kpi_replicas=(np.int32(2),)).validate()
+
+
+@pytest.mark.parametrize("key,val", [("loads", 0.05), ("kpi_replicas", 2),
+                                     ("figures", "ee")])
+def test_from_file_rejects_scalar_for_list(tmp_path, key, val):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"experiment": {key: val}}))
+    with pytest.raises(InvalidParamsError, match=f"{key} must be a list"):
+        ex.ExperimentConfig.from_file(path)
 
 
 def test_from_file(tmp_path):

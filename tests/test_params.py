@@ -3,6 +3,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from gfaloha.params import (EnergyParams, InvalidParamsError, SystemParams,
@@ -47,6 +48,17 @@ def test_validate_rejects_bad_params():
     with pytest.raises(InvalidParamsError):
         SystemParams(Fs=600.0).validate(sample_level=True)   # under 2*(2Fm+W)
 
+
+@pytest.mark.parametrize("kw", [dict(N=2.5, M=5), dict(N=2.0), dict(M=4.0),
+                                dict(N=True, M=4), dict(Nzc=23.0)])
+def test_validate_rejects_non_integer_counts(kw):
+    with pytest.raises(InvalidParamsError, match="integers"):
+        SystemParams(**kw).validate()
+
+
+def test_validate_accepts_numpy_integer_counts():
+    p = SystemParams(N=np.int64(2), M=np.int32(4), Nzc=np.int64(23))
+    p.validate(sample_level=True)
 
 
 @pytest.mark.parametrize("nzc,ok", [(4, False), (5, False), (15, False),

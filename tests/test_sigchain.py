@@ -25,15 +25,15 @@ def dt():
     return sg.build_drift_table(P.Nzc, P.Tb, P.Fs)
 
 
-def chain(samples, dt, thr=1.4 / P.gamma):
+def chain(x, dt, thr=1.4 / P.gamma):
     """Decode a raw stream into (position, cfo, bits|None) triples."""
-    return ex._decode_stream(samples, P, dt, thr, hashlib.sha256())
+    return sg.decode_stream(x, P, dt, thr)
 
 
 def packet_stream(specs, n, rng=None):
     sig = np.zeros(n, dtype=complex)
     for s0, cfo, bits in specs:
-        sig[s0: s0 + 2000] += sg.synthesize_packet(bits, P, cfo, rng=rng).samples
+        sig[s0: s0 + 2000] += sg.synthesize_packet(bits, P, cfo, rng=rng)
     return sig
 
 
@@ -42,7 +42,7 @@ def packet_stream(specs, n, rng=None):
 # ---------------------------------------------------------------------------
 
 def test_zc_preamble_properties():
-    z = sg.zc_preamble(23).samples
+    z = sg.zc_preamble(23)
     assert z.size == 23
     assert np.allclose(np.abs(z), 1.0)
     # ideal periodic autocorrelation: zero at every nonzero cyclic shift
@@ -87,9 +87,9 @@ def test_payload_bits_per_packet():
 def test_synthesize_packet():
     rng = np.random.default_rng(1)
     pk = sg.synthesize_packet(None, P, 40.0, rng=rng)
-    assert pk.samples.size == round(P.Tp * P.Fs)
+    assert pk.size == round(P.Tp * P.Fs)
     t = np.arange(E_PRE) / P.Fs
-    demod = pk.samples[:E_PRE] * np.exp(-2j * math.pi * 40.0 * t)
+    demod = pk[:E_PRE] * np.exp(-2j * math.pi * 40.0 * t)
     assert np.allclose(demod, sg.upsampled_preamble(P), atol=1e-9)
     with pytest.raises(InvalidParamsError):
         sg.synthesize_packet(None, P, 0.0)   # random payload needs an rng
@@ -97,9 +97,9 @@ def test_synthesize_packet():
 
 def test_awgn_per_sample_snr():
     rng = np.random.default_rng(2)
-    sig = sg.ComplexSignal(np.ones(200_000, dtype=complex), P.Fs)
+    sig = np.ones(200_000, dtype=complex)
     noisy = sg.awgn(sig, 2.0, rng)
-    noise_power = np.mean(np.abs(noisy.samples - sig.samples) ** 2)
+    noise_power = np.mean(np.abs(noisy - sig) ** 2)
     assert noise_power == pytest.approx(0.5, rel=0.02)
     with pytest.raises(InvalidParamsError):
         sg.awgn(sig, 0.0, rng)
@@ -110,20 +110,19 @@ def test_awgn_per_sample_snr():
 # ---------------------------------------------------------------------------
 
 def test_frame_events_silence_and_single_packet():
-    quiet = sg.ComplexSignal(np.zeros(4000, dtype=complex), P.Fs)
+    quiet = np.zeros(4000, dtype=complex)
     assert sg.frame_events(quiet, P, power_threshold=0.1) == []
 
     sig = packet_stream([(1000, 10.0, None)], 6000,
                         rng=np.random.default_rng(3))
-    evs = sg.frame_events(sg.ComplexSignal(sig, P.Fs), P, power_threshold=0.1)
+    evs = sg.frame_events(sig, P, power_threshold=0.1)
     assert len(evs) == 1
     ev = evs[0]
-    s = round(ev.start_time * P.Fs)
-    e = round(ev.end_time * P.Fs)
-    assert s <= 1000 and e >= 3000          # covers the packet plus guard
-    assert ev.buffer.samples.size == e - s  # buffer is exactly the span
-    assert ev.tail is not None
-    assert ev.tail.size <= round(P.Tp * P.Fs)
+    end = ev.start + ev.buffer.size
+    assert ev.start <= 1000 and end >= 3000   # covers the packet plus guard
+    assert np.array_equal(ev.buffer, sig[ev.start: end])
+    # the tail runs on for a packet length, or to the end of the stream
+    assert np.array_equal(ev.tail, sig[end: end + round(P.Tp * P.Fs)])
     with pytest.raises(InvalidParamsError):
         sg.frame_events(quiet, P, power_threshold=0.0)
 
@@ -133,13 +132,13 @@ def test_frame_events_split_at_cap():
     # 3 s of continuous activity against the 2 s frame cap
     specs = [(k * 2000, 0.0, None) for k in range(6)]
     sig = packet_stream(specs, 13000, rng=rng)
-    evs = sg.frame_events(sg.ComplexSignal(sig, P.Fs), P, power_threshold=0.1)
+    evs = sg.frame_events(sig, P, power_threshold=0.1)
     assert len(evs) >= 2
     cap = round(P.Tmax * P.Fs)
-    assert all(ev.buffer.samples.size <= cap for ev in evs)
+    assert all(ev.buffer.size <= cap for ev in evs)
     # consecutive frames of one run overlap by exactly one preamble
     for a, b in zip(evs, evs[1:]):
-        assert b.start_time == pytest.approx(a.end_time - E_PRE / P.Fs)
+        assert b.start == a.start + a.buffer.size - E_PRE
 
 
 def test_frame_events_long_run_splits_evenly(dt):
@@ -148,9 +147,9 @@ def test_frame_events_long_run_splits_evenly(dt):
     rng = np.random.default_rng(8)
     specs = [(k * 2000, 30.0 * k - 45.0, None) for k in range(4)]
     sig = packet_stream(specs, 8010, rng=rng)
-    evs = sg.frame_events(sg.ComplexSignal(sig, P.Fs), P, power_threshold=0.1)
-    assert [ev.buffer.samples.size for ev in evs] == [4465, 4465]
-    assert evs[1].start_time == pytest.approx(evs[0].end_time - E_PRE / P.Fs)
+    evs = sg.frame_events(sig, P, power_threshold=0.1)
+    assert [ev.buffer.size for ev in evs] == [4465, 4465]
+    assert evs[1].start == evs[0].start + evs[0].buffer.size - E_PRE
     # the chain runs on both frames (a 10-sample frame used to raise), and
     # the packet whose preamble straddles the old cut at 4005 is decoded
     found = [pos for pos, _, bits in chain(sig, dt, thr=0.1) if bits is not None]
@@ -159,7 +158,7 @@ def test_frame_events_long_run_splits_evenly(dt):
 
 
 def test_frame_events_rejects_cap_under_one_preamble():
-    sig = sg.ComplexSignal(np.ones(4000, dtype=complex), P.Fs)
+    sig = np.ones(4000, dtype=complex)
     short = SystemParams(Tmax=E_PRE / P.Fs)
     with pytest.raises(InvalidParamsError):
         sg.frame_events(sig, short, power_threshold=0.1)
@@ -170,14 +169,17 @@ def test_decode_stream_drops_a_packet_seen_in_two_frames(dt, monkeypatch):
     # the first and leaves the decisions digest as if it came once
     rng = np.random.default_rng(9)
     sig = packet_stream([(300, -20.0, None), (2600, 35.0, None)], 5000, rng=rng)
-    once = hashlib.sha256()
-    single = ex._decode_stream(sig, P, dt, 0.1, once)
+    single = sg.decode_stream(sig, P, dt, 0.1)
     assert len(single) == 2
     frame = sg.frame_events
     monkeypatch.setattr(sg, "frame_events", lambda *a, **k: 2 * frame(*a, **k))
-    twice = hashlib.sha256()
-    doubled = ex._decode_stream(sig, P, dt, 0.1, twice)
+    doubled = sg.decode_stream(sig, P, dt, 0.1)
     assert [(q, c) for q, c, _ in doubled] == [(q, c) for q, c, _ in single]
+    assert all(np.array_equal(a, b) for (_, _, a), (_, _, b)
+               in zip(doubled, single))
+    once, twice = hashlib.sha256(), hashlib.sha256()
+    ex._digest(once, single)
+    ex._digest(twice, doubled)
     assert twice.digest() == once.digest()
 
 
@@ -188,8 +190,8 @@ def test_decode_stream_drops_a_packet_seen_in_two_frames(dt, monkeypatch):
 def test_periodogram_two_tones():
     rng = np.random.default_rng(5)
     sig = packet_stream([(200, -60.0, None), (2400, 60.0, None)], 5000, rng=rng)
-    ev = sg.frame_events(sg.ComplexSignal(sig, P.Fs), P, 0.1)[0]
-    cfos = sg.periodogram_cfos(ev, P)
+    ev = sg.frame_events(sig, P, 0.1)[0]
+    cfos = sg.periodogram_cfos(ev.buffer, P)
     assert len(cfos) >= 2
     assert min(abs(f + 60.0) for f in cfos) < 1.0
     assert min(abs(f - 60.0) for f in cfos) < 1.0
@@ -199,24 +201,21 @@ def test_periodogram_near_dc():
     # a carrier line straddling 0 Hz must not vanish into the FFT wrap
     rng = np.random.default_rng(6)
     sig = packet_stream([(500, 0.3, None)], 4000, rng=rng)
-    ev = sg.frame_events(sg.ComplexSignal(sig, P.Fs), P, 0.1)[0]
-    cfos = sg.periodogram_cfos(ev, P)
+    ev = sg.frame_events(sig, P, 0.1)[0]
+    cfos = sg.periodogram_cfos(ev.buffer, P)
     assert cfos and min(abs(f - 0.3) for f in cfos) < 1.5
 
 
 def test_periodogram_guards():
-    tiny = sg.DetectionEvent(0.0, 0.01, sg.ComplexSignal(np.ones(32), P.Fs), 0.01)
     with pytest.raises(InvalidParamsError):
-        sg.periodogram_cfos(tiny, P)
-    empty = sg.DetectionEvent(0.0, 1.0, sg.ComplexSignal(np.zeros(4000), P.Fs), 1.0)
-    assert sg.periodogram_cfos(empty, P) == []
+        sg.periodogram_cfos(np.ones(32, dtype=complex), P)
+    assert sg.periodogram_cfos(np.zeros(4000, dtype=complex), P) == []
 
 
 def test_peak_map_clean_peak():
     rng = np.random.default_rng(7)
     sig = packet_stream([(800, 25.0, None)], 4000, rng=rng)
-    ev = sg.DetectionEvent(0.0, 1.0, sg.ComplexSignal(sig, P.Fs), 1.0)
-    branch = sg.peak_map(ev, [25.0], P).branches[0]
+    branch = sg.peak_map(sig, [25.0], P).branches[0]
     assert 800 in branch.positions.tolist()
     k = branch.positions.tolist().index(800)
     assert branch.magnitudes[k] == pytest.approx(E_PRE, rel=1e-6)
@@ -229,11 +228,10 @@ def test_peak_map_suppression_spans_half_a_symbol():
     p = SystemParams(Nzc=11)
     rng = np.random.default_rng(6)
     sig = np.zeros(6000, dtype=complex)
-    pk = sg.synthesize_packet(None, p, 20.0, rng=rng).samples
+    pk = sg.synthesize_packet(None, p, 20.0, rng=rng)
     sig[500: 500 + pk.size] += pk
-    noisy = sg.awgn(sg.ComplexSignal(sig, p.Fs), p.gamma, rng)
-    ev = sg.DetectionEvent(0.0, 1.5, noisy, 1.5)
-    pos = sg.peak_map(ev, [20.0], p).branches[0].positions
+    noisy = sg.awgn(sig, p.gamma, rng)
+    pos = sg.peak_map(noisy, [20.0], p).branches[0].positions
     assert 500 in pos.tolist()
     assert np.all(np.diff(pos) > p.samples_per_symbol // 2)
 
@@ -241,8 +239,7 @@ def test_peak_map_suppression_spans_half_a_symbol():
 def test_peak_map_branch_weights():
     rng = np.random.default_rng(8)
     sig = packet_stream([(500, 0.0, None)], 4000, rng=rng)
-    ev = sg.DetectionEvent(0.0, 1.0, sg.ComplexSignal(sig, P.Fs), 1.0)
-    pm = sg.peak_map(ev, [0.0, 77.0], P)
+    pm = sg.peak_map(sig, [0.0, 77.0], P)
     assert pm.span == 4000 - E_PRE + 1
     w_true, w_junk = pm.branches[0].weight, pm.branches[1].weight
     assert w_true > 4 * w_junk   # real carrier line dominates
@@ -396,20 +393,19 @@ def test_extract_completes_from_tail():
     rng = np.random.default_rng(12)
     bits = rng.integers(0, 2, sg.payload_bits_per_packet(P)).astype(np.uint8)
     stream = packet_stream([(4500, 5.0, bits)], 9000)
-    ev = sg.DetectionEvent(0.0, 1.25, sg.ComplexSignal(stream[:5000], P.Fs),
-                           1.25, tail=stream[5000:7000])
+    ev = sg.DetectionEvent(0, stream[:5000], stream[5000:7000])
     v = sg.ValidatedPeak(5.0, 4500, 920.0)
     seq = sg.extract_sequences(ev, [v], P)[0]
-    assert not seq.partial
-    assert np.array_equal(sg.demap_payload(seq.z, P), bits)
+    assert seq.size == 2000
+    assert np.array_equal(sg.demap_payload(seq, P), bits)
 
-    bare = sg.DetectionEvent(0.0, 1.25, sg.ComplexSignal(stream[:5000], P.Fs),
-                             1.25, tail=None)
-    assert sg.extract_sequences(bare, [v], P)[0].partial
+    # without a tail the cut stops at the end of the buffer
+    bare = sg.DetectionEvent(0, stream[:5000], stream[5000:5000])
+    assert sg.extract_sequences(bare, [v], P)[0].size == 500
 
 
 def test_extract_rejects_outside_offsets():
-    ev = sg.DetectionEvent(0.0, 1.0, sg.ComplexSignal(np.zeros(4000), P.Fs), 1.0)
+    ev = sg.DetectionEvent(0, np.zeros(4000, complex), np.zeros(0, complex))
     with pytest.raises(InvalidParamsError):
         sg.extract_sequences(ev, [sg.ValidatedPeak(0.0, 4000, 1.0)], P)
 
@@ -419,13 +415,13 @@ def test_fine_cfo_residual():
     pk = sg.synthesize_packet(None, P, 3.7, rng=rng)
     assert sg.fine_cfo(pk, P) == pytest.approx(3.7, abs=0.05)
     with pytest.raises(InvalidParamsError):
-        sg.fine_cfo(sg.ComplexSignal(pk.samples[:100], P.Fs), P)
+        sg.fine_cfo(pk[:100], P)
 
 
 def test_demap_payload_equalizes_gain_and_phase():
     rng = np.random.default_rng(14)
     bits = rng.integers(0, 2, sg.payload_bits_per_packet(P)).astype(np.uint8)
     pk = sg.synthesize_packet(bits, P, 0.0)
-    rotated = sg.ComplexSignal(0.35 * np.exp(1j * 1.1) * pk.samples, P.Fs)
+    rotated = 0.35 * np.exp(1j * 1.1) * pk
     assert np.array_equal(sg.demap_payload(rotated, P), bits)
 

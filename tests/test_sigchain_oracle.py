@@ -40,7 +40,7 @@ def ref_build_drift_table(nzc, tb, fs, cfo_grid=None, alt_frac=0.8):
     if cfo_grid is None:
         cfo_grid = np.arange(-400.0, 401.0)
     cfo_grid = np.asarray(cfo_grid, dtype=float)
-    pre = np.repeat(sg.zc_preamble(nzc).samples, sps)
+    pre = np.repeat(sg.zc_preamble(nzc), sps)
     n = pre.size
     t = np.arange(n) / fs
     shifted = pre[None, :] * np.exp(2j * math.pi * cfo_grid[:, None] * t[None, :])
@@ -78,10 +78,8 @@ def ref_build_drift_table(nzc, tb, fs, cfo_grid=None, alt_frac=0.8):
                          alt_indptr, np.concatenate(alt_rows))
 
 
-def ref_correlate_preamble(ev, cfo, preamble, sep, eta=0.5):
-    y = ev.buffer.samples * np.exp(-2j * math.pi * cfo
-                                   * np.arange(ev.buffer.samples.size)
-                                   / ev.buffer.fs)
+def ref_correlate_preamble(x, fs, cfo, preamble, sep, eta=0.5):
+    y = x * np.exp(-2j * math.pi * cfo * np.arange(x.size) / fs)
     if y.size < preamble.size:
         return np.empty(0, dtype=np.int64), np.empty(0)
     c = np.abs(fftconvolve(y, np.conj(preamble[::-1]), mode="valid"))
@@ -104,16 +102,15 @@ def ref_correlate_preamble(ev, cfo, preamble, sep, eta=0.5):
     return pos, c[pos]
 
 
-def ref_peak_map(ev, cfos, p, eta=0.5):
+def ref_peak_map(x, cfos, p, eta=0.5):
     # the separation is the corrected half symbol; at Nzc = 23 it equals
     # the old preamble.size // (2 * 23)
-    x = ev.buffer.samples
-    t = np.arange(x.size) / ev.buffer.fs
+    t = np.arange(x.size) / p.Fs
     pre = sg.upsampled_preamble(p)
     sep = max(1, p.samples_per_symbol // 2)
     branches = []
     for f in cfos:
-        pos, mag = ref_correlate_preamble(ev, f, pre, sep, eta=eta)
+        pos, mag = ref_correlate_preamble(x, p.Fs, f, pre, sep, eta=eta)
         w = float(np.abs(np.sum(x * np.exp(-2j * math.pi * f * t))))
         branches.append(sg.PeakBranch(f, pos, mag, w))
     return sg.PeakMap(branches, max(0, x.size - pre.size + 1))
@@ -225,16 +222,14 @@ def test_default_table_peak_memory():
 # Peak map
 # ---------------------------------------------------------------------------
 
-def noisy_event(rng, p, n, packets):
+def noisy_buffer(rng, p, n, packets):
     n_pkt = round(p.Tp * p.Fs)
     sig = np.zeros(n, dtype=complex)
     for s0, cfo in packets:
-        pk = sg.synthesize_packet(None, p, cfo, rng=rng).samples
+        pk = sg.synthesize_packet(None, p, cfo, rng=rng)
         end = min(n, s0 + n_pkt)
         sig[s0: end] += pk[: end - s0]
-    if np.any(sig):
-        sig = sg.awgn(sg.ComplexSignal(sig, p.Fs), p.gamma, rng).samples
-    return sg.DetectionEvent(0.0, n / p.Fs, sg.ComplexSignal(sig, p.Fs), n / p.Fs)
+    return sg.awgn(sig, p.gamma, rng) if np.any(sig) else sig
 
 
 @settings(max_examples=120, deadline=None,
@@ -251,39 +246,38 @@ def test_peak_map_matches_branch_loop(seed, nzc, sps, data):
     k = data.draw(st.integers(0, 3))
     packets = [(int(rng.integers(0, n)), float(rng.uniform(-p.Fm, p.Fm)))
                for _ in range(k)]
-    ev = noisy_event(rng, p, n, packets)
+    x = noisy_buffer(rng, p, n, packets)
     cfos = [c for _, c in packets]
     cfos += data.draw(st.lists(st.floats(-p.Fm - 10, p.Fm + 10,
                                          allow_nan=False), max_size=4))
     eta = data.draw(st.sampled_from([0.0, 0.3, 0.5]))
-    assert_same_map(sg.peak_map(ev, cfos, p, eta=eta),
-                    ref_peak_map(ev, cfos, p, eta=eta))
+    assert_same_map(sg.peak_map(x, cfos, p, eta=eta),
+                    ref_peak_map(x, cfos, p, eta=eta))
 
 
 def test_peak_map_no_cfos():
     rng = np.random.default_rng(3)
-    ev = noisy_event(rng, P, 3000, [(200, 5.0)])
-    pm = sg.peak_map(ev, [], P)
+    x = noisy_buffer(rng, P, 3000, [(200, 5.0)])
+    pm = sg.peak_map(x, [], P)
     assert pm.branches == [] and pm.span == 3000 - 920 + 1
-    assert_same_map(pm, ref_peak_map(ev, [], P))
+    assert_same_map(pm, ref_peak_map(x, [], P))
 
 
 def test_peak_map_short_buffer():
-    ev = sg.DetectionEvent(0.0, 0.1, sg.ComplexSignal(np.ones(500), P.Fs), 0.1)
-    pm = sg.peak_map(ev, [0.0, 12.5], P)
+    x = np.ones(500, dtype=complex)
+    pm = sg.peak_map(x, [0.0, 12.5], P)
     assert pm.span == 0
     assert [b.positions.size for b in pm.branches] == [0, 0]
-    assert_same_map(pm, ref_peak_map(ev, [0.0, 12.5], P))
+    assert_same_map(pm, ref_peak_map(x, [0.0, 12.5], P))
 
 
 def test_peak_map_single_correlation_sample():
     pk = sg.synthesize_packet(None, P, 8.0, rng=np.random.default_rng(4))
-    ev = sg.DetectionEvent(0.0, 0.23, sg.ComplexSignal(pk.samples[:920], P.Fs),
-                           0.23)
-    pm = sg.peak_map(ev, [8.0, -30.0], P)
+    x = pk[:920]
+    pm = sg.peak_map(x, [8.0, -30.0], P)
     assert pm.span == 1
     assert pm.branches[0].positions.tolist() == [0]
-    assert_same_map(pm, ref_peak_map(ev, [8.0, -30.0], P))
+    assert_same_map(pm, ref_peak_map(x, [8.0, -30.0], P))
 
 
 def test_peak_map_matches_on_framed_events():
@@ -294,11 +288,12 @@ def test_peak_map_matches_on_framed_events():
         sig = np.zeros(3 * n_pkt, dtype=complex)
         for c, s0 in zip(rng.uniform(-P.Fm, P.Fm, 2),
                          np.sort(rng.integers(200, 2200, 2))):
-            sig[s0: s0 + n_pkt] += sg.synthesize_packet(None, P, c, rng=rng).samples
-        noisy = sg.awgn(sg.ComplexSignal(sig, P.Fs), P.gamma, rng)
+            sig[s0: s0 + n_pkt] += sg.synthesize_packet(None, P, c, rng=rng)
+        noisy = sg.awgn(sig, P.gamma, rng)
         for ev in sg.frame_events(noisy, P, power_threshold=1.4 / P.gamma):
-            cfos = sg.periodogram_cfos(ev, P)
-            assert_same_map(sg.peak_map(ev, cfos, P), ref_peak_map(ev, cfos, P))
+            cfos = sg.periodogram_cfos(ev.buffer, P)
+            assert_same_map(sg.peak_map(ev.buffer, cfos, P),
+                            ref_peak_map(ev.buffer, cfos, P))
 
 
 # ---------------------------------------------------------------------------
@@ -382,13 +377,13 @@ def test_fast_len_matches_next_fast_len(real):
 
 def ref_fine_cfo(seq, p):
     pre = sg.upsampled_preamble(p)
-    r = seq.samples[: pre.size] * np.conj(pre)
+    r = seq[: pre.size] * np.conj(pre)
     nfft = sg._FINE_CFO_PAD * pre.size
     spec = np.abs(np.fft.fft(r, nfft))
     k = int(np.argmax(spec))
     frac = sg._parabolic(20 * np.log10(np.maximum(spec, 1e-300)), k)
-    f = np.fft.fftfreq(nfft, 1.0 / seq.fs)[k]
-    return float(f + frac * seq.fs / nfft)
+    f = np.fft.fftfreq(nfft, 1.0 / p.Fs)[k]
+    return float(f + frac * p.Fs / nfft)
 
 
 def test_fine_cfo_matches_full_spectrum():
@@ -397,7 +392,7 @@ def test_fine_cfo_matches_full_spectrum():
     # (every bin at the 1e-300 floor, argmax 0)
     rng = np.random.default_rng(2024)
     n_pre = sg.upsampled_preamble(P).size
-    cases = [sg.ComplexSignal(np.zeros(n_pre, complex), P.Fs)]
+    cases = [np.zeros(n_pre, complex)]
     for cfo in np.concatenate([rng.uniform(-0.5, 0.5, 40) * P.Fs / 46,
                                [0.0, 1e-3, -1e-3, P.Fs / 2 - 1.0]]):
         pk = sg.synthesize_packet(None, P, float(cfo), rng=rng)
