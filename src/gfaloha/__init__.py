@@ -7,9 +7,8 @@ sweep orchestrator emitting figure data.
 """
 
 from .experiment import ExperimentConfig, run_experiment, validate_receiver
-from .interference import (InterferenceCdf, analytic_outage, build_base_cdf,
-                           offered_load_of, solve_offered_load,
-                           unconditional_cdf)
+from .interference import (analytic_outage, build_base_cdf, offered_load_of,
+                           solve_offered_load, unconditional_cdf)
 from .kpi import KpiReport, grant_free_kpis, granted_kpis
 from .mcsim import (CollisionGraph, build_collision_graph, nominal_lambda,
                     run_granted_baseline, run_trial, sic_decode)
@@ -20,7 +19,7 @@ from .traffic import draw_frames, generate_arrivals
 __version__ = "0.1.0"
 
 __all__ = [
-    "CollisionGraph", "EnergyParams", "ExperimentConfig", "InterferenceCdf",
+    "CollisionGraph", "EnergyParams", "ExperimentConfig",
     "InvalidParamsError", "KpiReport", "SystemParams", "analytic_outage",
     "build_base_cdf", "build_collision_graph", "draw_frames",
     "generate_arrivals", "grant_free_kpis", "granted_kpis", "load_params",

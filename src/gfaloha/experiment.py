@@ -24,7 +24,7 @@ from . import kpi as kpi_mod
 from . import mcsim
 from . import sigchain as sg
 from .params import (EnergyParams, InvalidParamsError, SystemParams,
-                     is_integer, load_params)
+                     is_integer, is_real, load_params)
 
 FIGURES = ("reliability", "ee", "lifetime", "delay", "se")
 _FIG_KPI = {
@@ -84,6 +84,11 @@ class ExperimentConfig:
                                     *self.reliability_replicas))):
             raise InvalidParamsError("replica counts must be integers")
         loads = tuple(self.loads)
+        if not all(map(is_real, (*loads, *self.cr_grid, self.low_load_cutoff,
+                                 self.divergence_tol))):
+            raise InvalidParamsError(
+                "loads, cr values, low_load_cutoff and divergence_tol must be "
+                "finite numbers")
         if any(b <= a for a, b in zip(loads, loads[1:])):
             raise InvalidParamsError("load grid must be strictly ascending")
         if any(x <= 0 for x in loads):

@@ -11,7 +11,9 @@ with A the summed intersection areas with all other undecoded replicas.
 This module builds the distribution of A (single-interferer law in
 closed form, then the compound law over the interferer count), turns it
 into outage probabilities for the supported combining schemes, and
-solves the retry-inflated offered-load fixed point.
+solves the retry-inflated offered-load fixed point. Every law is a plain
+pmf array on area_grid(p): bin 0 holds the mass of no overlap at all,
+the top bin everything at or past the grid maximum.
 
 Every random sum (the Poisson count of interferers, the N branch
 SINRs of MRC) is one transform: with phi the FFT of one term's
@@ -24,7 +26,6 @@ Bulletin 1999).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,55 +99,19 @@ def overlap_ccdf_exact(s, p: SystemParams):
 
 
 # ---------------------------------------------------------------------------
-# Distribution container
+# The single-interferer law
 # ---------------------------------------------------------------------------
-
-@dataclass
-class InterferenceCdf:
-    """CDF of an interference area on a uniform grid starting at 0.
-
-    grid[0] must be 0 so the first CDF value carries the probability mass
-    of "no overlap at all". Evaluation interpolates linearly between grid
-    points; mass pushed beyond the grid by convolution is folded into the
-    top bin, which leaves the CDF exact below the grid maximum.
-    """
-
-    grid: np.ndarray
-    cdf: np.ndarray
-    meta: dict
-
-    def __post_init__(self):
-        if len(self.grid) != len(self.cdf) or len(self.grid) < 2:
-            raise InvalidParamsError("grid and cdf must share a length >= 2")
-        if self.grid[0] != 0.0:
-            raise InvalidParamsError("area grid must start at 0")
-        if np.any(np.diff(self.cdf) < -1e-12):
-            raise InvalidParamsError("cdf must be non-decreasing")
-
-    def value_at(self, s):
-        """F(s), with F = 0 left of the grid and flat right of it."""
-        return np.interp(s, self.grid, self.cdf, left=0.0, right=float(self.cdf[-1]))
-
-    def pmf(self) -> np.ndarray:
-        out = np.empty_like(self.cdf)
-        out[0] = self.cdf[0]
-        out[1:] = np.diff(self.cdf)
-        return np.clip(out, 0.0, None)
-
 
 def area_grid(p: SystemParams) -> np.ndarray:
     """Uniform evaluation grid [0, N*W*Tp] shared by the whole pipeline."""
     return np.linspace(0.0, p.N * p.W * p.Tp, GRID_POINTS)
 
 
-def build_base_cdf(p: SystemParams) -> InterferenceCdf:
-    """Single-interferer base law on the grid, drawing no random number:
-    the exact law conditioned on a strictly positive area, with
-    meta["overlap_prob"] = Pr(S > 0)."""
-    grid = area_grid(p)
-    ccdf = overlap_ccdf_exact(np.minimum(grid, p.W * p.Tp), p)
-    return InterferenceCdf(grid, 1.0 - ccdf / ccdf[0],
-                           {"mode": "exact", "overlap_prob": float(ccdf[0])})
+def build_base_cdf(p: SystemParams) -> np.ndarray:
+    """Single-interferer base law on area_grid(p), drawing no random
+    number: the pmf of the exact law, bin 0 holding 1 - Pr(S > 0)."""
+    ccdf = overlap_ccdf_exact(np.minimum(area_grid(p), p.W * p.Tp), p)
+    return np.clip(-np.diff(ccdf, prepend=1.0), 0.0, None)
 
 
 # ---------------------------------------------------------------------------
@@ -174,14 +139,13 @@ def _compound(pmf1: np.ndarray, pgf) -> np.ndarray:
     return law
 
 
-def unconditional_cdf(base: InterferenceCdf, g: float,
-                      p: SystemParams) -> InterferenceCdf:
-    """Aggregate overlap-area CDF of one replica at replica rate g.
+def unconditional_cdf(base: np.ndarray, g: float, p: SystemParams) -> np.ndarray:
+    """Aggregate overlap-area pmf of one replica at replica rate g.
 
     Interferers arrive in the 2*Tp vulnerable window as a Poisson process
-    with mean mu = 2*g*Tp; each contributes the base law, thinned by the
-    base's conditional-overlap probability. With phi the transform of
-    that thinned law, the aggregate is the full Poisson mixture
+    with mean mu = 2*g*Tp; each contributes the base law, whose bin 0
+    holds the interferers that do not overlap. With phi the transform of
+    the base law, the aggregate is the full Poisson mixture
     exp(mu*(phi - 1)), with no count left out, from one tilted FFT
     (_compound): exact below the grid maximum up to rounding; the top bin
     holds the rest.
@@ -189,27 +153,20 @@ def unconditional_cdf(base: InterferenceCdf, g: float,
     if g < 0:
         raise InvalidParamsError("replica rate must be nonnegative")
     mu = 2.0 * g * p.Tp
-    p_ov = base.meta.get("overlap_prob", 1.0)
-    pmf1 = base.pmf() * p_ov
-    pmf1[0] += 1.0 - p_ov
-    law = _compound(pmf1, lambda phi: np.exp(mu * (phi - 1.0)))
-    meta = {"kind": "aggregate", "g": g, "mu": mu}
-    return InterferenceCdf(base.grid, np.minimum(np.cumsum(law), 1.0), meta)
+    return _compound(base, lambda phi: np.exp(mu * (phi - 1.0)))
 
 
 # ---------------------------------------------------------------------------
 # Outage probabilities
 # ---------------------------------------------------------------------------
 
-def outage_single(cdf: InterferenceCdf, p: SystemParams) -> float:
+def outage_single(pmf: np.ndarray, p: SystemParams) -> float:
     """P(SINR < St) for one replica under the aggregate law."""
-    if p.St > p.gamma:
-        warnings.warn("threshold exceeds the operating SNR, outage is certain")
-        return 1.0
-    return 1.0 - float(cdf.value_at(area_threshold(p)))
+    cdf = np.minimum(np.cumsum(pmf), 1.0)
+    return 1.0 - float(np.interp(area_threshold(p), area_grid(p), cdf))
 
 
-def outage_mrc_sinr(cdf: InterferenceCdf, p: SystemParams) -> float:
+def outage_mrc_sinr(pmf: np.ndarray, p: SystemParams) -> float:
     """P(sum of branch SINRs < St) with i.i.d. branch interference.
 
     Exact construction for the summed-SINR decision rule: the aggregate
@@ -220,10 +177,7 @@ def outage_mrc_sinr(cdf: InterferenceCdf, p: SystemParams) -> float:
     the summed areas would over-count interference split across
     branches).
     """
-    if p.St > p.N * p.gamma:
-        return 1.0
-    pmf = cdf.pmf()
-    s_of_a = sinr(cdf.grid, p)
+    s_of_a = sinr(area_grid(p), p)
     ds = p.N * p.gamma / (_SINR_POINTS - 1)
     idx = np.rint(s_of_a / ds).astype(np.int64)
     # Only the CDF at St is read, and a convolution's first k bins depend
@@ -237,13 +191,13 @@ def outage_mrc_sinr(cdf: InterferenceCdf, p: SystemParams) -> float:
     return float(np.interp(p.St, grid, np.minimum(np.cumsum(total), 1.0)))
 
 
-def outage_no_combining(cdf: InterferenceCdf, p: SystemParams) -> float:
+def outage_no_combining(pmf: np.ndarray, p: SystemParams) -> float:
     """Outage without combining: every replica must fail on its own."""
-    per_replica = outage_single(cdf, p)
+    per_replica = outage_single(pmf, p)
     return per_replica ** p.N
 
 
-def analytic_outage(base: InterferenceCdf, g: float, p: SystemParams,
+def analytic_outage(base: np.ndarray, g: float, p: SystemParams,
                     policy: str = "mrc") -> float:
     """Full pipeline: base law -> aggregate at rate g -> policy outage.
 
@@ -265,17 +219,8 @@ def analytic_outage(base: InterferenceCdf, g: float, p: SystemParams,
 # ---------------------------------------------------------------------------
 
 @dataclass
-class LoadPoint:
-    """Operating point of the channel."""
-
-    lambda_agg: float   # aggregate new-report rate, packets/s
-    g: float            # replica transmission rate incl. retries, replicas/s
-    offered_load: float  # W/(2Fm+W) * g * Tp, dimensionless
-
-
-@dataclass
 class SolveResult:
-    load: LoadPoint
+    g: float          # replica transmission rate incl. retries, replicas/s
     po: float
     status: str       # "converged" | "overload" | "max-iterations"
     iterations: int
@@ -289,7 +234,7 @@ def offered_load_of(g: float, p: SystemParams) -> float:
 
 
 def solve_offered_load(lambda_agg: float, p: SystemParams, policy: str = "mrc",
-                       *, base: InterferenceCdf | None = None) -> SolveResult:
+                       *, base: np.ndarray) -> SolveResult:
     """Solve g = N*lambda / (1 - Po(g)) by damped fixed-point iteration.
 
     Retries re-enter the channel, so the replica rate seen on air exceeds
@@ -300,8 +245,6 @@ def solve_offered_load(lambda_agg: float, p: SystemParams, policy: str = "mrc",
     """
     if lambda_agg < 0:
         raise InvalidParamsError("arrival rate must be nonnegative")
-    if base is None:
-        base = build_base_cdf(p)
     g_floor = p.N * lambda_agg
     g = g_floor
     status = "max-iterations"
@@ -318,5 +261,4 @@ def solve_offered_load(lambda_agg: float, p: SystemParams, policy: str = "mrc",
             status = "converged"
             break
         g = g_next
-    point = LoadPoint(lambda_agg, g, offered_load_of(g, p))
-    return SolveResult(point, po, status, it)
+    return SolveResult(g, po, status, it)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 import math
-from numbers import Integral
+from numbers import Integral, Real
 from dataclasses import dataclass, field, fields, replace
 
 
@@ -30,6 +30,17 @@ class InvalidParamsError(ValueError):
 def is_integer(x) -> bool:
     """An integer, Python or numpy, that is not a bool."""
     return isinstance(x, Integral) and not isinstance(x, bool)
+
+
+def is_real(x) -> bool:
+    """A real number, Python or numpy, that is not a bool and is finite
+    as a float."""
+    if not isinstance(x, Real) or isinstance(x, bool):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:       # an int past the float range
+        return False
 
 
 def zc_root_ok(nzc: int, root: int = ZC_ROOT) -> bool:
@@ -74,8 +85,12 @@ class SystemParams:
         chain needs (integer samples per symbol, adequate sampling rate,
         a preamble length the Zadoff-Chu root ZC_ROOT is valid for).
         """
-        if not all(map(is_integer, (self.N, self.M, self.Nzc))):
-            raise InvalidParamsError("N, M and Nzc must be integers")
+        counts = ("N", "M", "Nzc", "D", "Doh")
+        if not all(is_integer(getattr(self, name)) for name in counts):
+            raise InvalidParamsError("N, M, Nzc, D and Doh must be integers")
+        for f in fields(self):
+            if f.name not in counts and not is_real(getattr(self, f.name)):
+                raise InvalidParamsError(f"{f.name} must be a finite number")
         if self.W <= 0 or self.Fm < 0 or self.Fs <= 0 or self.Tb <= 0:
             raise InvalidParamsError("W, Fs, Tb must be positive and Fm >= 0")
         if self.Tp <= 0 or self.Tmax <= 0 or self.Tack < 0:
@@ -132,8 +147,9 @@ class EnergyParams:
 
     def validate(self) -> "EnergyParams":
         for f in fields(self):
-            if getattr(self, f.name) <= 0:
-                raise InvalidParamsError(f"{f.name} must be positive")
+            value = getattr(self, f.name)
+            if not is_real(value) or value <= 0:
+                raise InvalidParamsError(f"{f.name} must be a positive finite number")
         if self.Rin >= self.Rc:
             raise InvalidParamsError("need Rin < Rc")
         return self

@@ -620,23 +620,23 @@ def spc_resolve(pm: PeakMap, dt: DriftTable) -> list[ValidatedPeak]:
 
 def extract_sequences(ev: DetectionEvent, validated: list[ValidatedPeak],
                       p: SystemParams) -> list[np.ndarray]:
-    """Cut each validated packet out of the demodulated event buffer.
+    """Cut each validated packet out of the event buffer and demodulate it.
 
     Packets running past the buffer end finish from the event's
     extraction tail; a cut is shorter than a packet only when the
-    stream itself ends first.
+    stream itself ends first. The carrier is removed on the cut alone,
+    at its own sample indices in the buffer.
     """
     out = []
     n_pkt = round(p.Tp * p.Fs)
     for v in validated:
         if not (0 <= v.position < ev.buffer.size):
             raise InvalidParamsError("validated offset outside the event buffer")
-        x = ev.buffer
-        need = v.position + n_pkt
-        if need > x.size:
-            x = np.concatenate([x, ev.tail[: need - x.size]])
-        y = x * np.exp(-2j * math.pi * v.cfo * np.arange(x.size) / p.Fs)
-        out.append(y[v.position: v.position + n_pkt])
+        x = ev.buffer[v.position: v.position + n_pkt]
+        if x.size < n_pkt:
+            x = np.concatenate([x, ev.tail[: n_pkt - x.size]])
+        k = np.arange(v.position, v.position + x.size)
+        out.append(x * np.exp(-2j * math.pi * v.cfo * k / p.Fs))
     return out
 
 

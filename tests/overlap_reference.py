@@ -1,6 +1,7 @@
 """Independent references for the single-interferer overlap law.
 
 gfaloha.interference computes the law in closed form (build_base_cdf).
+Like it, every law here is a pmf array on area_grid(p).
 Tests check it against two references kept here: a Monte Carlo sampler,
 also used as a second, noisy base law for the analytic chain, and 1-D
 quadrature of the law's defining integral. The paper's own closed form,
@@ -12,19 +13,18 @@ law shape.
 import numpy as np
 from scipy.integrate import quad
 
-from gfaloha.interference import InterferenceCdf, area_grid, overlap_area
+from gfaloha.interference import area_grid, overlap_area
 from gfaloha.params import InvalidParamsError
 
 
-def overlap_cdf_oracle(rng: np.random.Generator, p,
-                       samples: int = 1_000_000) -> InterferenceCdf:
-    """Monte Carlo law of the overlap with one interferer, given overlap.
+def overlap_pmf_oracle(rng: np.random.Generator, p,
+                       samples: int = 1_000_000) -> np.ndarray:
+    """Monte Carlo law of the overlap with one interferer.
 
     Draws the interferer start uniform on (-Tp, Tp) and the CFO difference
     triangular on [-2Fm, 2Fm] (the exact difference of two uniform CFOs).
-    The returned CDF is conditioned on a strictly positive area;
-    meta["overlap_prob"] carries the conditioning probability and
-    meta["hits"] the number of draws it is the empirical CDF of.
+    Returns the empirical pmf of the samples draws on the grid, whose
+    bin 0 holds the share of draws that do not overlap.
     """
     dt = rng.uniform(-p.Tp, p.Tp, size=samples)
     if p.Fm == 0:
@@ -32,12 +32,8 @@ def overlap_cdf_oracle(rng: np.random.Generator, p,
     else:
         dfq = rng.triangular(-2.0 * p.Fm, 0.0, 2.0 * p.Fm, size=samples)
     areas = overlap_area(dt, dfq, p)
-    hit = np.sort(areas[areas > 0.0])
-    grid = area_grid(p)
-    cdf = np.searchsorted(hit, grid, side="right") / hit.size
-    meta = {"mode": "triangular", "hits": hit.size,
-            "overlap_prob": hit.size / samples}
-    return InterferenceCdf(grid, cdf, meta)
+    cdf = np.searchsorted(np.sort(areas), area_grid(p), side="right") / samples
+    return np.diff(cdf, prepend=0.0)
 
 
 def overlap_ccdf_quad(x: float, p) -> float:
@@ -86,12 +82,11 @@ def overlap_ccdf_paper(s, p):
     return value, clamped
 
 
-def paper_base_cdf(p) -> InterferenceCdf:
+def paper_base_pmf(p) -> np.ndarray:
     """The paper's clamped closed form as a base law on the grid.
 
-    Every packet in the vulnerable period counts as interfering here
-    (overlap_prob = 1), matching the closed form's own convention.
+    Every packet in the vulnerable period counts as interfering here (bin
+    0 holds no mass), matching the closed form's own convention.
     """
-    grid = area_grid(p)
-    ccdf, _ = overlap_ccdf_paper(np.minimum(grid, p.W * p.Tp), p)
-    return InterferenceCdf(grid, 1.0 - ccdf, {"mode": "paper", "overlap_prob": 1.0})
+    ccdf, _ = overlap_ccdf_paper(np.minimum(area_grid(p), p.W * p.Tp), p)
+    return np.clip(-np.diff(ccdf, prepend=1.0), 0.0, None)

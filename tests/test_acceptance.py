@@ -20,7 +20,7 @@ from gfaloha.experiment import ExperimentConfig, run_experiment, validate_receiv
 from gfaloha.params import (EnergyParams, SystemParams, db2lin,
                             packet_duration)
 from overlap_reference import (overlap_ccdf_paper, overlap_ccdf_quad,
-                               overlap_cdf_oracle)
+                               overlap_pmf_oracle)
 
 P = SystemParams()
 E = EnergyParams()
@@ -43,10 +43,11 @@ def test_c1_packet_duration_design_point():
 
 def test_c2_overlap_law_oracle_and_closed_form():
     t0 = time.perf_counter()
-    f1 = overlap_cdf_oracle(np.random.default_rng(101), P, samples=10**6)
-    f2 = overlap_cdf_oracle(np.random.default_rng(202), P, samples=10**6)
-    assert np.array_equal(f1.grid, f2.grid)
-    sup = float(np.max(np.abs(f1.cdf - f2.cdf)))
+    samples = 10**6
+    f1, f2 = (np.cumsum(overlap_pmf_oracle(np.random.default_rng(seed), P,
+                                           samples=samples))
+              for seed in (101, 202))
+    sup = float(np.max(np.abs(f1 - f2)))
 
     # independent quadrature of Pr(S > s): the overlap exceeds s iff the
     # time gap u and beat width v with uv > s, u ~ U(0,Tp), v ~ U(0,2Fm),
@@ -67,10 +68,10 @@ def test_c2_overlap_law_oracle_and_closed_form():
     exact_quad_err = max(exact_errs)
 
     # the exact law against the oracle: within the 99.9% DKW band of the
-    # empirical CDF of the oracle's hits
-    exact = itf.build_base_cdf(P)
-    dkw = math.sqrt(math.log(2 / 1e-3) / (2 * f1.meta["hits"]))
-    oracle_err = float(np.max(np.abs(exact.cdf - f1.cdf)))
+    # empirical CDF of the oracle's draws
+    exact = np.cumsum(itf.build_base_cdf(P))
+    dkw = math.sqrt(math.log(2 / 1e-3) / (2 * samples))
+    oracle_err = float(np.max(np.abs(exact - f1)))
     elapsed = time.perf_counter() - t0
     report(2, "overlap law: oracle seed-stable, paper closed form matches "
               "quadrature on its valid range, exact law matches quadrature "

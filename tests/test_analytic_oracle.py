@@ -21,9 +21,12 @@ from scipy import stats
 from gfaloha import interference as itf
 from gfaloha.mcsim import nominal_lambda
 from gfaloha.params import SystemParams
-from overlap_reference import overlap_cdf_oracle, paper_base_cdf
+from overlap_reference import overlap_pmf_oracle, paper_base_pmf
 
 P = SystemParams()
+# Fm = 150 Hz > W/2: Pr(S > 0) = 8/9, so the base law's bin 0 carries
+# the mass of interferers that do not overlap
+WIDE = SystemParams(Fm=150.0)
 TAIL = 1e-16          # Poisson mass the reference leaves out
 CDF_TOL = 1e-13       # |F - F_ref| below the top bin
 PO_TOL = 1e-14        # |po - po_ref| of the MRC outage
@@ -56,25 +59,20 @@ def _ref_count(g, p):
 
 
 def _ref_unconditional(base, g, p):
+    """The aggregate CDF: the Poisson-weighted sum of the base law's
+    n-fold convolutions, summed up the grid."""
     mu = 2.0 * g * p.Tp
-    p_ov = base.meta.get("overlap_prob", 1.0)
-    pmf1 = base.pmf() * p_ov
-    pmf1[0] += 1.0 - p_ov
     n_max = _ref_count(g, p)
     weights = stats.poisson.pmf(np.arange(n_max + 1), mu)
-    mix = weights @ _ref_pmf_powers(pmf1, n_max)
-    cdf = np.minimum(np.cumsum(mix), 1.0)
-    return itf.InterferenceCdf(base.grid, cdf, {})
+    return np.minimum(np.cumsum(weights @ _ref_pmf_powers(base, n_max)), 1.0)
 
 
-def _ref_outage_mrc_sinr(cdf, p, points=4096):
-    if p.St > p.N * p.gamma:
-        return 1.0
+def _ref_outage_mrc_sinr(pmf, p, points=4096):
     wtp = p.W * p.Tp
-    s_of_a = 1.0 / (cdf.grid / wtp + 1.0 / p.gamma)
+    s_of_a = 1.0 / (itf.area_grid(p) / wtp + 1.0 / p.gamma)
     ds = p.N * p.gamma / (points - 1)
     idx = np.rint(s_of_a / ds).astype(np.int64)
-    branch = np.bincount(idx, weights=cdf.pmf(), minlength=points)[:points]
+    branch = np.bincount(idx, weights=pmf, minlength=points)[:points]
     total = branch.copy()
     for _ in range(p.N - 1):
         total = _fold(total, branch)
@@ -93,7 +91,8 @@ def _ref_solve(lambda_agg, p, base, damping=0.5, tol=1e-6,
     def outage(g):
         if _ref_count(g, p) > 1000:
             raise _TooLarge
-        return _ref_outage_mrc_sinr(_ref_unconditional(base, g, p), p)
+        cdf = _ref_unconditional(base, g, p)
+        return _ref_outage_mrc_sinr(np.diff(cdf, prepend=0.0), p)
 
     g_floor = p.N * lambda_agg
     g = g_floor
@@ -115,17 +114,18 @@ def _ref_solve(lambda_agg, p, base, damping=0.5, tol=1e-6,
 
 
 @functools.lru_cache(maxsize=None)
-def _base(kind, n):
-    """Base law of each kind: the shipped exact law, the paper's clamped
-    form (built here, the program never reads it) and the Monte Carlo
-    oracle, whose noisy pmf exercises the chain on a law unlike either
-    closed form."""
-    p = P.with_replicas(n)
+def _case(kind, n):
+    """System and base law of each kind: the shipped exact law, the
+    paper's clamped form (built here, the program never reads it), the
+    Monte Carlo oracle, whose noisy pmf exercises the chain on a law
+    unlike either closed form, and the exact law on the wide-CFO
+    system."""
+    p = (WIDE if kind == "wide" else P).with_replicas(n)
     if kind == "oracle":
-        return overlap_cdf_oracle(np.random.default_rng(5), p, samples=200_000)
+        return p, overlap_pmf_oracle(np.random.default_rng(5), p, samples=200_000)
     if kind == "paper":
-        return paper_base_cdf(p)
-    return itf.build_base_cdf(p)
+        return p, paper_base_pmf(p)
+    return p, itf.build_base_cdf(p)
 
 
 def _assert_laws_match(base, g, p):
@@ -134,9 +134,10 @@ def _assert_laws_match(base, g, p):
     below the overload ceiling (past it the solver reads no value)."""
     new = itf.unconditional_cdf(base, g, p)
     ref = _ref_unconditional(base, g, p)
-    assert np.max(np.abs(new.cdf[:-1] - ref.cdf[:-1])) <= CDF_TOL, g
-    assert new.cdf[-1] == pytest.approx(1.0, abs=1e-12), g
-    po_ref = _ref_outage_mrc_sinr(ref, p)
+    cdf = np.minimum(np.cumsum(new), 1.0)
+    assert np.max(np.abs(cdf[:-1] - ref[:-1])) <= CDF_TOL, g
+    assert cdf[-1] == pytest.approx(1.0, abs=1e-12), g
+    po_ref = _ref_outage_mrc_sinr(np.diff(ref, prepend=0.0), p)
     if po_ref < 1.0 - 1e-6:
         assert abs(itf.outage_mrc_sinr(new, p) - po_ref) <= PO_TOL, g
 
@@ -146,7 +147,7 @@ def _assert_laws_match(base, g, p):
 # ---------------------------------------------------------------------------
 
 LOADS = (0.2, 0.01, 0.1, 0.05)
-KINDS = ("oracle", "paper", "exact")
+KINDS = ("oracle", "paper", "exact", "wide")
 # case ids name the interferer-count law, which is always Poisson
 KIND_IDS = [f"{kind}-poisson" for kind in KINDS]
 
@@ -154,8 +155,7 @@ KIND_IDS = [f"{kind}-poisson" for kind in KINDS]
 @pytest.mark.parametrize("kind", KINDS, ids=KIND_IDS)
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_solve_matches_reference(n, kind):
-    p = P.with_replicas(n)
-    base = _base(kind, n)
+    p, base = _case(kind, n)
     converged = 0
     for load in LOADS:
         lam = nominal_lambda(load, p)
@@ -170,7 +170,7 @@ def test_solve_matches_reference(n, kind):
             continue
         converged += 1
         assert res.iterations == iterations, load
-        assert res.load.g == pytest.approx(g, rel=1e-12, abs=0.0), load
+        assert res.g == pytest.approx(g, rel=1e-12, abs=0.0), load
         assert abs(res.po - po) <= PO_TOL, load
         _assert_laws_match(base, g, p)
     assert converged >= 2
@@ -181,9 +181,9 @@ def test_unconditional_cdf_matches_reference(kind):
     # interferer means from none through the converged range to where
     # almost all mass sits past the grid
     for n in (1, 2, 3, 4):
-        p = P.with_replicas(n)
+        p, base = _case(kind, n)
         for mu in (0.0, 0.001, 0.05, 0.5, 2.0, 10.0, 60.0):
-            _assert_laws_match(_base(kind, n), mu / (2.0 * p.Tp), p)
+            _assert_laws_match(base, mu / (2.0 * p.Tp), p)
 
 
 # ---------------------------------------------------------------------------
@@ -253,5 +253,5 @@ def test_overload_stays_bounded(n, load):
                                  base=base)
     assert time.perf_counter() - t0 < 30.0
     assert res.status == "overload"
-    assert 2.0 * res.load.g * p.Tp > 1e4        # far past the grid
+    assert 2.0 * res.g * p.Tp > 1e4        # far past the grid
     assert res.po == 1.0 - 1e-6

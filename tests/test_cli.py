@@ -68,6 +68,24 @@ def test_run_malformed_config_exit_2(tmp_path, capsys):
     assert not (tmp_path / "res").exists()
 
 
+@pytest.mark.parametrize("section", [
+    '{"system": {"W": "200"}}', '{"energy": {"Tr": "600"}}',
+    '{"experiment": {"loads": ["0.1"]}}', '{"experiment": {"cr_grid": [null]}}',
+    '{"system": {"Tp": null}}', '{"system": {"Tack": NaN}}',
+    '{"energy": {"Tr": Infinity}}', '{"experiment": {"loads": [NaN]}}',
+])
+def test_run_non_finite_config_exit_2(tmp_path, section, capsys):
+    # a string, null or non-finite number where a number belongs is a
+    # bad config: one error line, no traceback and no output
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(section)
+    rc = main(["run", "--config", str(cfg), "--out", str(tmp_path / "res")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "res").exists()
+
+
 def test_run_missing_config_exit_2(tmp_path, capsys):
     rc = main(["run", "--config", str(tmp_path / "absent.json")])
     assert rc == 2

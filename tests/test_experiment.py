@@ -10,7 +10,7 @@ from scipy import stats
 from gfaloha import experiment as ex
 from gfaloha import interference as itf
 from gfaloha import kpi, mcsim
-from gfaloha.params import InvalidParamsError
+from gfaloha.params import EnergyParams, InvalidParamsError, SystemParams
 
 
 def tiny(tmp_path, **kw):
@@ -58,6 +58,18 @@ def read_rows(path):
     dict(workers=1.0),
     dict(kpi_replicas=(2.5,)),
     dict(reliability_replicas=(2, True)),
+    # loads, cr values and the divergence settings are finite numbers
+    dict(loads=("0.1",)),
+    dict(loads=(float("nan"),)),
+    dict(loads=(0.1, float("inf"))),
+    dict(cr_grid=(None,)),
+    dict(cr_grid=(True,)),
+    dict(low_load_cutoff=float("nan")),
+    dict(divergence_tol="0.03"),
+    # and so are the parameters of the system and energy sections
+    dict(system=SystemParams(W="200")),
+    dict(system=SystemParams(Tack=float("nan"))),
+    dict(energy=EnergyParams(Tr=float("inf"))),
 ])
 def test_config_rejects(tmp_path, kw):
     with pytest.raises(InvalidParamsError):

@@ -7,15 +7,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gfaloha.interference import (InterferenceCdf, analytic_outage,
-                                  area_grid, area_threshold, build_base_cdf,
+from gfaloha.interference import (analytic_outage, area_grid,
+                                  area_threshold, build_base_cdf,
                                   offered_load_of, outage_mrc_sinr,
                                   outage_no_combining, outage_single,
                                   overlap_area, overlap_ccdf_exact, sinr,
                                   solve_offered_load, unconditional_cdf)
 from gfaloha.params import InvalidParamsError, SystemParams
 from overlap_reference import (overlap_ccdf_paper, overlap_ccdf_quad,
-                               overlap_cdf_oracle, paper_base_cdf)
+                               overlap_pmf_oracle)
 
 P = SystemParams()
 
@@ -59,47 +59,47 @@ def test_closed_form_ccdf_endpoints():
         overlap_ccdf_paper(2 * smax, P)
 
 
-def test_cdf_container_invariants():
-    grid = np.array([0.0, 1.0, 2.0, 3.0])
-    c = InterferenceCdf(grid, np.array([0.0, 1.0, 1.0, 1.0]), {})
-    assert c.value_at(0.5) == pytest.approx(0.5)   # linear interpolation
-    assert c.value_at(-1.0) == 0.0
-    assert c.value_at(99.0) == 1.0
-    assert c.pmf().sum() == pytest.approx(1.0)
-    with pytest.raises(InvalidParamsError):
-        InterferenceCdf(grid + 1.0, np.ones(4), {})      # grid must start at 0
-    with pytest.raises(InvalidParamsError):
-        InterferenceCdf(grid, np.array([0.5, 0.4, 1.0, 1.0]), {})
+def test_laws_are_unit_pmfs_on_the_area_grid():
+    # every law of the chain is a nonnegative pmf of unit mass with one
+    # bin per point of area_grid(p), which spans [0, N*W*Tp]; at Fm = 150
+    # Hz the base law's bin 0 holds the 1/9 of interferers that miss
+    for fm in (100.0, 150.0):
+        p = SystemParams(Fm=fm).with_replicas(3)
+        base = build_base_cdf(p)
+        for law in [base] + [unconditional_cdf(base, g, p)
+                             for g in (0.0, 0.4, 4.0)]:
+            assert law.shape == area_grid(p).shape
+            assert np.all(law >= 0.0)
+            assert law.sum() == pytest.approx(1.0, abs=1e-12)
+        assert base[0] == pytest.approx(0.0 if fm == 100.0 else 1.0 / 9.0,
+                                        abs=1e-15)
 
 
 def test_oracle_cdf_basics():
     rng = np.random.default_rng(10)
-    c = overlap_cdf_oracle(rng, P, samples=100_000)
-    assert c.grid[0] == 0.0
-    assert c.cdf[-1] == pytest.approx(1.0, abs=1e-3)
-    assert 0.99 <= c.meta["overlap_prob"] <= 1.0
-    # conditioned on a hit, zero area has no mass
-    assert c.value_at(0.0) == pytest.approx(0.0, abs=1e-4)
+    c = overlap_pmf_oracle(rng, P, samples=100_000)
+    assert c.shape == area_grid(P).shape
+    assert c.sum() == pytest.approx(1.0, abs=1e-12)
+    # at W = 2Fm every draw overlaps: zero area has no mass
+    assert c[0] == pytest.approx(0.0, abs=1e-4)
     # triangular CFO difference on [-2Fm, 2Fm]: P(|df| < W) = 1 - (1/2)^2
     wide = SystemParams(Fm=200.0)
-    c = overlap_cdf_oracle(np.random.default_rng(11), wide, samples=200_000)
-    assert c.meta["overlap_prob"] == pytest.approx(0.75, abs=5e-3)
-    assert c.meta["mode"] == "triangular"
+    c = overlap_pmf_oracle(np.random.default_rng(11), wide, samples=200_000)
+    assert 1.0 - c[0] == pytest.approx(0.75, abs=5e-3)
 
 
 def test_oracle_seed_stability_smoke():
-    a = overlap_cdf_oracle(np.random.default_rng(1), P, samples=100_000)
-    b = overlap_cdf_oracle(np.random.default_rng(2), P, samples=100_000)
-    assert np.max(np.abs(a.cdf - b.cdf)) < 0.02
+    a = overlap_pmf_oracle(np.random.default_rng(1), P, samples=100_000)
+    b = overlap_pmf_oracle(np.random.default_rng(2), P, samples=100_000)
+    assert np.max(np.abs(np.cumsum(a) - np.cumsum(b))) < 0.02
 
 
 def test_exact_base_law_at_the_defaults():
     base = build_base_cdf(P)
-    assert base.meta["mode"] == "exact"
     # W = 2Fm: every CFO difference lies inside the band, so any two
     # replicas in the vulnerable period overlap
-    assert base.meta["overlap_prob"] == 1.0
-    assert base.cdf[0] == 0.0 and base.cdf[-1] == 1.0
+    assert base[0] == 0.0
+    assert base.sum() == pytest.approx(1.0, abs=1e-15)
     # at W = 2Fm, Pr(S > s) = 2(1 - x + x ln x) - (1 - x^2 + 2x ln x)
     x = np.array([1e-3, 0.25, 0.5, 0.9])
     want = 2 * (1 - x + x * np.log(x)) - (1 - x ** 2 + 2 * x * np.log(x))
@@ -122,13 +122,12 @@ def test_exact_base_law_properties(tp, w, span):
     x = np.array([1e-4, 1e-3, 0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 1.0])
     got = overlap_ccdf_exact(x * smax, p)
     assert got == pytest.approx([overlap_ccdf_quad(xi, p) for xi in x], abs=1e-9)
-    # a CDF: nondecreasing from 0 to 1
+    # a law: the CCDF nonincreasing, the pmf of unit mass
     base = build_base_cdf(p)
-    assert np.all(np.diff(base.cdf) >= -1e-14)
-    assert base.cdf[0] == 0.0 and base.cdf[-1] == pytest.approx(1.0, abs=1e-14)
+    assert base.sum() == pytest.approx(1.0, abs=1e-14)
     assert np.all(np.diff(overlap_ccdf_exact(np.linspace(0, smax, 4001), p)) <= 1e-14)
     # Pr(S > 0) = G(W), the chance that |df| < W, and the s -> 0 limit
-    p0 = base.meta["overlap_prob"]
+    p0 = 1.0 - base[0]
     want = 1.0 if p.W >= 2 * p.Fm else p.W / p.Fm - (p.W / (2 * p.Fm)) ** 2
     assert p0 == pytest.approx(want, rel=1e-12)
     assert overlap_ccdf_exact(1e-12 * smax, p) == pytest.approx(p0, abs=1e-6)
@@ -138,10 +137,10 @@ def test_exact_base_law_properties(tp, w, span):
     # exact law wherever it is not clamped (its terms are of size a, so
     # both sides round at a times the float precision)
     a = p.W / p.Fm
-    xg = np.minimum(base.grid / smax, 1.0)
+    xg = np.minimum(area_grid(p) / smax, 1.0)
     xlogx = np.where(xg > 0, xg * np.log(np.where(xg > 0, xg, 1.0)), 0.0)
     first = a * (1 - xg + xlogx)
-    paper = 1.0 - paper_base_cdf(p).cdf
+    paper, _ = overlap_ccdf_paper(np.minimum(area_grid(p), smax), p)
     valid = (first >= 0.0) & (first <= 1.0)
     assert paper[valid] == pytest.approx(first[valid], abs=1e-13 * max(a, 10.0))
     if p.W <= 2 * p.Fm:
@@ -154,7 +153,7 @@ def test_exact_base_law_properties(tp, w, span):
 def test_unconditional_cdf_zero_rate():
     base = build_base_cdf(P)
     agg = unconditional_cdf(base, 0.0, P)
-    assert agg.value_at(0.0) == pytest.approx(1.0)   # no interferer at all
+    assert agg[0] == pytest.approx(1.0)   # no interferer at all
     with pytest.raises(InvalidParamsError):
         unconditional_cdf(base, -1.0, P)
 
@@ -193,8 +192,8 @@ def test_solve_offered_load_converges():
     base = build_base_cdf(P)
     res = solve_offered_load(0.1, P, base=base)
     assert res.status == "converged"
-    assert res.load.g >= P.N * 0.1            # retries only inflate
-    assert res.load.g == pytest.approx(P.N * 0.1 / (1.0 - res.po), rel=1e-3)
+    assert res.g >= P.N * 0.1            # retries only inflate
+    assert res.g == pytest.approx(P.N * 0.1 / (1.0 - res.po), rel=1e-3)
     res0 = solve_offered_load(0.0, P, base=base)
     assert res0.status == "converged" and res0.po == 0.0
 

@@ -19,9 +19,11 @@ def test_every_export_resolves():
 def test_removed_names_stay_unexported():
     # the scalar frame draw and the second sweep driver were merged into
     # traffic.draw_frames and experiment.run_experiment; the MMSE helpers
-    # had no caller in the program
+    # had no caller in the program; the analytic chain carries its laws
+    # as plain pmf arrays and its solution as SolveResult.g
     for name in ("sweep", "Replica", "VirtualFrame", "draw_virtual_frame",
-                 "mmse_weights", "combined_sinr"):
+                 "mmse_weights", "combined_sinr", "InterferenceCdf",
+                 "LoadPoint"):
         assert name not in gfaloha.__all__
         assert not hasattr(gfaloha, name)
 

@@ -50,15 +50,27 @@ def test_validate_rejects_bad_params():
 
 
 @pytest.mark.parametrize("kw", [dict(N=2.5, M=5), dict(N=2.0), dict(M=4.0),
-                                dict(N=True, M=4), dict(Nzc=23.0)])
+                                dict(N=True, M=4), dict(Nzc=23.0),
+                                dict(D=100.0), dict(Doh=True), dict(Doh=50.5)])
 def test_validate_rejects_non_integer_counts(kw):
     with pytest.raises(InvalidParamsError, match="integers"):
+        SystemParams(**kw).validate()
+
+
+@pytest.mark.parametrize("kw", [dict(W="200"), dict(Tp=None),
+                                dict(Tack=math.nan), dict(Fm=math.inf),
+                                dict(gamma=-math.inf), dict(St=True),
+                                dict(N0=[1e-20]), dict(W=10 ** 400)])
+def test_validate_rejects_non_finite_values(kw):
+    with pytest.raises(InvalidParamsError, match="finite number"):
         SystemParams(**kw).validate()
 
 
 def test_validate_accepts_numpy_integer_counts():
     p = SystemParams(N=np.int64(2), M=np.int32(4), Nzc=np.int64(23))
     p.validate(sample_level=True)
+    # an integer or numpy number is a number wherever a float belongs
+    SystemParams(W=200, Tp=np.float64(0.5), Fm=np.int64(100)).validate()
 
 
 @pytest.mark.parametrize("nzc,ok", [(4, False), (5, False), (15, False),
@@ -84,10 +96,19 @@ def test_with_replicas():
 
 def test_energy_params_validation():
     EnergyParams().validate()
+    EnergyParams(Tr=600, E0=np.float32(1e4)).validate()
     with pytest.raises(InvalidParamsError):
         EnergyParams(Pc=0.0).validate()
     with pytest.raises(InvalidParamsError):
         EnergyParams(Rin=2000.0).validate()
+
+
+@pytest.mark.parametrize("kw", [dict(Tr="600"), dict(Tr=math.inf),
+                                dict(Pc=math.nan), dict(Est=None),
+                                dict(alpha=True)])
+def test_energy_params_reject_non_finite_values(kw):
+    with pytest.raises(InvalidParamsError, match="positive finite number"):
+        EnergyParams(**kw).validate()
 
 
 def test_packet_duration_design_point():

@@ -404,6 +404,28 @@ def test_extract_completes_from_tail():
     assert sg.extract_sequences(bare, [v], P)[0].size == 500
 
 
+def test_extract_cuts_equal_whole_buffer_demodulation():
+    # demodulating only the cut, at its own sample indices, gives the
+    # same samples, bit for bit, as demodulating the whole buffer and
+    # cutting after
+    rng = np.random.default_rng(14)
+    stream = packet_stream([(300, -40.0, None), (1700, 55.5, None),
+                            (3900, 12.25, None)], 7000, rng=rng)
+    ev = sg.DetectionEvent(0, stream[:5000], stream[5000:6500])
+    vs = [sg.ValidatedPeak(-40.0, 300, 900.0),
+          sg.ValidatedPeak(55.5, 1700, 900.0),
+          sg.ValidatedPeak(12.25, 3900, 900.0),
+          sg.ValidatedPeak(-3.3, 4999, 1.0)]
+    for v, got in zip(vs, sg.extract_sequences(ev, vs, P)):
+        x = ev.buffer
+        if v.position + 2000 > x.size:
+            x = np.concatenate([x, ev.tail[: v.position + 2000 - x.size]])
+        y = x * np.exp(-2j * math.pi * v.cfo * np.arange(x.size) / P.Fs)
+        want = y[v.position: v.position + 2000]
+        assert got.size == want.size
+        assert np.array_equal(got.view(float), want.view(float))
+
+
 def test_extract_rejects_outside_offsets():
     ev = sg.DetectionEvent(0, np.zeros(4000, complex), np.zeros(0, complex))
     with pytest.raises(InvalidParamsError):
