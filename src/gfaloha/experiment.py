@@ -13,8 +13,10 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import struct
 from dataclasses import asdict, dataclass, field, fields
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +26,7 @@ from . import kpi as kpi_mod
 from . import mcsim
 from . import sigchain as sg
 from .params import (EnergyParams, InvalidParamsError, SystemParams,
-                     is_integer, is_real, load_params)
+                     _read_config, is_integer, is_real)
 
 FIGURES = ("reliability", "ee", "lifetime", "delay", "se")
 _FIG_KPI = {
@@ -99,6 +101,10 @@ class ExperimentConfig:
             raise InvalidParamsError("sample sizes must be positive")
         if self.max_retries < 0 or self.workers < 1:
             raise InvalidParamsError("max_retries >= 0 and workers >= 1")
+        if not all(isinstance(f, str) for f in self.figures):
+            raise InvalidParamsError("figures entries must be strings")
+        if not isinstance(self.out_dir, (str, os.PathLike)):
+            raise InvalidParamsError("out_dir must be a string or path")
         unknown = set(self.figures) - set(FIGURES)
         if unknown:
             raise InvalidParamsError(f"unknown figures: {sorted(unknown)}")
@@ -120,10 +126,7 @@ class ExperimentConfig:
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
         """Build from a JSON config with system/energy/experiment sections."""
-        p, e = load_params(path)
-        with open(path) as fh:
-            raw = json.load(fh)
-        exp = dict(raw.get("experiment", {}))
+        p, e, exp = _read_config(path)
         known = {f.name for f in fields(cls)} - {"system", "energy"}
         unknown = set(exp) - known
         if unknown:
@@ -142,16 +145,16 @@ class ExperimentConfig:
 # Sweep execution
 # ---------------------------------------------------------------------------
 
-def _horizon(lam: float, cfg: ExperimentConfig, p: SystemParams) -> float:
-    return max(cfg.packets_per_point / lam, 10 * p.M * p.Tp)
-
-
 def _run_cell(args):
-    kind, seed, key, lam, horizon, p, e, policy, cr, retries = args
-    rng = mcsim.rng_for(seed, kind, *key)
+    cfg, kind, key, load, p, policy, cr = args
+    lam = mcsim.nominal_lambda(load, p)
+    horizon = max(cfg.packets_per_point / lam, 10 * p.M * p.Tp)
+    rng = mcsim.rng_for(cfg.seed, kind, *key)
     if kind == _KIND_GRANTED:
-        return mcsim.run_granted_baseline(rng, lam, horizon, p, e)
-    return mcsim.run_trial(rng, lam, horizon, p, e, policy,
+        return mcsim.run_granted_baseline(rng, lam, horizon, p, cfg.energy)
+    # the reliability figure shows single-attempt success: no retries
+    retries = cfg.max_retries if kind == _KIND_KPI else 0
+    return mcsim.run_trial(rng, lam, horizon, p, cfg.energy, policy,
                            cr=cr, max_retries=retries)
 
 
@@ -183,16 +186,19 @@ def _fmt(v) -> str:
     return str(v)
 
 
+def _row(fig: str, load, scheme: str, policy: str, n, cr, analytic,
+         vals: list[float], status: str = "", divergence: str = "") -> dict:
+    """One figure row in CSV_HEADER order; vals are its cells' values."""
+    emp, ci = _mean_ci(vals)
+    return dict(zip(CSV_HEADER, (fig, _FIG_KPI[fig], load, scheme, policy, n,
+                                 cr, analytic, emp, ci, status, divergence)))
+
+
 def _write_csv(path: Path, rows: list[dict]) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(",".join(CSV_HEADER) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(row[k]) for k in CSV_HEADER) + "\n")
-
-
-def _granted_status(lam: float) -> str:
-    attempts, _, stable = kpi_mod.ra_contention(lam)
-    return "" if stable else "unstable"
 
 
 def run_experiment(cfg: ExperimentConfig) -> dict:
@@ -208,116 +214,72 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     cfg.validate()
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    loads = tuple(cfg.loads)
     p0, e0 = cfg.system, cfg.energy
+    kpi_figs = [f for f in cfg.figures if f != "reliability"]
+    kpi_p = [p0.with_replicas(n) for n in cfg.kpi_replicas]
+    rel_p = [p0.with_replicas(n) for n in cfg.reliability_replicas]
 
-    need_kpi = any(f != "reliability" for f in cfg.figures)
-    need_rel = "reliability" in cfg.figures
-
-    # --- empirical cells -------------------------------------------------
-    jobs, tags = [], []
-    for li, load in enumerate(loads):
-        if need_kpi:
-            for ni, n in enumerate(cfg.kpi_replicas):
-                pn = p0.with_replicas(n)
-                lam = mcsim.nominal_lambda(load, pn)
-                for rep in range(cfg.reps):
-                    jobs.append((_KIND_KPI, cfg.seed, (li, ni, rep), lam,
-                                 _horizon(lam, cfg, pn), pn, e0,
-                                 cfg.kpi_policy, p0.St / p0.gamma,
-                                 cfg.max_retries))
-                    tags.append(("kpi", load, n, None, rep))
-            lam = mcsim.nominal_lambda(load, p0)
-            for rep in range(cfg.reps):
-                jobs.append((_KIND_GRANTED, cfg.seed, (li, rep), lam,
-                             _horizon(lam, cfg, p0), p0, e0, "", 0.0, 0))
-                tags.append(("granted", load, None, None, rep))
-        if need_rel:
-            for ni, n in enumerate(cfg.reliability_replicas):
-                pn = p0.with_replicas(n)
-                lam = mcsim.nominal_lambda(load, pn)
+    # Row group -> (load, SystemParams, policy, cr) of its cells, in run
+    # order. Cell rep of group (kind, *idx) draws substream (kind, *idx,
+    # rep).
+    table: dict[tuple, tuple] = {}
+    for li, load in enumerate(cfg.loads):
+        if kpi_figs:
+            for ni, pn in enumerate(kpi_p):
+                table[_KIND_KPI, li, ni] = (load, pn, cfg.kpi_policy,
+                                            p0.St / p0.gamma)
+            table[_KIND_GRANTED, li] = (load, p0, "granted", None)
+        if "reliability" in cfg.figures:
+            for ni, pn in enumerate(rel_p):
                 for ci, cr in enumerate(cfg.cr_grid):
-                    for rep in range(cfg.reps):
-                        jobs.append((_KIND_REL, cfg.seed, (li, ni, ci, rep),
-                                     lam, _horizon(lam, cfg, pn), pn, e0,
-                                     "sc", cr, 0))
-                        tags.append(("rel", load, n, cr, rep))
-    results = _execute(jobs, cfg.workers)
-    cells: dict[tuple, list] = {}
-    for tag, res in zip(tags, results):
-        cells.setdefault(tag[:4], []).append(res)
+                    table[_KIND_REL, li, ni, ci] = (load, pn, "sc", cr)
+    jobs = [(cfg, kind, (*idx, rep), *group)
+            for (kind, *idx), group in table.items()
+            for rep in range(cfg.reps)]
+    done = iter(_execute(jobs, cfg.workers))
 
-    # --- analytic rows ----------------------------------------------------
-    analytic: dict[tuple, tuple] = {}    # (load, n) -> (KpiReport, po, status)
-    if need_kpi:
-        for n in cfg.kpi_replicas:
-            pn = p0.with_replicas(n)
-            # on pn's own area grid, which spans n*W*Tp
-            base = None if cfg.kpi_policy == "sc" else itf.build_base_cdf(pn)
-            for load in loads:
-                lam = mcsim.nominal_lambda(load, pn)
-                if base is None:
-                    analytic[(load, n)] = (None, None, "")
-                    continue
-                res = itf.solve_offered_load(lam, pn, cfg.kpi_policy, base=base)
-                rep = kpi_mod.grant_free_kpis(lam, res.po, pn, e0)
-                analytic[(load, n)] = (rep, res.po, res.status)
-
-    # --- figure rows --------------------------------------------------
-    figure_rows: dict[str, list[dict]] = {f: [] for f in cfg.figures}
-    for fig in cfg.figures:
-        kpi_name = _FIG_KPI[fig]
-        if fig == "reliability":
-            for load in loads:
-                for n in cfg.reliability_replicas:
-                    for cr in cfg.cr_grid:
-                        cell = cells[("rel", load, n, cr)]
-                        emp, ci = _mean_ci([1.0 - c.outage for c in cell])
-                        figure_rows[fig].append({
-                            "figure": fig, "kpi": kpi_name, "load": load,
-                            "scheme": "grant-free", "policy": "sc",
-                            "n_replicas": n, "cr": cr, "analytic": None,
-                            "empirical": emp, "empirical_ci": ci,
-                            "status": "", "divergence": ""})
+    # one base law per replica count, on pn's own area grid (n*W*Tp wide)
+    bases = ({pn.N: itf.build_base_cdf(pn) for pn in kpi_p}
+             if kpi_figs and cfg.kpi_policy != "sc" else None)
+    rows: dict[str, list[dict]] = {f: [] for f in cfg.figures}
+    for (kind, *_), (load, p, policy, cr) in table.items():
+        cells = list(islice(done, cfg.reps))
+        if kind == _KIND_REL:
+            rows["reliability"].append(_row(
+                "reliability", load, "grant-free", policy, p.N, cr, None,
+                [1.0 - c.outage for c in cells]))
             continue
-        for load in loads:
-            for n in cfg.kpi_replicas:
-                cell = cells[("kpi", load, n, None)]
-                rep_a, po_a, status = analytic[(load, n)]
-                emp, ci = _mean_ci([getattr(c.kpis, kpi_name) for c in cell])
-                po_e = float(np.mean([c.outage for c in cell]))
-                diverged = ""
-                if po_a is not None and load <= cfg.low_load_cutoff \
-                        and abs(po_a - po_e) > cfg.divergence_tol:
-                    diverged = "divergent"
-                figure_rows[fig].append({
-                    "figure": fig, "kpi": kpi_name, "load": load,
-                    "scheme": "grant-free", "policy": cfg.kpi_policy,
-                    "n_replicas": n, "cr": p0.St / p0.gamma,
-                    "analytic": (None if rep_a is None
-                                 else getattr(rep_a, kpi_name)),
-                    "empirical": emp, "empirical_ci": ci,
-                    "status": status, "divergence": diverged})
-            cell = cells[("granted", load, None, None)]
-            lam = mcsim.nominal_lambda(load, p0)
-            rep_a = kpi_mod.granted_kpis(lam, p0, e0)
-            emp, ci = _mean_ci([getattr(c.kpis, kpi_name) for c in cell])
-            figure_rows[fig].append({
-                "figure": fig, "kpi": kpi_name, "load": load,
-                "scheme": "granted", "policy": "granted",
-                "n_replicas": None, "cr": None,
-                "analytic": getattr(rep_a, kpi_name),
-                "empirical": emp, "empirical_ci": ci,
-                "status": _granted_status(lam), "divergence": ""})
+        lam = mcsim.nominal_lambda(load, p)
+        head = ("grant-free", policy, p.N, cr)
+        report, status, divergence = None, "", ""
+        if kind == _KIND_GRANTED:
+            head = ("granted", policy, None, None)
+            report = kpi_mod.granted_kpis(lam, p, e0)
+            if not kpi_mod.ra_contention(lam)[2]:
+                status = "unstable"
+        elif bases is not None:
+            res = itf.solve_offered_load(lam, p, policy, base=bases[p.N])
+            report = kpi_mod.grant_free_kpis(lam, res.po, p, e0)
+            status = res.status
+            po_e = float(np.mean([c.outage for c in cells]))
+            if load <= cfg.low_load_cutoff \
+                    and abs(res.po - po_e) > cfg.divergence_tol:
+                divergence = "divergent"
+        for fig in kpi_figs:
+            name = _FIG_KPI[fig]
+            rows[fig].append(_row(
+                fig, load, *head,
+                None if report is None else getattr(report, name),
+                [getattr(c.kpis, name) for c in cells], status, divergence))
 
     files = {}
     for fig in cfg.figures:
         files[fig] = f"fig-{fig}.csv"
-        _write_csv(out / files[fig], figure_rows[fig])
+        _write_csv(out / files[fig], rows[fig])
 
     summary = {
         "config": _config_echo(cfg),
-        "crossover_loads": _crossovers(cfg, figure_rows),
+        "crossover_loads": _crossovers(cfg, rows),
         "files": files,
     }
     with open(out / "summary.json", "w") as fh:

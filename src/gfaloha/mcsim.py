@@ -331,7 +331,6 @@ def run_trial(rng: np.random.Generator, lambda_agg: float, horizon: float,
     static_t0 = np.empty(0)
     static_df = np.empty(0)
     att_report: list[np.ndarray] = []     # wave -> report index per attempt
-    att_start: list[np.ndarray] = []
     att_decoded: list[np.ndarray] = []
 
     wave_report = np.arange(n_rep)
@@ -365,7 +364,6 @@ def run_trial(rng: np.random.Generator, lambda_agg: float, horizon: float,
         attempts_used[wave_report] += 1
         delivered_at[wave_report[ok]] = wave
         att_report.append(wave_report)
-        att_start.append(wave_start)
         att_decoded.append(ok)
 
         fail = ~ok

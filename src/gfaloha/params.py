@@ -179,17 +179,34 @@ def _from_mapping(cls, data: dict, label: str):
     return cls(**data)
 
 
+def _read_config(path) -> tuple[SystemParams, EnergyParams, dict]:
+    """Parse a JSON config once: its system and energy sections as
+    validated parameter sets, and its experiment section as a dict.
+
+    The file and each section present must be a JSON object.
+    """
+    with open(path) as fh:
+        raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise InvalidParamsError("a config file must hold a JSON object")
+    extra = set(raw) - {"system", "energy", "experiment"}
+    if extra:
+        raise InvalidParamsError(f"unknown config sections: {sorted(extra)}")
+    for name, section in raw.items():
+        if not isinstance(section, dict):
+            raise InvalidParamsError(
+                f"config section {name!r} must be a JSON object")
+    p = _from_mapping(SystemParams, raw.get("system", {}), "system").validate()
+    e = _from_mapping(EnergyParams, raw.get("energy", {}), "energy").validate()
+    return p, e, raw.get("experiment", {})
+
+
 def load_params(path) -> tuple[SystemParams, EnergyParams]:
     """Read a JSON config with optional "system" and "energy" sections.
 
     Absent keys keep their defaults. Unknown keys raise InvalidParamsError
-    so typos do not silently run the default instead.
+    so typos do not silently run the default instead; a file or section
+    that is not a JSON object raises it too.
     """
-    with open(path) as fh:
-        raw = json.load(fh)
-    extra = set(raw) - {"system", "energy", "experiment"}
-    if extra:
-        raise InvalidParamsError(f"unknown config sections: {sorted(extra)}")
-    p = _from_mapping(SystemParams, raw.get("system", {}), "system").validate()
-    e = _from_mapping(EnergyParams, raw.get("energy", {}), "energy").validate()
+    p, e, _ = _read_config(path)
     return p, e

@@ -73,6 +73,11 @@ def test_run_malformed_config_exit_2(tmp_path, capsys):
     '{"experiment": {"loads": ["0.1"]}}', '{"experiment": {"cr_grid": [null]}}',
     '{"system": {"Tp": null}}', '{"system": {"Tack": NaN}}',
     '{"energy": {"Tr": Infinity}}', '{"experiment": {"loads": [NaN]}}',
+    # so is a file or section that is not a JSON object, and a figure or
+    # output directory that is not a string
+    '[]', '{"system": []}', '{"system": "x"}', '{"experiment": [1]}',
+    '{"experiment": {"figures": [["ee"]]}}', '{"experiment": {"out_dir": 5}}',
+    '{"experiment": {"out_dir": null}}',
 ])
 def test_run_non_finite_config_exit_2(tmp_path, section, capsys):
     # a string, null or non-finite number where a number belongs is a
@@ -83,6 +88,8 @@ def test_run_non_finite_config_exit_2(tmp_path, section, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    # a value of the wrong shape is not reported as an unknown key
+    assert "unknown" not in err
     assert not (tmp_path / "res").exists()
 
 

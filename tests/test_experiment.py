@@ -70,6 +70,10 @@ def read_rows(path):
     dict(system=SystemParams(W="200")),
     dict(system=SystemParams(Tack=float("nan"))),
     dict(energy=EnergyParams(Tr=float("inf"))),
+    # figures name figures and out_dir names a directory: both are strings
+    dict(figures=(["ee"],)),
+    dict(out_dir=5),
+    dict(out_dir=None),
 ])
 def test_config_rejects(tmp_path, kw):
     with pytest.raises(InvalidParamsError):
@@ -259,6 +263,21 @@ def test_overload_rows_are_the_ceiling_bounds(tmp_path):
         assert row["status"] == "overload"
         assert np.isfinite(float(row["analytic"]))
         assert row["analytic"] == ex._fmt(getattr(want, kpi_name))
+
+
+def test_granted_rows_past_the_contention_limit(tmp_path):
+    # past the random-access stability limit the granted analytic row is
+    # the saturated one: status unstable, no energy efficiency and an
+    # unbounded delay; below the limit the row carries no status
+    ex.run_experiment(tiny(tmp_path, figures=("ee", "delay"),
+                           loads=(0.05, 1.0), reps=1, packets_per_point=300))
+    for fig, saturated in (("ee", "0"), ("delay", "inf")):
+        granted = {r["load"]: r for r in read_rows(tmp_path / f"fig-{fig}.csv")
+                   if r["scheme"] == "granted"}
+        assert granted["0.05"]["status"] == ""
+        assert np.isfinite(float(granted["0.05"]["analytic"]))
+        assert granted["1"]["status"] == "unstable"
+        assert granted["1"]["analytic"] == saturated
 
 
 def test_mean_ci_degenerate():

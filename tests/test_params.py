@@ -144,3 +144,14 @@ def test_load_params_rejects_unknown_keys(tmp_path):
     cfg.write_text(json.dumps({"radio": {}}))
     with pytest.raises(InvalidParamsError, match="radio"):
         load_params(cfg)
+
+
+@pytest.mark.parametrize("text", ['[]', '5', '{"system": []}', '{"system": "x"}',
+                                  '{"energy": 5}', '{"experiment": [1]}'])
+def test_load_params_rejects_non_object_sections(tmp_path, text):
+    # the file and each of its sections is a JSON object; a string section
+    # is not read as a list of unknown keys
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    with pytest.raises(InvalidParamsError, match="JSON object"):
+        load_params(cfg)
