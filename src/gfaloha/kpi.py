@@ -20,15 +20,14 @@ RA_PERIOD = 2.0  # s
 
 @dataclass
 class KpiReport:
-    """One row of figure output."""
+    """The four KPIs the figures plot, for one cell. On grant-free rows
+    the analytic delay is the unconditional mean under unlimited retries,
+    the simulated one the mean over delivered reports: not one quantity."""
 
-    outage: float
     expected_delay: float       # s
     battery_lifetime: float     # s
     energy_efficiency: float    # bit/J
     spectral_efficiency: float  # bit/s/Hz
-    throughput: float           # packets/s
-    avg_tx_power: float         # W
 
 
 def expected_delay(po: float, p: SystemParams) -> float:
@@ -87,21 +86,15 @@ def energy_efficiency(po: float, p: SystemParams, e: EnergyParams) -> float:
 
 
 def spectral_efficiency(lambda_agg: float, p: SystemParams,
-                        po: float | None = None) -> float:
-    """Payload bits per second per hertz of occupied system bandwidth.
+                        po: float) -> float:
+    """Payload bits per second per hertz of occupied system bandwidth,
+    success-weighted by (1 - Po).
 
     The deployment spends 2*(Fm + W/2) Hz to host the offset packets.
-    When po is given the rate is success-weighted by (1 - Po).
     """
     if lambda_agg < 0:
         raise InvalidParamsError("arrival rate must be nonnegative")
-    weight = 1.0 if po is None else (1.0 - po)
-    return lambda_agg * weight * (p.D - p.Doh) / (2.0 * (p.Fm + p.W / 2.0))
-
-
-def throughput(lambda_agg: float, po: float) -> float:
-    """Successfully delivered reports per second at the arrival rate."""
-    return lambda_agg * (1.0 - po)
+    return lambda_agg * (1.0 - po) * (p.D - p.Doh) / (2.0 * (p.Fm + p.W / 2.0))
 
 
 # ---------------------------------------------------------------------------
@@ -179,21 +172,17 @@ def granted_report_energy(p: SystemParams, e: EnergyParams,
             + (e.Pc + e.alpha * pt) * p.Tp)
 
 
-def granted_path_kpis(lambda_agg: float, attempts: float, outage: float,
-                      delay: float, throughput: float, p: SystemParams,
-                      e: EnergyParams) -> KpiReport:
+def granted_path_kpis(lambda_agg: float, attempts: float, delay: float,
+                      p: SystemParams, e: EnergyParams) -> KpiReport:
     """KPI row of the granted path at a mean count of RA attempts per
     delivered report, modelled or measured; lifetime and energy
     efficiency follow from the per-report energy at that count."""
     e_report = granted_report_energy(p, e, attempts)
     return KpiReport(
-        outage=outage,
         expected_delay=delay,
         battery_lifetime=e.E0 * e.Tr / e_report,
         energy_efficiency=(p.D - p.Doh) / e_report,
-        spectral_efficiency=spectral_efficiency(lambda_agg, p),
-        throughput=throughput,
-        avg_tx_power=avg_transmit_power(p, e),
+        spectral_efficiency=spectral_efficiency(lambda_agg, p, 0.0),
     )
 
 
@@ -203,26 +192,21 @@ def granted_kpis(lambda_agg: float, p: SystemParams, e: EnergyParams,
     """Analytic KPI row of the granted baseline at the same demand."""
     attempts, p_succ, stable = ra_contention(lambda_agg, opportunities, period)
     if not stable:
-        return KpiReport(outage=1.0, expected_delay=math.inf,
-                         battery_lifetime=0.0, energy_efficiency=0.0,
-                         spectral_efficiency=0.0, throughput=0.0,
-                         avg_tx_power=avg_transmit_power(p, e))
+        return KpiReport(expected_delay=math.inf, battery_lifetime=0.0,
+                         energy_efficiency=0.0, spectral_efficiency=0.0)
     # Mean wait to the next period boundary plus retry periods, then
     # synchronization and the data transmission itself.
     delay = period / 2.0 + (attempts - 1.0) * period + e.Dsynch + p.Tp
-    return granted_path_kpis(lambda_agg, attempts, 0.0, delay, lambda_agg, p, e)
+    return granted_path_kpis(lambda_agg, attempts, delay, p, e)
 
 
 def grant_free_kpis(lambda_agg: float, po: float, p: SystemParams,
                     e: EnergyParams) -> KpiReport:
     """KPI row of the grant-free scheme from an outage probability."""
     return KpiReport(
-        outage=po,
         expected_delay=expected_delay(po, p),
         battery_lifetime=battery_lifetime(po, p, e),
         energy_efficiency=energy_efficiency(po, p, e),
         spectral_efficiency=spectral_efficiency(lambda_agg, p, po),
-        throughput=throughput(lambda_agg, po),
-        avg_tx_power=avg_transmit_power(p, e),
     )
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kpi as kpi_mod
-from .interference import area_threshold, offered_load_of, overlap_area, sinr
+from .interference import area_threshold, overlap_area, sinr
 from .params import EnergyParams, InvalidParamsError, SystemParams
 from .traffic import draw_frames, generate_arrivals
 
@@ -50,7 +50,6 @@ class CollisionGraph:
     dt: np.ndarray
     area: np.ndarray
     n_packets: int
-    p: SystemParams
 
     @property
     def n_replicas(self) -> int:
@@ -117,7 +116,7 @@ def build_collision_graph(replicas, p: SystemParams,
     _, first = np.unique(key, return_index=True)
     return CollisionGraph(t0, df, packet,
                           ia2[first].astype(np.int64), ib2[first].astype(np.int64),
-                          dt[first], area[first], n_packets, p)
+                          dt[first], area[first], n_packets)
 
 
 # ---------------------------------------------------------------------------
@@ -287,17 +286,14 @@ _ROUND_TESTS = {"none": _no_combining_test, "mrc": _mrc_test,
 
 @dataclass
 class TrialResult:
-    lambda_agg: float
-    policy: str
+    """Counts over the measured reports of one grant-free trial. `kpis`
+    follow from the measured outage, but their delay is the mean over
+    delivered reports, not the analytic unconditional mean."""
+
     offered: int            # measured reports
     attempts: int           # transmission attempts of measured reports
     delivered: int
     outage: float           # per-attempt failure probability
-    report_loss: float      # reports undelivered after all retries
-    mean_delay: float       # s, over delivered reports
-    mean_attempts: float
-    realized_g: float       # replicas/s on air in the measured window
-    realized_load: float    # W/(2Fm+W) * realized_g * Tp
     kpis: kpi_mod.KpiReport
 
 
@@ -330,8 +326,6 @@ def run_trial(rng: np.random.Generator, lambda_agg: float, horizon: float,
     # Static interference: replicas of failed attempts stay on air.
     static_t0 = np.empty(0)
     static_df = np.empty(0)
-    att_report: list[np.ndarray] = []     # wave -> report index per attempt
-    att_decoded: list[np.ndarray] = []
 
     wave_report = np.arange(n_rep)
     wave_start = arrivals.copy()
@@ -346,8 +340,7 @@ def run_trial(rng: np.random.Generator, lambda_agg: float, horizon: float,
 
         t0 = np.mod(wave_start[:, None] + slots * p.Tp, horizon).ravel()
         df = np.repeat(cfo, p.N)
-        pkt_of_att = np.arange(n_att)
-        pkt = np.repeat(pkt_of_att, p.N)
+        pkt = np.repeat(np.arange(n_att), p.N)
 
         n_static = static_t0.size
         all_t0 = np.concatenate([t0, static_t0])
@@ -363,8 +356,6 @@ def run_trial(rng: np.random.Generator, lambda_agg: float, horizon: float,
 
         attempts_used[wave_report] += 1
         delivered_at[wave_report[ok]] = wave
-        att_report.append(wave_report)
-        att_decoded.append(ok)
 
         fail = ~ok
         static_t0 = np.concatenate([static_t0, t0[fail.repeat(p.N)]])
@@ -372,27 +363,17 @@ def run_trial(rng: np.random.Generator, lambda_agg: float, horizon: float,
         wave_report = wave_report[fail]
         wave_start = np.mod(wave_start[fail] + p.M * p.Tp + p.Tack, horizon)
 
-    # Statistics over measured reports only.
-    att_rep_all = np.concatenate(att_report)
-    att_ok_all = np.concatenate(att_decoded)
-    att_meas = measured[att_rep_all]
-    attempts = int(att_meas.sum())
-    failures = int((~att_ok_all & att_meas).sum())
-    po = failures / attempts if attempts else 0.0
-
+    # Statistics over measured reports only. A delivered report made
+    # exactly one successful attempt, so the rest of the attempts failed.
     offered = int(measured.sum())
+    attempts = int(attempts_used[measured].sum())
     got = measured & (delivered_at >= 0)
     delivered = int(got.sum())
-    delay = delivered_at[got] * (p.M * p.Tp + p.Tack) + p.M * p.Tp
-    mean_delay = float(delay.mean()) if delivered else math.inf
-    span = horizon - 2 * margin
-    realized_g = attempts * p.N / span if span > 0 else 0.0
-    realized_load = offered_load_of(realized_g, p)
-    mean_att = attempts / offered if offered else 0.0
+    po = (attempts - delivered) / attempts if attempts else 0.0
+    delay = delivered_at * (p.M * p.Tp + p.Tack) + p.M * p.Tp
 
     kpis = kpi_mod.grant_free_kpis(lambda_agg, po, p, e)
-    kpis.expected_delay = mean_delay
-    kpis.throughput = delivered / span if span > 0 else 0.0
+    kpis.expected_delay = float(delay[got].mean()) if delivered else math.inf
 
     if trace_path is not None:
         with open(trace_path, "w") as fh:
@@ -401,24 +382,18 @@ def run_trial(rng: np.random.Generator, lambda_agg: float, horizon: float,
                     "report": int(i),
                     "arrival": round(float(arrivals[i]), 9),
                     "attempts": int(attempts_used[i]),
-                    "delivered": bool(delivered_at[i] >= 0),
-                    "delay": (None if delivered_at[i] < 0 else round(
-                        float(delivered_at[i] * (p.M * p.Tp + p.Tack) + p.M * p.Tp), 9)),
+                    "delivered": bool(got[i]),
+                    "delay": round(float(delay[i]), 9) if got[i] else None,
                 }) + "\n")
 
-    return TrialResult(lambda_agg, policy, offered, attempts, delivered, po,
-                       1.0 - delivered / offered if offered else 0.0,
-                       mean_delay, mean_att, realized_g, realized_load, kpis)
+    return TrialResult(offered, attempts, delivered, po, kpis)
 
 
 @dataclass
 class GrantedTrialResult:
-    lambda_agg: float
-    offered: int
+    offered: int            # measured reports
     delivered: int
-    report_loss: float
-    mean_delay: float
-    mean_attempts: float
+    mean_attempts: float    # RA attempts per delivered report
     kpis: kpi_mod.KpiReport
 
 
@@ -597,11 +572,8 @@ def run_granted_baseline(rng: np.random.Generator, lambda_agg: float,
     mean_delay = float(delay.mean()) if delivered else math.inf
     mean_att = float(attempts.mean()) if delivered else math.inf
 
-    kpis = kpi_mod.granted_path_kpis(
-        lambda_agg, mean_att, 1.0 - delivered / offered if offered else 0.0,
-        mean_delay, delivered / (horizon - 2 * margin), p, e)
-    return GrantedTrialResult(lambda_agg, offered, delivered,
-                              kpis.outage, mean_delay, mean_att, kpis)
+    kpis = kpi_mod.granted_path_kpis(lambda_agg, mean_att, mean_delay, p, e)
+    return GrantedTrialResult(offered, delivered, mean_att, kpis)
 
 
 # ---------------------------------------------------------------------------

@@ -139,7 +139,6 @@ class EnergyParams:
     Pc: float = 1e-3        # circuit power while active, W
     alpha: float = 2.0      # PA inefficiency multiplier on radiated power
     Rc: float = 1000.0      # cell radius, m
-    Rin: float = 50.0       # exclusion radius around the base station, m
     G: float = 1.175e-3     # aggregate antenna/propagation gain, linear
     sigma_pl: float = 3.76  # pathloss exponent
     Esynch: float = 6e-3    # network synchronization energy (granted mode), J
@@ -150,8 +149,6 @@ class EnergyParams:
             value = getattr(self, f.name)
             if not is_real(value) or value <= 0:
                 raise InvalidParamsError(f"{f.name} must be a positive finite number")
-        if self.Rin >= self.Rc:
-            raise InvalidParamsError("need Rin < Rc")
         return self
 
 

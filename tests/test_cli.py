@@ -93,6 +93,17 @@ def test_run_non_finite_config_exit_2(tmp_path, section, capsys):
     assert not (tmp_path / "res").exists()
 
 
+def test_run_removed_energy_key_exit_2(tmp_path, capsys):
+    # Rin fed no formula: the mean transmit power averages over the
+    # whole disc of radius Rc
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"energy": {"Rin": 50.0}}))
+    rc = main(["run", "--config", str(cfg), "--out", str(tmp_path / "res")])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: unknown energy keys: ['Rin']\n"
+    assert not (tmp_path / "res").exists()
+
+
 def test_run_missing_config_exit_2(tmp_path, capsys):
     rc = main(["run", "--config", str(tmp_path / "absent.json")])
     assert rc == 2

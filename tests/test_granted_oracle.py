@@ -58,16 +58,12 @@ def _ref_granted(rng, lambda_agg, horizon, p, e, opportunities, period):
     mean_att = float(attempts[got].mean()) if delivered else math.inf
     e_report = kpi_mod.granted_report_energy(p, e, mean_att)
     kpis = kpi_mod.KpiReport(
-        outage=1.0 - delivered / offered if offered else 0.0,
         expected_delay=mean_delay,
         battery_lifetime=e.E0 * e.Tr / e_report,
         energy_efficiency=(p.D - p.Doh) / e_report,
-        spectral_efficiency=kpi_mod.spectral_efficiency(lambda_agg, p),
-        throughput=delivered / (horizon - 2 * margin),
-        avg_tx_power=kpi_mod.avg_transmit_power(p, e),
+        spectral_efficiency=kpi_mod.spectral_efficiency(lambda_agg, p, 0.0),
     )
-    return GrantedTrialResult(lambda_agg, offered, delivered, kpis.outage,
-                              mean_delay, mean_att, kpis)
+    return GrantedTrialResult(offered, delivered, mean_att, kpis)
 
 
 @settings(max_examples=200, deadline=None)

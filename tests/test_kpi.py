@@ -12,7 +12,7 @@ from gfaloha.kpi import (RA_OPPORTUNITIES, RA_PERIOD, attempt_energy,
                          energy_efficiency, expected_delay, grant_free_kpis,
                          granted_attempt_energy, granted_kpis,
                          granted_report_energy, ra_contention,
-                         spectral_efficiency, throughput)
+                         spectral_efficiency)
 from gfaloha.params import EnergyParams, InvalidParamsError, SystemParams
 
 P = SystemParams()
@@ -53,11 +53,10 @@ def test_battery_lifetime():
 def test_energy_and_spectral_efficiency():
     assert energy_efficiency(0.2, P, E) == pytest.approx(
         0.8 * (P.D - P.Doh) / attempt_energy(P, E))
-    assert spectral_efficiency(2.0, P) == pytest.approx(
+    assert spectral_efficiency(2.0, P, 0.0) == pytest.approx(
         2.0 * 50.0 / (2.0 * (P.Fm + P.W / 2.0)))
-    assert spectral_efficiency(2.0, P, po=0.5) == pytest.approx(
-        spectral_efficiency(2.0, P) / 2.0)
-    assert throughput(3.0, 0.25) == pytest.approx(2.25)
+    assert spectral_efficiency(2.0, P, 0.5) == pytest.approx(
+        spectral_efficiency(2.0, P, 0.0) / 2.0)
 
 
 def test_ra_contention_fixed_point():
@@ -109,7 +108,7 @@ def test_ra_contention_saturates():
 
 def test_granted_kpis_stable_and_saturated():
     rep = granted_kpis(0.1, P, E)
-    assert rep.outage == 0.0
+    assert rep.spectral_efficiency == spectral_efficiency(0.1, P, 0.0)
     assert rep.expected_delay >= RA_PERIOD / 2.0 + E.Dsynch + P.Tp
     e_report = granted_report_energy(P, E, ra_contention(0.1)[0])
     assert rep.battery_lifetime == pytest.approx(E.E0 * E.Tr / e_report)
@@ -129,10 +128,11 @@ def test_granted_energy_components():
 
 def test_grant_free_report_wiring():
     rep = grant_free_kpis(0.2, 0.1, P, E)
-    assert rep.outage == 0.1
-    assert rep.throughput == pytest.approx(0.18)
+    assert rep.spectral_efficiency == pytest.approx(
+        spectral_efficiency(0.2, P, 0.0) * 0.9)
     assert rep.expected_delay == pytest.approx(expected_delay(0.1, P))
+    assert rep.energy_efficiency == energy_efficiency(0.1, P, E)
     assert {f.name for f in fields(rep)} == {
-        "outage", "expected_delay", "battery_lifetime", "energy_efficiency",
-        "spectral_efficiency", "throughput", "avg_tx_power"}
+        "expected_delay", "battery_lifetime", "energy_efficiency",
+        "spectral_efficiency"}
 

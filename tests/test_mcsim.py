@@ -1,11 +1,13 @@
 """Collision graph, SIC rounds and the trial loop."""
 
+import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gfaloha.kpi import energy_efficiency
 from gfaloha.mcsim import (build_collision_graph, nominal_lambda, rng_for,
                            run_granted_baseline, run_trial, sic_decode)
 from gfaloha.interference import offered_load_of, overlap_area
@@ -154,11 +156,13 @@ def test_run_trial_smoke_and_determinism():
            (r2.offered, r2.delivered, r2.outage)
     assert 0.0 <= r1.outage <= 1.0
     assert r1.delivered <= r1.offered
-    assert r1.report_loss == pytest.approx(1.0 - r1.delivered / r1.offered)
-    assert r1.mean_attempts >= 1.0
-    assert 0.05 < r1.realized_load < 0.2
-    assert r1.kpis.outage == r1.outage
-    assert r1.mean_delay >= P.M * P.Tp
+    # a delivered report made one successful attempt, the rest failed
+    assert r1.outage == (r1.attempts - r1.delivered) / r1.attempts
+    assert r1.attempts / r1.offered >= 1.0
+    span = kw["horizon"] - 4 * P.M * P.Tp    # the measured window
+    assert 0.05 < offered_load_of(r1.attempts * P.N / span, P) < 0.2
+    assert r1.kpis.energy_efficiency == energy_efficiency(r1.outage, P, E)
+    assert r1.kpis.expected_delay >= P.M * P.Tp
 
 
 def test_run_trial_retries_reduce_loss():
@@ -167,9 +171,10 @@ def test_run_trial_retries_reduce_loss():
                          max_retries=0)
     retry = run_trial(rng_for(8, 0), lam, 4000 / lam, P, E, "mrc",
                       max_retries=5)
-    assert retry.report_loss < no_retry.report_loss
-    assert retry.mean_attempts > 1.0
-    assert no_retry.mean_attempts == 1.0
+    loss = [1.0 - r.delivered / r.offered for r in (retry, no_retry)]
+    assert loss[0] < loss[1]
+    assert retry.attempts / retry.offered > 1.0
+    assert no_retry.attempts == no_retry.offered
 
 
 def test_run_trial_horizon_guard():
@@ -181,17 +186,27 @@ def test_run_trial_trace(tmp_path):
     lam = nominal_lambda(0.1, P)
     path = tmp_path / "trace.jsonl"
     r = run_trial(rng_for(10, 0), lam, 1500 / lam, P, E, trace_path=path)
-    lines = path.read_text().splitlines()
+    lines = [json.loads(ln) for ln in path.read_text().splitlines()]
     assert len(lines) == r.offered
-    assert '"report"' in lines[0]
+    assert "report" in lines[0]
+    assert sum(ln["attempts"] for ln in lines) == r.attempts
+    got = [ln for ln in lines if ln["delivered"]]
+    assert len(got) == r.delivered
+    assert all(ln["delay"] is None for ln in lines if not ln["delivered"])
+    for ln in got:
+        assert ln["delay"] == pytest.approx(
+            (ln["attempts"] - 1) * (P.M * P.Tp + P.Tack) + P.M * P.Tp,
+            rel=1e-9)
+    mean = sum(ln["delay"] for ln in got) / len(got)
+    assert mean == pytest.approx(r.kpis.expected_delay, rel=1e-9)
 
 
 def test_granted_baseline_low_load():
     r = run_granted_baseline(rng_for(11, 0), 0.05, 4000.0, P, E)
     assert r.offered > 150
-    assert r.report_loss <= 0.02
+    assert 1.0 - r.delivered / r.offered <= 0.02
     assert 1.0 <= r.mean_attempts < 1.3
-    assert r.mean_delay >= E.Dsynch + P.Tp
+    assert r.kpis.expected_delay >= E.Dsynch + P.Tp
     assert r.kpis.energy_efficiency > 0.0
 
 

@@ -99,8 +99,6 @@ def test_energy_params_validation():
     EnergyParams(Tr=600, E0=np.float32(1e4)).validate()
     with pytest.raises(InvalidParamsError):
         EnergyParams(Pc=0.0).validate()
-    with pytest.raises(InvalidParamsError):
-        EnergyParams(Rin=2000.0).validate()
 
 
 @pytest.mark.parametrize("kw", [dict(Tr="600"), dict(Tr=math.inf),
