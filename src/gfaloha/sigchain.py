@@ -21,7 +21,8 @@ import numpy as np
 
 from .params import ZC_ROOT, InvalidParamsError, SystemParams, zc_root_ok
 
-_DRIFT_BLOCK = 64   # CFO rows per drift-table FFT block: bounds memory
+_DRIFT_BLOCK = 64   # drift-table rows per block, half as many |CFO|
+                    # transforms, each serving both signs: bounds memory
 _SMOOTH_SYMBOLS = 8  # event framing: power smoothing span, symbols
 _GAP_SYMBOLS = 2.0   # event framing: longest gap bridged, symbols
 _LINE_DB = 10.0      # periodogram: carrier line height over the median, dB
@@ -114,6 +115,22 @@ def _upsample(symbols: np.ndarray, sps: int) -> np.ndarray:
     return np.repeat(symbols, sps)
 
 
+def _cis(f: np.ndarray, n: int, fs: float) -> np.ndarray:
+    """exp(2j*pi*f*k/fs) for k < n, one row per entry of f.
+
+    With k = B*a + b the phasor is the product of a block factor (over
+    a) and an in-block factor (over b), so a row costs about 2*sqrt(n)
+    complex exponentials instead of n.
+    """
+    f = np.asarray(f, dtype=float)[:, None]
+    b = math.isqrt(n - 1) + 1 if n > 1 else 1   # ceil(sqrt(n))
+    a = -(-n // b)
+    w = 2j * math.pi * f / fs
+    out = (np.exp(w * (b * np.arange(a)))[:, :, None]
+           * np.exp(w * np.arange(b))[:, None, :])
+    return out.reshape(f.shape[0], a * b)[:, :n]
+
+
 def synthesize_packet(bits, p: SystemParams, df: float,
                       rng: np.random.Generator | None = None) -> np.ndarray:
     """Preamble + 4-PAM payload, upsampled to Fs and shifted by df.
@@ -162,29 +179,20 @@ def _fast_len(n: int, real: bool) -> int:
 
 
 def _convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Full linear convolution along the last axis, broadcasting the others.
+    """Full linear convolution of two real 1-D arrays.
 
-    Evaluated as scipy.signal.fftconvolve does, so the bits match it when
-    both inputs are real or both complex: the product of the two spectra
-    at its transform length (real transforms when both inputs are real),
-    or the plain product when either length is 1. A real input beside a
-    complex one goes through the complex transform and matches it to
-    rounding; the receiver never mixes the two.
+    Evaluated as scipy.signal.fftconvolve does, so the bits match it: the
+    product of the two real spectra at its 5-smooth transform length, or
+    the plain product when either length is 1.
     """
-    na, nb = a.shape[-1], b.shape[-1]
+    na, nb = a.size, b.size
     if na == 0 or nb == 0:
-        shape = np.broadcast_shapes(a.shape[:-1], b.shape[:-1]) + (0,)
-        return np.zeros(shape, dtype=np.result_type(a, b))
+        return np.zeros(0)
     if na == 1 or nb == 1:
         return a * b
     n = na + nb - 1
-    real = not (np.iscomplexobj(a) or np.iscomplexobj(b))
-    nfft = _fast_len(n, real)
-    if real:
-        return np.fft.irfft(np.fft.rfft(a, nfft) * np.fft.rfft(b, nfft),
-                            nfft)[..., :n]
-    return np.fft.ifft(np.fft.fft(a, nfft) * np.fft.fft(b, nfft),
-                       nfft)[..., :n]
+    nfft = _fast_len(n, True)
+    return np.fft.irfft(np.fft.rfft(a, nfft) * np.fft.rfft(b, nfft), nfft)[:n]
 
 
 def frame_events(x: np.ndarray, p: SystemParams,
@@ -316,29 +324,28 @@ def peak_map(x: np.ndarray, cfos: list[float], p: SystemParams,
     """Correlate an event buffer against the preamble on every CFO branch.
 
     The buffer is demodulated for all branches at once and matched-
-    filtered in one batched FFT convolution. Each branch keeps the local
+    filtered in one batched circular FFT correlation at the buffer's
+    own transform length: only lags with the whole preamble inside the
+    buffer are kept, and none of those wraps. Each branch keeps the local
     maxima of |correlation| above eta * ||preamble||^2, with non-maximum
     suppression over half a preamble symbol; the clean full-overlap peak
     magnitude equals ||preamble||^2. Each branch also records its
     carrier-line strength (the event spectrum sampled at the branch
-    CFO): a real arrival concentrates a packet-long tone there while
-    sidelobe lines run well below it.
+    CFO, the sum of the demodulated buffer): a real arrival concentrates
+    a packet-long tone there while sidelobe lines run well below it.
     """
     pre = upsampled_preamble(p)
     span = max(0, x.size - pre.size + 1)
     if len(cfos) == 0:
         return PeakMap([], span)
-    f = np.asarray(cfos, dtype=float)[:, None]
-    k = np.arange(x.size)
-    t = k / p.Fs
-    weights = np.abs(np.sum(x * np.exp(-2j * math.pi * f * t), axis=1))
+    y = x * _cis(-np.asarray(cfos, dtype=float), x.size, p.Fs)
+    weights = np.abs(y.sum(axis=1))
     if span == 0:
-        corr = np.empty((f.shape[0], 0))
+        corr = np.empty((y.shape[0], 0))
     else:
-        y = x * np.exp(-2j * math.pi * f * k / p.Fs)
-        # the "valid" part: lags where the preamble lies inside the buffer
-        full = _convolve(y, np.conj(pre[::-1])[None, :])
-        corr = np.abs(full[:, pre.size - 1: x.size])
+        n = _fast_len(x.size, False)
+        corr = np.abs(np.fft.ifft(np.fft.fft(y, n)
+                                  * np.conj(np.fft.fft(pre, n)))[:, :span])
     is_max = np.ones(corr.shape, dtype=bool)
     if span > 1:
         is_max[:, 0] = corr[:, 0] >= corr[:, 1]
@@ -417,16 +424,21 @@ def build_drift_table(nzc: int, tb: float, fs: float,
     points) the clean preamble is correlated against its modulated copy
     and the argmax lag is reduced to its cyclic symbol lag, so the
     stored drift steps through whole symbols and stays within
-    +-floor(Nzc/2) symbols of zero by construction. The gain is the
+    +-floor(Nzc/2) symbols of zero by construction. For any preamble
+    |corr| at offset -f and lag k equals |corr| at +f and lag -k, so each
+    distinct |f| is transformed once and the row at -|f| reads the +|f|
+    correlation with its lag axis mirrored. The gain is the
     relative peak magnitude; where it collapses toward the sidelobe
     floor the argmax carries no information and the stored lag is
     meaningless (consumers gate on the gain). Magnitude ties resolve to
     the smallest |lag| with the sign of the offset.
 
     Alongside the argmax each row keeps the set of lags whose magnitude
-    reaches alt_frac of the top: near the gain plateaus that set is the
-    argmax alone, but where the gain collapses several lags come within
-    noise of each other and an observed image can land on any of them.
+    reaches alt_frac of the top, with the argmax's 1e-9 tie tolerance so
+    that lags tying in exact arithmetic stand or fall together: near the
+    gain plateaus that set is the argmax alone, but where the gain
+    collapses several lags come within noise of each other and an
+    observed image can land on any of them.
     """
     sps = round(fs * tb)
     if abs(fs * tb - sps) > 1e-9 or sps < 1:
@@ -443,7 +455,6 @@ def build_drift_table(nzc: int, tb: float, fs: float,
         raise InvalidParamsError("cfo_grid must be ascending and uniform")
     pre = _upsample(zc_preamble(nzc), sps)
     n = pre.size
-    t = np.arange(n) / fs
     nfft = 1 << int(math.ceil(math.log2(2 * n - 1)))
     f_pre = np.conj(np.fft.fft(pre, nfft))[None, :]
     # lag k in [-(n-1), n-1] sits at circular index k mod nfft
@@ -451,10 +462,11 @@ def build_drift_table(nzc: int, tb: float, fs: float,
     idx = np.concatenate([np.arange(0, n), nfft - np.arange(n - 1, 0, -1)])
     # cyclic lag wrapped into half a preamble period, symbol-quantized;
     # linear-correlation complements at Q -+ Nzc*sps are re-expanded by
-    # the consumers that need them
+    # the consumers that need them. Row 1 reads each lag negated: the
+    # symbol lags of a +|f| correlation taken as the row at -|f|.
     half = nzc // 2
-    sym = np.clip(np.rint(((lags + n // 2) % n - n // 2) / sps),
-                  -half, half).astype(np.int64)
+    sym = np.clip(np.rint(((np.stack([lags, -lags]) + n // 2) % n - n // 2)
+                          / sps), -half, half).astype(np.int64)
     # magnitude ties go to the smallest |lag|, then to the lag with the
     # offset's sign (rank - sign product), then to the first index
     rank = 3 * np.abs(lags) + 1
@@ -465,19 +477,27 @@ def build_drift_table(nzc: int, tb: float, fs: float,
     shifts = np.empty(rows, dtype=np.int64)
     gains = np.empty(rows)
     near = np.zeros((rows, nzc), dtype=bool)   # column: symbol lag + half
-    for lo in range(0, rows, _DRIFT_BLOCK):
-        f = cfo_grid[lo: lo + _DRIFT_BLOCK]
-        shifted = pre[None, :] * np.exp(2j * math.pi * f[:, None] * t[None, :])
-        corr = np.fft.ifft(np.fft.fft(shifted, nfft, axis=1) * f_pre, axis=1)
+    absf, which = np.unique(np.abs(cfo_grid), return_inverse=True)
+    neg = (cfo_grid < 0).astype(np.int64)
+    per = max(1, _DRIFT_BLOCK // 2)
+    for lo in range(0, absf.size, per):
+        fa = absf[lo: lo + per]
+        corr = np.fft.ifft(np.fft.fft(pre * _cis(fa, n, fs), nfft, axis=1)
+                           * f_pre, axis=1)
         mag = np.abs(corr[:, idx])
         top = mag.max(axis=1)
         tie = mag >= (top * (1.0 - 1e-9))[:, None]
-        score = rank - np.sign(f).astype(np.int64)[:, None] * lag_sign
+        # scored at +|f|; at -|f| the (unique) best lag negates
+        score = rank - (fa > 0).astype(np.int64)[:, None] * lag_sign
         best = np.argmin(np.where(tie, score, np.iinfo(np.int64).max), axis=1)
-        shifts[lo: lo + f.size] = sym[best] * sps
-        gains[lo: lo + f.size] = top / energy
-        r, c = np.nonzero(mag >= (top * alt_frac)[:, None])
-        near[lo + r, sym[c] + half] = True
+        r, c = np.nonzero(mag >= (top * alt_frac * (1.0 - 1e-9))[:, None])
+        near_abs = np.zeros((2, fa.size, nzc), dtype=bool)
+        near_abs[np.arange(2)[:, None], r, sym[:, c] + half] = True
+        block = np.flatnonzero((which >= lo) & (which < lo + fa.size))
+        j, s = which[block] - lo, neg[block]
+        shifts[block] = sym[s, best[j]] * sps
+        gains[block] = top[j] / energy
+        near[block] = near_abs[s, j]
     alt_indptr = np.zeros(rows + 1, dtype=np.int64)
     np.cumsum(near.sum(axis=1), out=alt_indptr[1:])
     alt_lags = (np.nonzero(near)[1] - half).astype(np.int64) * sps

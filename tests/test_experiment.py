@@ -1,5 +1,6 @@
 """Sweep orchestration: config handling, CSV emission, reproducibility."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -350,3 +351,16 @@ def test_receiver_decisions_digest(tmp_path):
         digest[name] = ex.validate_receiver(cfg)["decisions_sha256"]
     assert digest["a"] == digest["c"]
     assert digest["a"] != digest["b"]
+
+
+@pytest.mark.parametrize("seed, digest", [
+    (1, "d2f58d1e2dd6a4c296829582df55b6f817e6a632953f7b8c30e34b37ef8b0638"),
+    (97, "92b74f495c0f817247a43024d71b25feaaebdd4bfc50e0928dc4f4a5697fb260"),
+])
+def test_receiver_report_pinned(tmp_path, seed, digest):
+    # a 60-trial report, byte for byte; the default 1000-trial report is
+    # pinned by tests/data/default-run.sha256
+    ex.validate_receiver(ex.ExperimentConfig(receiver_trials=60, seed=seed,
+                                             out_dir=str(tmp_path)))
+    data = (tmp_path / "receiver-validation.json").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == digest

@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from gfaloha import experiment as ex
 from gfaloha import sigchain as sg
@@ -276,6 +278,49 @@ def test_drift_table_deterministic(dt):
     assert np.array_equal(dt.gains, again.gains)
     assert np.array_equal(dt.alt_indptr, again.alt_indptr)
     assert np.array_equal(dt.alt_lags, again.alt_lags)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([0, 1, 2, 3]) | st.integers(0, 10_000),
+       st.lists(st.floats(-1e3, 1e3, allow_nan=False), min_size=1,
+                max_size=4))
+def test_cis_matches_direct_phasor(n, f):
+    # the direct phasor rounds its own phase 2*pi*f*k/fs, as _cis does,
+    # to about one ulp of the phase; past a few hundred radians that,
+    # not the factoring, sets the difference
+    f = np.array(f)
+    want = np.exp(2j * np.pi * f[:, None] * np.arange(n) / P.Fs)
+    got = sg._cis(f, n, P.Fs)
+    assert got.shape == want.shape
+    phase = 2 * np.pi * np.max(np.abs(f)) * n / P.Fs
+    assert np.all(np.abs(got - want) <= 1e-12 + 4 * np.finfo(float).eps * phase)
+
+
+NZC_ODD = [n for n in range(3, 32, 2) if n > 5 and math.gcd(5, n) == 1]
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(NZC_ODD), st.integers(1, 40),
+       st.floats(0.05, 60.0, allow_nan=False), st.integers(1, 20),
+       st.sampled_from([0.3, 0.8, 1.0]))
+def test_drift_table_mirrors_at_opposite_offsets(nzc, sps, step, m, alt_frac):
+    # on a grid symmetric about 0 the rows at +-f read one transform
+    fs = 4000.0
+    grid = step * np.arange(-m, m + 1)
+    table = sg.build_drift_table(nzc, sps / fs, fs, grid, alt_frac)
+    wrap = {-(nzc // 2) * sps, (nzc // 2) * sps}
+    for i in range(m):
+        j = grid.size - 1 - i
+        assert grid[j] == -grid[i]
+        assert table.gains[i].tobytes() == table.gains[j].tobytes()
+        a, b = int(table.shifts[i]), int(table.shifts[j])
+        # a lag of exactly half the preamble wraps to -floor(Nzc/2) symbols
+        # at both signs
+        assert a == -b or {a, b} <= wrap
+        alt_i = table.alt_lags[table.alt_indptr[i]: table.alt_indptr[i + 1]]
+        alt_j = table.alt_lags[table.alt_indptr[j]: table.alt_indptr[j + 1]]
+        assert set((-alt_i).tolist()) ^ set(alt_j.tolist()) <= wrap
 
 
 @pytest.mark.parametrize("grid", [

@@ -1,16 +1,32 @@
 """Differential tests of the array receiver layers against the old loops.
 
-`build_drift_table` builds its table in blocks of CFO rows with masked
-array selections, and `peak_map` correlates every CFO branch of an event
-in one batched FFT convolution. The per-row drift loop and the
-per-branch correlation they replaced are kept here as a test-only
-reference; every field must come out bit-equal, dtypes included. The
-receiver's own FFT convolution is checked bit for bit against
-scipy.signal.fftconvolve, which it replaces, on the real-by-real and
-complex-by-complex operands the receiver passes, and to rounding on
-mixed ones; its transform length against scipy.fft.next_fast_len. `fine_cfo` reads three bins of its
-padded spectrum; the full-spectrum version it replaced is kept as a
-reference too.
+`build_drift_table` builds its table in blocks with masked array
+selections, one transform per distinct |CFO| serving both signs, and
+`peak_map` correlates every CFO branch of an event in one batched
+circular FFT correlation; both modulate with `sigchain._cis`, a
+block-factored phasor. The per-row drift loop and the per-branch
+`fftconvolve` correlation they replaced are kept here as a test-only
+reference. The factored phasor and the shorter transforms round
+differently from the reference (drift gains by up to about 1.5e-15,
+branch weights summed over thousands of samples by about 1e-11), so
+the contract is:
+
+- integer and decision fields are bit-equal, dtypes included: drift
+  `shifts`, `alt_indptr` and `alt_lags`; peak `positions`, `span` and
+  each branch's `cfo`;
+- float fields agree within 1e-12 of their operand scale: 1 for drift
+  `gains`, sum |x| for branch weights, ||preamble|| * ||x|| for peak
+  magnitudes;
+- the reference's near-top (alt) threshold carries the argmax's 1e-9
+  tie tolerance, as the table's does: where two lags tie in exact
+  arithmetic (lags -+15 at Nzc = 7, sps = 15, alt_frac = 1, f = -400)
+  membership at an exact threshold would be a rounding accident.
+
+The receiver's real FFT convolution (event framing's power smoothing)
+is checked bit for bit against scipy.signal.fftconvolve, which it
+replaces; its transform length against scipy.fft.next_fast_len.
+`fine_cfo` reads three bins of its padded spectrum; the full-spectrum
+version it replaced is kept as a reference too.
 """
 
 import math
@@ -69,7 +85,8 @@ def ref_build_drift_table(nzc, tb, fs, cfo_grid=None, alt_frac=0.8):
         best = tl[np.lexsort((-np.sign(tl) * np.sign(cfo_grid[i]), np.abs(tl)))][0]
         shifts[i] = canon(int(best))
         gains[i] = top / energy
-        near = np.unique([canon(int(v)) for v in lags[mag[i] >= top * alt_frac]])
+        alt = lags[mag[i] >= top * alt_frac * (1.0 - 1e-9)]
+        near = np.unique([canon(int(v)) for v in alt])
         alt_rows.append(near)
         alt_indptr[i + 1] = alt_indptr[i] + near.size
     return sg.DriftTable(cfo_grid, shifts, gains,
@@ -124,20 +141,30 @@ def assert_same_array(a, b):
     assert a.tobytes() == b.tobytes()
 
 
+def assert_close_array(a, b, scale):
+    assert a.dtype == b.dtype
+    assert a.shape == b.shape
+    assert np.all(np.abs(a - b) <= 1e-12 * scale)
+
+
 def assert_same_table(got, want):
-    for name in ("cfos", "shifts", "gains", "alt_indptr", "alt_lags"):
+    for name in ("cfos", "shifts", "alt_indptr", "alt_lags"):
         assert_same_array(getattr(got, name), getattr(want, name))
+    assert_close_array(got.gains, want.gains, 1.0)
     assert got.meta == want.meta
 
 
-def assert_same_map(got, want):
+def assert_same_map(got, want, x, p):
+    pre = sg.upsampled_preamble(p)
     assert got.span == want.span
     assert len(got.branches) == len(want.branches)
     for g, w in zip(got.branches, want.branches):
         assert g.cfo == w.cfo
         assert_same_array(g.positions, w.positions)
-        assert_same_array(g.magnitudes, w.magnitudes)
-        assert type(g.weight) is float and g.weight == w.weight
+        assert_close_array(g.magnitudes, w.magnitudes,
+                           np.linalg.norm(pre) * np.linalg.norm(x))
+        assert type(g.weight) is float
+        assert abs(g.weight - w.weight) <= 1e-12 * np.sum(np.abs(x))
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +279,7 @@ def test_peak_map_matches_branch_loop(seed, nzc, sps, data):
                                          allow_nan=False), max_size=4))
     eta = data.draw(st.sampled_from([0.0, 0.3, 0.5]))
     assert_same_map(sg.peak_map(x, cfos, p, eta=eta),
-                    ref_peak_map(x, cfos, p, eta=eta))
+                    ref_peak_map(x, cfos, p, eta=eta), x, p)
 
 
 def test_peak_map_no_cfos():
@@ -260,7 +287,7 @@ def test_peak_map_no_cfos():
     x = noisy_buffer(rng, P, 3000, [(200, 5.0)])
     pm = sg.peak_map(x, [], P)
     assert pm.branches == [] and pm.span == 3000 - 920 + 1
-    assert_same_map(pm, ref_peak_map(x, [], P))
+    assert_same_map(pm, ref_peak_map(x, [], P), x, P)
 
 
 def test_peak_map_short_buffer():
@@ -268,7 +295,7 @@ def test_peak_map_short_buffer():
     pm = sg.peak_map(x, [0.0, 12.5], P)
     assert pm.span == 0
     assert [b.positions.size for b in pm.branches] == [0, 0]
-    assert_same_map(pm, ref_peak_map(x, [0.0, 12.5], P))
+    assert_same_map(pm, ref_peak_map(x, [0.0, 12.5], P), x, P)
 
 
 def test_peak_map_single_correlation_sample():
@@ -277,7 +304,7 @@ def test_peak_map_single_correlation_sample():
     pm = sg.peak_map(x, [8.0, -30.0], P)
     assert pm.span == 1
     assert pm.branches[0].positions.tolist() == [0]
-    assert_same_map(pm, ref_peak_map(x, [8.0, -30.0], P))
+    assert_same_map(pm, ref_peak_map(x, [8.0, -30.0], P), x, P)
 
 
 def test_peak_map_matches_on_framed_events():
@@ -293,7 +320,7 @@ def test_peak_map_matches_on_framed_events():
         for ev in sg.frame_events(noisy, P, power_threshold=1.4 / P.gamma):
             cfos = sg.periodogram_cfos(ev.buffer, P)
             assert_same_map(sg.peak_map(ev.buffer, cfos, P),
-                            ref_peak_map(ev.buffer, cfos, P))
+                            ref_peak_map(ev.buffer, cfos, P), ev.buffer, P)
 
 
 # ---------------------------------------------------------------------------
@@ -301,52 +328,35 @@ def test_peak_map_matches_on_framed_events():
 # ---------------------------------------------------------------------------
 
 def cut(a, b, mode):
-    """fftconvolve(a, b, mode) along the last axis, from sg._convolve."""
-    na, nb = a.shape[-1], b.shape[-1]
+    """fftconvolve(a, b, mode) from sg._convolve."""
+    na, nb = a.size, b.size
     if mode == "same":
         lead = (nb - 1) // 2
-        return sg._convolve(a, b)[..., lead: lead + na]
+        return sg._convolve(a, b)[lead: lead + na]
     # fftconvolve's valid mode transforms the longer input first whenever
     # both are longer than 1; the spectra's product rounds by that order
     if na < nb and na > 1:
         a, b = b, a
-    return sg._convolve(a, b)[..., min(na, nb) - 1: max(na, nb)]
+    return sg._convolve(a, b)[min(na, nb) - 1: max(na, nb)]
 
 
 LENGTHS = st.sampled_from([0, 1, 2, 3]) | st.integers(0, 300)
 
 
 @settings(max_examples=400, deadline=None)
-@given(st.integers(0, 2 ** 32 - 1), LENGTHS, LENGTHS, st.booleans(),
-       st.booleans(), st.sampled_from([None, 1, 3]),
+@given(st.integers(0, 2 ** 32 - 1), LENGTHS, LENGTHS,
        st.sampled_from(["valid", "same"]))
-def test_convolve_matches_fftconvolve(seed, na, nb, complex_a, complex_b,
-                                      rows, mode):
+def test_convolve_matches_fftconvolve(seed, na, nb, mode):
+    # real operands, as frame_events smooths its power
     rng = np.random.default_rng(seed)
-
-    def draw(shape, cplx):
-        x = rng.standard_normal(shape)
-        return x + 1j * rng.standard_normal(shape) if cplx else x
-
-    if rows is None:   # one signal, as frame_events smooths its power
-        a, b = draw(na, complex_a), draw(nb, complex_b)
-        ref = fftconvolve(a, b, mode=mode)
-    else:              # a branch matrix against one kernel, as peak_map
-        a, b = draw((rows, na), complex_a), draw((1, nb), complex_b)
-        ref = fftconvolve(a, b, mode=mode, axes=1)
+    a, b = rng.standard_normal(na), rng.standard_normal(nb)
+    ref = fftconvolve(a, b, mode=mode)
     got = cut(a, b, mode)
     if na == 0 or nb == 0:
         assert ref.size == 0 and got.size == 0
         return
     assert got.shape == ref.shape and got.dtype == ref.dtype
-    if complex_a == complex_b or min(na, nb) == 1:
-        assert got.tobytes() == ref.tobytes()
-    else:
-        # a real operand beside a complex one: the complex transform where
-        # scipy takes the real one, equal to rounding (3,000 draws at
-        # lengths up to 300 stay below 1.5e-16 of the norms' product)
-        scale = np.linalg.norm(a) * np.linalg.norm(b)
-        assert np.max(np.abs(got - ref)) <= 1e-14 * scale
+    assert got.tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("na, nb", [(1, 1), (1, 5), (5, 1), (2, 2), (2, 7),
@@ -354,15 +364,12 @@ def test_convolve_matches_fftconvolve(seed, na, nb, complex_a, complex_b,
                                     (921, 920), (4000, 920)])
 @pytest.mark.parametrize("mode", ["valid", "same"])
 def test_convolve_edge_lengths_match_fftconvolve(na, nb, mode):
-    # the receiver's shapes (a 920-sample preamble) and the short lengths
-    # where fftconvolve multiplies without transforming
+    # event-sized lengths and the short lengths where fftconvolve
+    # multiplies without transforming
     rng = np.random.default_rng(na * 1000 + nb)
-    a = rng.standard_normal((2, na)) + 1j * rng.standard_normal((2, na))
-    b = rng.standard_normal((1, nb)) + 1j * rng.standard_normal((1, nb))
-    ref = fftconvolve(a, b, mode=mode, axes=1)
+    a, b = rng.standard_normal(na), rng.standard_normal(nb)
+    ref = fftconvolve(a, b, mode=mode)
     assert cut(a, b, mode).tobytes() == ref.tobytes()
-    ref = fftconvolve(a[0].real, b[0].real, mode=mode)
-    assert cut(a[0].real, b[0].real, mode).tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("real", [True, False])
