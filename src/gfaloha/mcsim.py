@@ -391,6 +391,15 @@ def run_trial(rng: np.random.Generator, lambda_agg: float, horizon: float,
 
 @dataclass
 class GrantedTrialResult:
+    """One granted-baseline cell.
+
+    The KPIs average over delivered reports only. Where the simulated RA
+    backlog collapses this hides the loss: at load 0.75 the default
+    run's three cells (seed 1234) deliver 3.4%, 0.7% and 10.7% of
+    offered reports, against about 100% at load 0.5, and their energy
+    efficiency reads 4,393-4,441 bit/J beside the analytic 4,497, while
+    kpi.ra_contention calls that load stable.
+    """
     offered: int            # measured reports
     delivered: int
     mean_attempts: float    # RA attempts per delivered report

@@ -35,7 +35,6 @@ _CFO_SLACK = 2.5     # Hz
 _GATE_SLACK = 1.0    # Hz
 _MIN_GAIN = 0.75
 _CAND_FLOOR = 0.82
-_DEFER_RATIO = 2.0
 _WEIGHT_FLOOR = 0.5
 _PAM_LEVELS = np.array([0.0, 1.0, 2.0, 3.0]) / math.sqrt(3.5)
 # Gray labels for level index 0..3
@@ -47,16 +46,9 @@ _GRAY_BITS = np.array([[0, 0], [0, 1], [1, 1], [1, 0]], dtype=np.uint8)
 # ---------------------------------------------------------------------------
 
 @dataclass
-class DetectionEvent:
-    start: int              # stream sample index of buffer[0]
-    buffer: np.ndarray
-    tail: np.ndarray        # stream continuing past the buffer, possibly empty
-
-
-@dataclass
 class PeakBranch:
     cfo: float
-    positions: np.ndarray   # sample offsets into the event buffer
+    positions: np.ndarray   # sample offsets into the frame
     magnitudes: np.ndarray
     weight: float = 1.0     # carrier-line strength of this branch
 
@@ -196,8 +188,9 @@ def _convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def frame_events(x: np.ndarray, p: SystemParams,
-                 power_threshold: float) -> list[DetectionEvent]:
-    """Cut supra-threshold stretches of smoothed power into events.
+                 power_threshold: float) -> list[tuple[int, int]]:
+    """Cut supra-threshold stretches of smoothed power into frames, each
+    a (start, stop) index range of the stream.
 
     Power is box-averaged over eight symbols (several, because the
     nonnegative constellation has a zero level and short zero runs must
@@ -209,11 +202,9 @@ def frame_events(x: np.ndarray, p: SystemParams,
     consecutive frames overlap by one preamble, so every preamble lies
     whole inside some frame (one starting exactly where the later frame
     starts lies in both, and decode_stream drops the duplicate).
-    Each event also carries up to a packet length of the stream past
-    the detected end as an extraction tail (a deep fade can cut a run
-    mid-packet, and a preamble validated near the end of the event must
-    still yield a complete packet); the search itself never sees the
-    tail.
+    The search sees only the frame; extract_sequences cuts packets from
+    the stream itself, so a packet validated near a frame's stop (a deep
+    fade can cut a run mid-packet) still comes out whole.
     """
     if power_threshold <= 0:
         raise InvalidParamsError("power threshold must be positive")
@@ -244,18 +235,15 @@ def frame_events(x: np.ndarray, p: SystemParams,
         else:
             merged.append((int(s), int(e)))
 
-    events = []
-    tail_len = int(round(p.Tp * p.Fs))
+    frames = []
     for s, e in merged:
         # n frames of near-equal length <= max_len, each overlapping the
         # next by one preamble; a run under the cap is one frame [s, e)
         step = e - s - overlap
         n = max(1, -(-step // (max_len - overlap)))
-        for i in range(n):
-            a = s + step * i // n
-            b = s + step * (i + 1) // n + overlap
-            events.append(DetectionEvent(a, x[a:b], x[b: b + tail_len]))
-    return events
+        frames += [(s + step * i // n, s + step * (i + 1) // n + overlap)
+                   for i in range(n)]
+    return frames
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +261,7 @@ def _parabolic(logmag: np.ndarray, k: int) -> float:
 
 
 def periodogram_cfos(x: np.ndarray, p: SystemParams) -> list[float]:
-    """Carrier-line CFO estimates from the spectrum of an event buffer.
+    """Carrier-line CFO estimates from the spectrum of a frame.
 
     The nonnegative constellation puts a discrete line at each packet's
     offset; up to eight lines within Fm (plus a margin) of zero, 10 dB
@@ -281,7 +269,7 @@ def periodogram_cfos(x: np.ndarray, p: SystemParams) -> list[float]:
     returned, refined parabolically.
     """
     if x.size < 64:
-        raise InvalidParamsError("event buffer too short for a periodogram")
+        raise InvalidParamsError("frame too short for a periodogram")
     if not np.any(x):
         return []
     pad = 4
@@ -321,17 +309,17 @@ def upsampled_preamble(p: SystemParams) -> np.ndarray:
 
 def peak_map(x: np.ndarray, cfos: list[float], p: SystemParams,
              eta: float = 0.5) -> PeakMap:
-    """Correlate an event buffer against the preamble on every CFO branch.
+    """Correlate a frame against the preamble on every CFO branch.
 
-    The buffer is demodulated for all branches at once and matched-
-    filtered in one batched circular FFT correlation at the buffer's
+    The frame is demodulated for all branches at once and matched-
+    filtered in one batched circular FFT correlation at the frame's
     own transform length: only lags with the whole preamble inside the
-    buffer are kept, and none of those wraps. Each branch keeps the local
+    frame are kept, and none of those wraps. Each branch keeps the local
     maxima of |correlation| above eta * ||preamble||^2, with non-maximum
     suppression over half a preamble symbol; the clean full-overlap peak
     magnitude equals ||preamble||^2. Each branch also records its
-    carrier-line strength (the event spectrum sampled at the branch
-    CFO, the sum of the demodulated buffer): a real arrival concentrates
+    carrier-line strength (the frame's spectrum sampled at the branch
+    CFO, the sum of the demodulated frame): a real arrival concentrates
     a packet-long tone there while sidelobe lines run well below it.
     """
     pre = upsampled_preamble(p)
@@ -403,9 +391,9 @@ class DriftTable:
         """Union of the near-top lag sets on [df-slack, df+slack].
 
         Where the drift gain collapses several lags tie within noise, so
-        an observed image can sit on any of them; consumers that must
-        cover every place an image can appear (cancellation, deferral)
-        use this set rather than the argmax alone.
+        an observed image can sit on any of them; cancellation, which
+        must cover every place an image can appear, uses this set rather
+        than the argmax alone.
         """
         w = self._window(df, slack)
         return np.unique(self.alt_lags[self.alt_indptr[w.start]:
@@ -533,7 +521,11 @@ def spc_resolve(pm: PeakMap, dt: DriftTable) -> list[ValidatedPeak]:
     branches whose carrier line is weaker than _WEIGHT_FLOOR times the
     strongest line in the map (a real packet concentrates a packet-long
     tone in its own branch; ghost branches ride sidelobe lines several
-    times weaker). After a peak validates, its predicted image
+    times weaker). That floor is also what keeps a candidate whose
+    carrier line is under half as strong as another branch's from being
+    promoted, however well the stronger branch explains it as an image;
+    a line at exactly half the strongest is examined like any other.
+    After a peak validates, its predicted image
     constellation is cancelled across all branches before weaker
     candidates are examined, using the full near-top lag sets rather
     than the argmax drifts alone: where the drift gain collapses the
@@ -545,8 +537,8 @@ def spc_resolve(pm: PeakMap, dt: DriftTable) -> list[ValidatedPeak]:
     branches = pm.branches
     if not branches:
         return []
-    energy = float(dt.meta["nzc"] * dt.meta["sps"])
     n_pre = dt.meta["nzc"] * dt.meta["sps"]
+    energy = float(n_pre)
     wmax = max(b.weight for b in branches)
     alive = [np.ones(b.positions.size, dtype=bool) for b in branches]
     pool = [(float(b.magnitudes[i]), j, i)
@@ -554,31 +546,12 @@ def spc_resolve(pm: PeakMap, dt: DriftTable) -> list[ValidatedPeak]:
             for i in range(b.positions.size)]
     pool.sort(reverse=True)
     validated: list[ValidatedPeak] = []
-
-    def deferred(j: int, pos: int) -> bool:
-        # an overlap conspiracy can push a drift image above its own
-        # main peak; when a live rival on a much stronger carrier line
-        # explains this candidate as its image, hold the candidate back
-        # and let the rival claim the constellation first
-        for k, bk in enumerate(branches):
-            if k == j or bk.weight < _DEFER_RATIO * branches[j].weight:
-                continue
-            q = dt.alt_window(-(branches[j].cfo - bk.cfo), _CFO_SLACK)
-            q = np.concatenate([q, q + n_pre, q - n_pre])
-            rooted = alive[k] & (bk.magnitudes >= _CAND_FLOOR * energy)
-            src = bk.positions[rooted]
-            if src.size and np.min(np.abs(pos - src[:, None]
-                                          - q[None, :])) <= _TOL:
-                return True
-        return False
-
-    def examine(mag: float, j: int, i: int, rescue: bool) -> None:
+    for mag, j, i in pool:
         if (not alive[j][i] or mag < _CAND_FLOOR * energy
                 or branches[j].weight < _WEIGHT_FLOOR * wmax):
-            return
+            continue
+        alive[j][i] = False
         pos = int(branches[j].positions[i])
-        if not rescue and deferred(j, pos):
-            return
         required = 0
         missing = 0
         for k, bk in enumerate(branches):
@@ -601,10 +574,8 @@ def spc_resolve(pm: PeakMap, dt: DriftTable) -> list[ValidatedPeak]:
         # images does not disqualify once three or more branches are
         # required
         if missing > (required // 3 if required >= 3 else 0):
-            alive[j][i] = False
-            return
+            continue
         validated.append(ValidatedPeak(branches[j].cfo, pos, mag))
-        alive[j][i] = False
         # cancel the packet's whole image constellation, not just the
         # evidence that confirmed it, so leftover images cannot later
         # masquerade as packets of their own; a linear correlation
@@ -618,11 +589,6 @@ def spc_resolve(pm: PeakMap, dt: DriftTable) -> list[ValidatedPeak]:
                 near = np.min(np.abs(bk.positions[:, None]
                                      - targets[None, :]), axis=1) <= _TOL
                 alive[k][near] = False
-
-    for mag, j, i in pool:
-        examine(mag, j, i, rescue=False)
-    for mag, j, i in pool:
-        examine(mag, j, i, rescue=True)
     validated.sort(key=lambda v: -v.magnitude)
     kept: list[ValidatedPeak] = []
     for v in validated:
@@ -638,25 +604,26 @@ def spc_resolve(pm: PeakMap, dt: DriftTable) -> list[ValidatedPeak]:
 # Sequence extraction and payload decoding
 # ---------------------------------------------------------------------------
 
-def extract_sequences(ev: DetectionEvent, validated: list[ValidatedPeak],
+def extract_sequences(x: np.ndarray, frame: tuple[int, int],
+                      validated: list[ValidatedPeak],
                       p: SystemParams) -> list[np.ndarray]:
-    """Cut each validated packet out of the event buffer and demodulate it.
+    """Cut each packet validated in frame = (start, stop) out of the
+    stream x and demodulate it.
 
-    Packets running past the buffer end finish from the event's
-    extraction tail; a cut is shorter than a packet only when the
-    stream itself ends first. The carrier is removed on the cut alone,
-    at its own sample indices in the buffer.
+    A cut runs a packet length from start + position, past stop if need
+    be; it is shorter only when the stream itself ends first. The
+    carrier is removed on the cut alone, at its own sample indices in
+    the frame.
     """
+    start, stop = frame
     out = []
     n_pkt = round(p.Tp * p.Fs)
     for v in validated:
-        if not (0 <= v.position < ev.buffer.size):
-            raise InvalidParamsError("validated offset outside the event buffer")
-        x = ev.buffer[v.position: v.position + n_pkt]
-        if x.size < n_pkt:
-            x = np.concatenate([x, ev.tail[: n_pkt - x.size]])
-        k = np.arange(v.position, v.position + x.size)
-        out.append(x * np.exp(-2j * math.pi * v.cfo * k / p.Fs))
+        if not (0 <= v.position < stop - start):
+            raise InvalidParamsError("validated offset outside the frame")
+        seq = x[start + v.position: start + v.position + n_pkt]
+        k = np.arange(v.position, v.position + seq.size)
+        out.append(seq * np.exp(-2j * math.pi * v.cfo * k / p.Fs))
     return out
 
 
@@ -714,11 +681,11 @@ def decode_stream(x: np.ndarray, p: SystemParams, dt: DriftTable,
     """
     out = []
     n_pkt = round(p.Tp * p.Fs)
-    for ev in frame_events(x, p, power_threshold):
-        cfos = periodogram_cfos(ev.buffer, p)
-        vs = spc_resolve(peak_map(ev.buffer, cfos, p), dt)
-        for v, seq in zip(vs, extract_sequences(ev, vs, p)):
-            pos = ev.start + v.position
+    for start, stop in frame_events(x, p, power_threshold):
+        buf = x[start:stop]
+        vs = spc_resolve(peak_map(buf, periodogram_cfos(buf, p), p), dt)
+        for v, seq in zip(vs, extract_sequences(x, (start, stop), vs, p)):
+            pos = start + v.position
             if any(abs(pos - q) <= _TOL and abs(v.cfo - c) <= 2 * _CFO_SLACK
                    for q, c, _ in out):
                 continue

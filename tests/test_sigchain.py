@@ -117,14 +117,10 @@ def test_frame_events_silence_and_single_packet():
 
     sig = packet_stream([(1000, 10.0, None)], 6000,
                         rng=np.random.default_rng(3))
-    evs = sg.frame_events(sig, P, power_threshold=0.1)
-    assert len(evs) == 1
-    ev = evs[0]
-    end = ev.start + ev.buffer.size
-    assert ev.start <= 1000 and end >= 3000   # covers the packet plus guard
-    assert np.array_equal(ev.buffer, sig[ev.start: end])
-    # the tail runs on for a packet length, or to the end of the stream
-    assert np.array_equal(ev.tail, sig[end: end + round(P.Tp * P.Fs)])
+    frames = sg.frame_events(sig, P, power_threshold=0.1)
+    assert len(frames) == 1
+    start, stop = frames[0]
+    assert 0 <= start <= 1000 and 3000 <= stop <= sig.size   # packet plus guard
     with pytest.raises(InvalidParamsError):
         sg.frame_events(quiet, P, power_threshold=0.0)
 
@@ -134,29 +130,35 @@ def test_frame_events_split_at_cap():
     # 3 s of continuous activity against the 2 s frame cap
     specs = [(k * 2000, 0.0, None) for k in range(6)]
     sig = packet_stream(specs, 13000, rng=rng)
-    evs = sg.frame_events(sig, P, power_threshold=0.1)
-    assert len(evs) >= 2
+    frames = sg.frame_events(sig, P, power_threshold=0.1)
+    assert len(frames) >= 2
     cap = round(P.Tmax * P.Fs)
-    assert all(ev.buffer.size <= cap for ev in evs)
+    assert all(stop - start <= cap for start, stop in frames)
     # consecutive frames of one run overlap by exactly one preamble
-    for a, b in zip(evs, evs[1:]):
-        assert b.start == a.start + a.buffer.size - E_PRE
+    for (_, stop), (start, _) in zip(frames, frames[1:]):
+        assert start == stop - E_PRE
 
 
 def test_frame_events_long_run_splits_evenly(dt):
     # a run just over the cap splits into two near-equal frames, not a
     # full frame plus a sliver too short for the periodogram
     rng = np.random.default_rng(8)
-    specs = [(k * 2000, 30.0 * k - 45.0, None) for k in range(4)]
-    sig = packet_stream(specs, 8010, rng=rng)
-    evs = sg.frame_events(sig, P, power_threshold=0.1)
-    assert [ev.buffer.size for ev in evs] == [4465, 4465]
-    assert evs[1].start == evs[0].start + evs[0].buffer.size - E_PRE
+    # the payloads synthesize_packet would draw from rng, in stream order
+    bits = [rng.integers(0, 2, size=sg.payload_bits_per_packet(P))
+            for _ in range(4)]
+    specs = [(k * 2000, 30.0 * k - 45.0, bits[k]) for k in range(4)]
+    sig = packet_stream(specs, 8010)
+    frames = sg.frame_events(sig, P, power_threshold=0.1)
+    assert [stop - start for start, stop in frames] == [4465, 4465]
+    assert frames[1][0] == frames[0][1] - E_PRE
     # the chain runs on both frames (a 10-sample frame used to raise), and
-    # the packet whose preamble straddles the old cut at 4005 is decoded
-    found = [pos for pos, _, bits in chain(sig, dt, thr=0.1) if bits is not None]
-    assert {2000, 4000, 6000} <= set(found)
-    assert len(found) == len(set(found))
+    # every packet decodes bit-exactly, the one whose preamble straddles
+    # the old cut at 4005 and the one at 0 among the periodogram's
+    # sidelobe lines included
+    got = chain(sig, dt, thr=0.1)
+    assert sorted(pos for pos, _, _ in got) == [0, 2000, 4000, 6000]
+    for pos, _, decoded in got:
+        assert np.array_equal(decoded, bits[pos // 2000])
 
 
 def test_frame_events_rejects_cap_under_one_preamble():
@@ -192,8 +194,8 @@ def test_decode_stream_drops_a_packet_seen_in_two_frames(dt, monkeypatch):
 def test_periodogram_two_tones():
     rng = np.random.default_rng(5)
     sig = packet_stream([(200, -60.0, None), (2400, 60.0, None)], 5000, rng=rng)
-    ev = sg.frame_events(sig, P, 0.1)[0]
-    cfos = sg.periodogram_cfos(ev.buffer, P)
+    start, stop = sg.frame_events(sig, P, 0.1)[0]
+    cfos = sg.periodogram_cfos(sig[start:stop], P)
     assert len(cfos) >= 2
     assert min(abs(f + 60.0) for f in cfos) < 1.0
     assert min(abs(f - 60.0) for f in cfos) < 1.0
@@ -203,8 +205,8 @@ def test_periodogram_near_dc():
     # a carrier line straddling 0 Hz must not vanish into the FFT wrap
     rng = np.random.default_rng(6)
     sig = packet_stream([(500, 0.3, None)], 4000, rng=rng)
-    ev = sg.frame_events(sig, P, 0.1)[0]
-    cfos = sg.periodogram_cfos(ev.buffer, P)
+    start, stop = sg.frame_events(sig, P, 0.1)[0]
+    cfos = sg.periodogram_cfos(sig[start:stop], P)
     assert cfos and min(abs(f - 0.3) for f in cfos) < 1.5
 
 
@@ -361,6 +363,7 @@ def test_spc_weight_floor_demotes_ghost_branch(dt):
         ], 4000)
         return {v.position for v in sg.spc_resolve(pm, dt)}
     assert run(300.0) == {500}          # below half the strongest line
+    assert run(500.0) == {500, 717}     # exactly half: the floor test is <
     assert run(800.0) == {500, 717}
 
 
@@ -434,37 +437,33 @@ def test_chain_two_packets_wide_cfos(dt):
 # Extraction and payload decoding
 # ---------------------------------------------------------------------------
 
-def test_extract_completes_from_tail():
+def test_extract_completes_past_the_frame():
     rng = np.random.default_rng(12)
     bits = rng.integers(0, 2, sg.payload_bits_per_packet(P)).astype(np.uint8)
     stream = packet_stream([(4500, 5.0, bits)], 9000)
-    ev = sg.DetectionEvent(0, stream[:5000], stream[5000:7000])
     v = sg.ValidatedPeak(5.0, 4500, 920.0)
-    seq = sg.extract_sequences(ev, [v], P)[0]
+    seq = sg.extract_sequences(stream, (0, 5000), [v], P)[0]
     assert seq.size == 2000
     assert np.array_equal(sg.demap_payload(seq, P), bits)
 
-    # without a tail the cut stops at the end of the buffer
-    bare = sg.DetectionEvent(0, stream[:5000], stream[5000:5000])
-    assert sg.extract_sequences(bare, [v], P)[0].size == 500
+    # where the stream ends first the cut stops there
+    assert sg.extract_sequences(stream[:5000], (0, 5000), [v], P)[0].size == 500
 
 
 def test_extract_cuts_equal_whole_buffer_demodulation():
     # demodulating only the cut, at its own sample indices, gives the
-    # same samples, bit for bit, as demodulating the whole buffer and
-    # cutting after
+    # same samples, bit for bit, as demodulating the whole frame and the
+    # stream past it, indexed from the frame's start, and cutting after
     rng = np.random.default_rng(14)
     stream = packet_stream([(300, -40.0, None), (1700, 55.5, None),
                             (3900, 12.25, None)], 7000, rng=rng)
-    ev = sg.DetectionEvent(0, stream[:5000], stream[5000:6500])
-    vs = [sg.ValidatedPeak(-40.0, 300, 900.0),
-          sg.ValidatedPeak(55.5, 1700, 900.0),
-          sg.ValidatedPeak(12.25, 3900, 900.0),
+    start, stop = 100, 5100
+    vs = [sg.ValidatedPeak(-40.0, 200, 900.0),
+          sg.ValidatedPeak(55.5, 1600, 900.0),
+          sg.ValidatedPeak(12.25, 3800, 900.0),
           sg.ValidatedPeak(-3.3, 4999, 1.0)]
-    for v, got in zip(vs, sg.extract_sequences(ev, vs, P)):
-        x = ev.buffer
-        if v.position + 2000 > x.size:
-            x = np.concatenate([x, ev.tail[: v.position + 2000 - x.size]])
+    for v, got in zip(vs, sg.extract_sequences(stream, (start, stop), vs, P)):
+        x = stream[start:]
         y = x * np.exp(-2j * math.pi * v.cfo * np.arange(x.size) / P.Fs)
         want = y[v.position: v.position + 2000]
         assert got.size == want.size
@@ -472,9 +471,11 @@ def test_extract_cuts_equal_whole_buffer_demodulation():
 
 
 def test_extract_rejects_outside_offsets():
-    ev = sg.DetectionEvent(0, np.zeros(4000, complex), np.zeros(0, complex))
-    with pytest.raises(InvalidParamsError):
-        sg.extract_sequences(ev, [sg.ValidatedPeak(0.0, 4000, 1.0)], P)
+    stream = np.zeros(6000, complex)
+    for pos in (-1, 4000):
+        with pytest.raises(InvalidParamsError):
+            sg.extract_sequences(stream, (1000, 5000),
+                                 [sg.ValidatedPeak(0.0, pos, 1.0)], P)
 
 
 def test_fine_cfo_residual():

@@ -317,10 +317,11 @@ def test_peak_map_matches_on_framed_events():
                          np.sort(rng.integers(200, 2200, 2))):
             sig[s0: s0 + n_pkt] += sg.synthesize_packet(None, P, c, rng=rng)
         noisy = sg.awgn(sig, P.gamma, rng)
-        for ev in sg.frame_events(noisy, P, power_threshold=1.4 / P.gamma):
-            cfos = sg.periodogram_cfos(ev.buffer, P)
-            assert_same_map(sg.peak_map(ev.buffer, cfos, P),
-                            ref_peak_map(ev.buffer, cfos, P), ev.buffer, P)
+        for start, stop in sg.frame_events(noisy, P, 1.4 / P.gamma):
+            frame = noisy[start:stop]
+            cfos = sg.periodogram_cfos(frame, P)
+            assert_same_map(sg.peak_map(frame, cfos, P),
+                            ref_peak_map(frame, cfos, P), frame, P)
 
 
 # ---------------------------------------------------------------------------
