@@ -25,8 +25,22 @@ the contract is:
 The receiver's real FFT convolution (event framing's power smoothing)
 is checked bit for bit against scipy.signal.fftconvolve, which it
 replaces; its transform length against scipy.fft.next_fast_len.
-`fine_cfo` reads three bins of its padded spectrum; the full-spectrum
-version it replaced is kept as a reference too.
+
+`fine_cfo` computes its 32-times padded spectrum as 32 interleaved
+transforms of the preamble length (`_padded_fft`) and reads three bins
+of it; the full-spectrum version it replaced is kept as a reference.
+The two transforms round differently, so the contract is:
+
+- the interleaved spectrum equals np.fft.fft(r, pad * n) within
+  1e-12 * sum |r|, for any length n and pad;
+- `fine_cfo` lands on the reference's argmax bin, and its CFO is
+  within 1e-9 Hz of the reference's.
+
+`periodogram_cfos` runs its line test and dB conversion on the search
+band's bins alone and takes the median from the middle order
+statistics. The full-array search it replaced is kept with the
+transform length as a parameter; at the receiver's transform length
+the two return the same CFO list bit for bit.
 """
 
 import math
@@ -375,23 +389,34 @@ def test_convolve_edge_lengths_match_fftconvolve(na, nb, mode):
 
 @pytest.mark.parametrize("real", [True, False])
 def test_fast_len_matches_next_fast_len(real):
-    got = [sg._fast_len(n, real) for n in range(1, 20001)]
-    assert got == [next_fast_len(n, real) for n in range(1, 20001)]
+    # the periodogram asks for up to 4 * Tmax * Fs = 32,000
+    got = [sg._fast_len(n, real) for n in range(1, 32769)]
+    assert got == [next_fast_len(n, real) for n in range(1, 32769)]
 
 
 # ---------------------------------------------------------------------------
 # fine_cfo against the full-spectrum refinement it replaced
 # ---------------------------------------------------------------------------
 
+def ref_parabolic(logmag, k):
+    n = logmag.size
+    a, b, c = logmag[(k - 1) % n], logmag[k], logmag[(k + 1) % n]
+    denom = a - 2 * b + c
+    if denom == 0:
+        return 0.0
+    return float(0.5 * (a - c) / denom)
+
+
 def ref_fine_cfo(seq, p):
+    """(argmax bin, residual CFO) from the full padded spectrum."""
     pre = sg.upsampled_preamble(p)
     r = seq[: pre.size] * np.conj(pre)
     nfft = sg._FINE_CFO_PAD * pre.size
     spec = np.abs(np.fft.fft(r, nfft))
     k = int(np.argmax(spec))
-    frac = sg._parabolic(20 * np.log10(np.maximum(spec, 1e-300)), k)
+    frac = ref_parabolic(20 * np.log10(np.maximum(spec, 1e-300)), k)
     f = np.fft.fftfreq(nfft, 1.0 / p.Fs)[k]
-    return float(f + frac * p.Fs / nfft)
+    return k, float(f + frac * p.Fs / nfft)
 
 
 def test_fine_cfo_matches_full_spectrum():
@@ -399,8 +424,8 @@ def test_fine_cfo_matches_full_spectrum():
     # at SNRs from clean to noise-dominated; plus an all-zero sequence
     # (every bin at the 1e-300 floor, argmax 0)
     rng = np.random.default_rng(2024)
-    n_pre = sg.upsampled_preamble(P).size
-    cases = [np.zeros(n_pre, complex)]
+    pre = sg.upsampled_preamble(P)
+    cases = [np.zeros(pre.size, complex)]
     for cfo in np.concatenate([rng.uniform(-0.5, 0.5, 40) * P.Fs / 46,
                                [0.0, 1e-3, -1e-3, P.Fs / 2 - 1.0]]):
         pk = sg.synthesize_packet(None, P, float(cfo), rng=rng)
@@ -408,4 +433,103 @@ def test_fine_cfo_matches_full_spectrum():
         for snr in (0.1, 1.0, 10.0):
             cases.append(sg.awgn(pk, snr, rng))
     for seq in cases:
-        assert sg.fine_cfo(seq, P) == ref_fine_cfo(seq, P)
+        k, f = ref_fine_cfo(seq, P)
+        r = seq[: pre.size] * np.conj(pre)
+        spec = np.abs(sg._padded_fft(r, sg._FINE_CFO_PAD)).T.ravel()
+        assert int(np.argmax(spec)) == k
+        assert abs(sg.fine_cfo(seq, P) - f) <= 1e-9
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1),
+       st.sampled_from([1, 2, 3, 23, 920, 1009, 1999]) | st.integers(1, 2000),
+       st.integers(1, 40))
+def test_padded_fft_matches_padded_transform(seed, n, pad):
+    # prime lengths included, where both transforms go through Bluestein
+    rng = np.random.default_rng(seed)
+    r = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    got = sg._padded_fft(r, pad)
+    assert got.shape == (pad, n)
+    want = np.fft.fft(r, pad * n)
+    assert np.all(np.abs(got.T.ravel() - want) <= 1e-12 * np.sum(np.abs(r)))
+
+
+def test_pad_twiddles_read_only():
+    w = sg._pad_twiddles(920, sg._FINE_CFO_PAD)
+    assert w.shape == (sg._FINE_CFO_PAD, 920) and not w.flags.writeable
+    assert sg._pad_twiddles(920, sg._FINE_CFO_PAD) is w
+
+
+# ---------------------------------------------------------------------------
+# periodogram_cfos against the full-spectrum search it replaced
+# ---------------------------------------------------------------------------
+
+def ref_periodogram_cfos(x, p, nfft):
+    """Every bin's line test, dB value and median, at transform length nfft."""
+    pad = 4
+    spec = np.abs(np.fft.fft(x, nfft))
+    freqs = np.fft.fftfreq(nfft, 1.0 / p.Fs)
+    logmag = 20 * np.log10(np.maximum(spec, 1e-300))
+    floor = np.median(logmag)
+    min_sep = pad
+    limit = p.Fm + sg._CFO_MARGIN
+    is_peak = (spec >= np.roll(spec, 1)) & (spec >= np.roll(spec, -1))
+    cand = np.flatnonzero(is_peak & (logmag > floor + sg._LINE_DB)
+                          & (np.abs(freqs) <= limit))
+    cand = cand[np.argsort(spec[cand])[::-1]]
+    chosen = []
+    for k in cand:
+        if all(min(abs(k - c), nfft - abs(k - c)) >= min_sep for c in chosen):
+            chosen.append(int(k))
+        if len(chosen) >= sg._MAX_LINES:
+            break
+    out = []
+    for k in chosen:
+        frac = ref_parabolic(logmag, k)
+        out.append(float(freqs[k] + frac * p.Fs / nfft))
+    return sorted(out)
+
+
+def assert_same_cfos(x, p):
+    got = sg.periodogram_cfos(x, p)
+    want = ref_periodogram_cfos(x, p, 4 * x.size)
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+    return got
+
+
+def tones(rng, p, n, k, snr):
+    t = np.arange(n) / p.Fs
+    f = rng.uniform(-p.Fm - 15, p.Fm + 15, k)
+    amp = rng.uniform(0.2, 1.0, k)
+    x = np.sum(amp[:, None] * np.exp(2j * math.pi * f[:, None] * t), axis=0)
+    return sg.awgn(x, snr, rng) if k else x
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(64, 8000),
+       st.integers(0, 12), st.sampled_from([0.05, 1.0, 100.0]))
+def test_periodogram_matches_full_spectrum(seed, n, k, snr):
+    rng = np.random.default_rng(seed)
+    x = (tones(rng, P, n, k, snr) if k
+         else rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    assert_same_cfos(x, P)
+
+
+@pytest.mark.parametrize("n", [64, 2503, 2531, 8000])
+def test_periodogram_matches_full_spectrum_at_edge_lengths(n):
+    # 4 * 2503 is a Bluestein length; 2531 pads to the odd 10,125
+    assert sg._fast_len(4 * 2503, False) != 4 * 2503 and sg._fast_len(4 * 2531, False) == 10125
+    rng = np.random.default_rng(n)
+    cfos = assert_same_cfos(tones(rng, P, n, 4, 1.0), P)
+    assert cfos
+
+
+def test_periodogram_band_wraps_the_circle():
+    # Fm + margin = Fs / 2: every bin is in the band, the Nyquist bin too
+    p = SystemParams(Fs=20.0, Tb=0.1, Fm=0.0, W=5.0)
+    rng = np.random.default_rng(5)
+    for n in (64, 65, 301):
+        t = np.arange(n) / p.Fs
+        x = (np.exp(2j * math.pi * 9.9 * t) + 0.5 * np.exp(-2j * math.pi * 10.0 * t)
+             + 0.01 * (rng.standard_normal(n) + 1j * rng.standard_normal(n)))
+        assert len(assert_same_cfos(x, p)) >= 2
