@@ -280,9 +280,11 @@ def periodogram_cfos(x: np.ndarray, p: SystemParams) -> list[float]:
     above the median and at least one resolution bin apart are
     returned, refined parabolically.
 
-    The frame is zero-padded to four times its length. Only the bins
-    inside the search band are examined (with their two neighbours, for
-    the local-maximum test and the refinement); the median is taken from
+    The frame is zero-padded to the first length of at least four times
+    its own that pocketfft transforms fast (11-smooth), as peak_map
+    does, and lines stay four padded bins apart. Only the bins inside
+    the search band are examined (with their two neighbours, for the
+    local-maximum test and the refinement); the median is taken from
     the middle order statistics of the magnitudes, dB being monotone.
     """
     if x.size < 64:
@@ -290,11 +292,11 @@ def periodogram_cfos(x: np.ndarray, p: SystemParams) -> list[float]:
     if not np.any(x):
         return []
     pad = 4
-    nfft = pad * x.size
+    nfft = _fast_len(pad * x.size, False)
     spec = np.abs(np.fft.fft(x, nfft))
     mid = [(nfft - 1) // 2, nfft // 2]
     floor = np.median(_db(np.partition(spec, mid)[mid]))
-    min_sep = pad  # one pre-padding resolution bin, in padded bins
+    min_sep = pad  # about one pre-padding resolution bin, in padded bins
     limit = p.Fm + _CFO_MARGIN
 
     # the band's signed bins, each once, at np.fft.fftfreq's frequencies;

@@ -354,8 +354,8 @@ def test_receiver_decisions_digest(tmp_path):
 
 
 @pytest.mark.parametrize("seed, digest", [
-    (1, "d2f58d1e2dd6a4c296829582df55b6f817e6a632953f7b8c30e34b37ef8b0638"),
-    (97, "92b74f495c0f817247a43024d71b25feaaebdd4bfc50e0928dc4f4a5697fb260"),
+    (1, "e14a897b28644fd3ea69acfa0bcc0ac8e52d8321ff59097bda65eb12d053033e"),
+    (97, "8ff996f825175bbd620adda09c05b19eabda3f7e18b8eeccd653af10a613fd8d"),
 ])
 def test_receiver_report_pinned(tmp_path, seed, digest):
     # a 60-trial report, byte for byte; the default 1000-trial report is

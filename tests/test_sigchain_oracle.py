@@ -492,7 +492,7 @@ def ref_periodogram_cfos(x, p, nfft):
 
 def assert_same_cfos(x, p):
     got = sg.periodogram_cfos(x, p)
-    want = ref_periodogram_cfos(x, p, 4 * x.size)
+    want = ref_periodogram_cfos(x, p, sg._fast_len(4 * x.size, False))
     assert np.array(got).tobytes() == np.array(want).tobytes()
     return got
 
