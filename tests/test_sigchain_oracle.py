@@ -454,10 +454,13 @@ def test_padded_fft_matches_padded_transform(seed, n, pad):
     assert np.all(np.abs(got.T.ravel() - want) <= 1e-12 * np.sum(np.abs(r)))
 
 
-def test_pad_twiddles_read_only():
+def test_cached_arrays_are_shared_and_read_only():
     w = sg._pad_twiddles(920, sg._FINE_CFO_PAD)
     assert w.shape == (sg._FINE_CFO_PAD, 920) and not w.flags.writeable
     assert sg._pad_twiddles(920, sg._FINE_CFO_PAD) is w
+    pre = sg.upsampled_preamble(P)
+    assert not pre.flags.writeable
+    assert sg.upsampled_preamble(SystemParams()) is pre
 
 
 # ---------------------------------------------------------------------------
@@ -513,6 +516,22 @@ def test_periodogram_matches_full_spectrum(seed, n, k, snr):
     x = (tones(rng, P, n, k, snr) if k
          else rng.standard_normal(n) + 1j * rng.standard_normal(n))
     assert_same_cfos(x, P)
+
+
+def test_periodogram_matches_full_spectrum_near_the_threshold():
+    # short frames with six tones over noise: over this many, some line
+    # lands between the 10 dB thresholds set by the even-length median
+    # (the mean of the two middle order statistics) and by either
+    # middle statistic alone
+    for seed in range(2000):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(64, 200))
+        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        t = np.arange(n) / P.Fs
+        for _ in range(6):
+            x = x + rng.uniform(0.3, 1.5) * np.exp(
+                2j * math.pi * rng.uniform(-110, 110) * t)
+        assert_same_cfos(x, P)
 
 
 @pytest.mark.parametrize("n", [64, 2503, 2531, 8000])
