@@ -373,8 +373,8 @@ def validate_receiver(cfg: ExperimentConfig) -> dict:
     thr = 1.4 / p.gamma   # smoothed-power gate over the noise floor 1/gamma
     decisions = hashlib.sha256()
 
-    dt = sg.build_drift_table(p.Nzc, p.Tb, p.Fs)
-    dt2 = sg.build_drift_table(p.Nzc, p.Tb, p.Fs)
+    dt = sg.build_drift_table(p)
+    dt2 = sg.build_drift_table(p)
     bound = p.Nzc // 2
     drift = {
         "q_zero_symbols": dt.shift_at(0.0) // p.samples_per_symbol,

@@ -101,15 +101,14 @@ def spectral_efficiency(lambda_agg: float, p: SystemParams,
 # Granted-access baseline
 # ---------------------------------------------------------------------------
 
-def ra_contention(lambda_agg: float, opportunities: int = RA_OPPORTUNITIES,
-                  period: float = RA_PERIOD) -> tuple[float, float, bool]:
+def ra_contention(lambda_agg: float) -> tuple[float, float, bool]:
     """Steady-state random-access contention of the granted baseline.
 
-    Backlogged devices each pick one of `opportunities` slots per period;
-    a slot with a single pick succeeds. With Poisson attempts A per
-    period the per-attempt success is exp(-A/O) and the stable fixed
-    point A*exp(-A/O) = lambda*period exists while lambda*period <= O/e
-    (solved via the Lambert W function).
+    Backlogged devices each pick one of O = RA_OPPORTUNITIES slots per
+    RA_PERIOD; a slot with a single pick succeeds. With Poisson attempts
+    A per period the per-attempt success is exp(-A/O) and the stable
+    fixed point A*exp(-A/O) = lambda*RA_PERIOD exists while
+    lambda*RA_PERIOD <= O/e (solved via the Lambert W function).
 
     Returns (expected attempts per report, per-attempt success
     probability, stable flag). Beyond saturation the attempt count is
@@ -117,12 +116,12 @@ def ra_contention(lambda_agg: float, opportunities: int = RA_OPPORTUNITIES,
     """
     if lambda_agg < 0:
         raise InvalidParamsError("arrival rate must be nonnegative")
-    demand = lambda_agg * period
+    demand = lambda_agg * RA_PERIOD
     if demand == 0.0:
         return 1.0, 1.0, True
-    if demand > opportunities / math.e:
+    if demand > RA_OPPORTUNITIES / math.e:
         return math.inf, 0.0, False
-    a = -opportunities * _lambertw0(-demand / opportunities)
+    a = -RA_OPPORTUNITIES * _lambertw0(-demand / RA_OPPORTUNITIES)
     p_succ = demand / a
     return 1.0 / p_succ, p_succ, True
 
@@ -186,17 +185,16 @@ def granted_path_kpis(lambda_agg: float, attempts: float, delay: float,
     )
 
 
-def granted_kpis(lambda_agg: float, p: SystemParams, e: EnergyParams,
-                 opportunities: int = RA_OPPORTUNITIES,
-                 period: float = RA_PERIOD) -> KpiReport:
+def granted_kpis(lambda_agg: float, p: SystemParams,
+                 e: EnergyParams) -> KpiReport:
     """Analytic KPI row of the granted baseline at the same demand."""
-    attempts, p_succ, stable = ra_contention(lambda_agg, opportunities, period)
+    attempts, p_succ, stable = ra_contention(lambda_agg)
     if not stable:
         return KpiReport(expected_delay=math.inf, battery_lifetime=0.0,
                          energy_efficiency=0.0, spectral_efficiency=0.0)
     # Mean wait to the next period boundary plus retry periods, then
     # synchronization and the data transmission itself.
-    delay = period / 2.0 + (attempts - 1.0) * period + e.Dsynch + p.Tp
+    delay = RA_PERIOD / 2.0 + (attempts - 1.0) * RA_PERIOD + e.Dsynch + p.Tp
     return granted_path_kpis(lambda_agg, attempts, delay, p, e)
 
 

@@ -43,11 +43,11 @@ def is_real(x) -> bool:
         return False
 
 
-def zc_root_ok(nzc: int, root: int = ZC_ROOT) -> bool:
-    """Whether root yields a Zadoff-Chu sequence of length nzc: the
+def zc_root_ok(nzc: int) -> bool:
+    """Whether ZC_ROOT yields a Zadoff-Chu sequence of length nzc: the
     length odd and at least 3, the root in (0, nzc) and coprime with it."""
-    return (nzc >= 3 and nzc % 2 == 1 and 0 < root < nzc
-            and math.gcd(root, nzc) == 1)
+    return (nzc >= 3 and nzc % 2 == 1 and 0 < ZC_ROOT < nzc
+            and math.gcd(ZC_ROOT, nzc) == 1)
 
 
 def slots_for_replicas(n: int) -> int:

@@ -24,11 +24,15 @@ from .params import ZC_ROOT, InvalidParamsError, SystemParams, zc_root_ok
 
 _DRIFT_BLOCK = 64   # drift-table rows per block, half as many |CFO|
                     # transforms, each serving both signs: bounds memory
+_ALT_FRAC = 0.8     # drift table: near-top lags reach this share of the top
+_ETA = 0.5          # peak map: correlation threshold, share of ||preamble||^2
 _SMOOTH_SYMBOLS = 8  # event framing: power smoothing span, symbols
 _GAP_SYMBOLS = 2.0   # event framing: longest gap bridged, symbols
 _LINE_DB = 10.0      # periodogram: carrier line height over the median, dB
 _MAX_LINES = 8       # periodogram: most carrier lines kept
 _CFO_MARGIN = 10.0   # periodogram: search band beyond Fm, Hz
+_LINE_PAD = 4        # periodogram: zero-padding factor, at least
+_MIN_FRAME = 64      # periodogram: shortest frame, samples
 _FINE_CFO_PAD = 32   # zero-padding factor of the residual-CFO spectrum
 # Cross-branch validation; spc_resolve's docstring gives each one's role.
 _TOL = 1             # samples
@@ -67,14 +71,14 @@ class ValidatedPeak:
     magnitude: float
 
 
-def zc_preamble(nzc: int = 23, root: int = ZC_ROOT) -> np.ndarray:
-    """Constant-modulus Zadoff-Chu sequence at symbol rate."""
-    if not zc_root_ok(nzc, root):
+def zc_preamble(nzc: int) -> np.ndarray:
+    """Constant-modulus Zadoff-Chu sequence of root ZC_ROOT at symbol rate."""
+    if not zc_root_ok(nzc):
         raise InvalidParamsError(
-            f"Zadoff-Chu length {nzc} must be odd and >= 3, and root {root} "
-            "must lie in (0, length) and be coprime with it")
+            f"Zadoff-Chu length {nzc} must be odd and >= 3, and the root "
+            f"{ZC_ROOT} must lie in (0, length) and be coprime with it")
     n = np.arange(nzc)
-    return np.exp(-1j * math.pi * root * n * (n + 1) / nzc)
+    return np.exp(-1j * math.pi * ZC_ROOT * n * (n + 1) / nzc)
 
 
 def pam4_map(bits) -> np.ndarray:
@@ -157,14 +161,13 @@ def awgn(x: np.ndarray, snr: float, rng: np.random.Generator) -> np.ndarray:
 # Event framing
 # ---------------------------------------------------------------------------
 
-def _fast_len(n: int, real: bool) -> int:
-    """Smallest transform length >= n that pocketfft runs fast: 5-smooth
-    for real input, 11-smooth otherwise (scipy.fft.next_fast_len's rule)."""
-    primes = (2, 3, 5) if real else (2, 3, 5, 7, 11)
+def _fast_len(n: int) -> int:
+    """Smallest complex transform length >= n that pocketfft runs fast:
+    11-smooth (scipy.fft.next_fast_len's rule for complex input)."""
     m = n
     while True:
         r = m
-        for q in primes:
+        for q in (2, 3, 5, 7, 11):
             while r % q == 0:
                 r //= q
         if r == 1:
@@ -172,21 +175,11 @@ def _fast_len(n: int, real: bool) -> int:
         m += 1
 
 
-def _convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Full linear convolution of two real 1-D arrays.
-
-    Evaluated as scipy.signal.fftconvolve does, so the bits match it: the
-    product of the two real spectra at its 5-smooth transform length, or
-    the plain product when either length is 1.
-    """
-    na, nb = a.size, b.size
-    if na == 0 or nb == 0:
-        return np.zeros(0)
-    if na == 1 or nb == 1:
-        return a * b
-    n = na + nb - 1
-    nfft = _fast_len(n, True)
-    return np.fft.irfft(np.fft.rfft(a, nfft) * np.fft.rfft(b, nfft), nfft)[:n]
+def _box_sum(a: np.ndarray, win: int) -> np.ndarray:
+    """Full linear convolution of a with win ones, from one running sum."""
+    c = np.concatenate([[0.0], np.cumsum(a)])
+    k = np.arange(a.size + win - 1)   # output k sums a[k-win+1 .. k]
+    return c[np.minimum(k + 1, a.size)] - c[np.maximum(k + 1 - win, 0)]
 
 
 def frame_events(x: np.ndarray, p: SystemParams,
@@ -216,10 +209,8 @@ def frame_events(x: np.ndarray, p: SystemParams,
     if max_len <= overlap:
         raise InvalidParamsError("frame cap Tmax must exceed the preamble length")
     win = _SMOOTH_SYMBOLS * sps
-    pw = np.abs(x) ** 2
-    kernel = np.ones(win) / win
     lead = (win - 1) // 2   # the centered ("same") part of the convolution
-    smooth = _convolve(pw, kernel)[lead: lead + pw.size]
+    smooth = _box_sum(np.abs(x) ** 2, win)[lead: lead + x.size] / win
     above = smooth > power_threshold
     if not above.any():
         return []
@@ -287,16 +278,15 @@ def periodogram_cfos(x: np.ndarray, p: SystemParams) -> list[float]:
     local-maximum test and the refinement); the median is taken from
     the middle order statistics of the magnitudes, dB being monotone.
     """
-    if x.size < 64:
+    if x.size < _MIN_FRAME:
         raise InvalidParamsError("frame too short for a periodogram")
     if not np.any(x):
         return []
-    pad = 4
-    nfft = _fast_len(pad * x.size, False)
+    nfft = _fast_len(_LINE_PAD * x.size)
     spec = np.abs(np.fft.fft(x, nfft))
     mid = [(nfft - 1) // 2, nfft // 2]
     floor = np.median(_db(np.partition(spec, mid)[mid]))
-    min_sep = pad  # about one pre-padding resolution bin, in padded bins
+    min_sep = _LINE_PAD  # about one pre-padding resolution bin, in padded bins
     limit = p.Fm + _CFO_MARGIN
 
     # the band's signed bins, each once, at np.fft.fftfreq's frequencies;
@@ -334,15 +324,14 @@ def _preamble(nzc: int, sps: int) -> np.ndarray:
     return pre
 
 
-def peak_map(x: np.ndarray, cfos: list[float], p: SystemParams,
-             eta: float = 0.5) -> PeakMap:
+def peak_map(x: np.ndarray, cfos: list[float], p: SystemParams) -> PeakMap:
     """Correlate a frame against the preamble on every CFO branch.
 
     The frame is demodulated for all branches at once and matched-
     filtered in one batched circular FFT correlation at the frame's
     own transform length: only lags with the whole preamble inside the
     frame are kept, and none of those wraps. Each branch keeps the local
-    maxima of |correlation| above eta * ||preamble||^2, with non-maximum
+    maxima of |correlation| above _ETA * ||preamble||^2, with non-maximum
     suppression over half a preamble symbol; the clean full-overlap peak
     magnitude equals ||preamble||^2. Each branch also records its
     carrier-line strength (the frame's spectrum sampled at the branch
@@ -358,7 +347,7 @@ def peak_map(x: np.ndarray, cfos: list[float], p: SystemParams,
     if span == 0:
         corr = np.empty((y.shape[0], 0))
     else:
-        n = _fast_len(x.size, False)
+        n = _fast_len(x.size)
         corr = np.abs(np.fft.ifft(np.fft.fft(y, n)
                                   * np.conj(np.fft.fft(pre, n)))[:, :span])
     is_max = np.ones(corr.shape, dtype=bool)
@@ -367,7 +356,7 @@ def peak_map(x: np.ndarray, cfos: list[float], p: SystemParams,
         is_max[:, -1] = corr[:, -1] >= corr[:, -2]
         is_max[:, 1:-1] = ((corr[:, 1:-1] >= corr[:, :-2])
                            & (corr[:, 1:-1] >= corr[:, 2:]))
-    is_max &= corr > eta * float(np.sum(np.abs(pre) ** 2))
+    is_max &= corr > _ETA * float(np.sum(np.abs(pre) ** 2))
     sep = max(1, p.samples_per_symbol // 2)
     branches = []
     for cfo, w, c, m in zip(cfos, weights, corr, is_max):
@@ -388,17 +377,15 @@ def peak_map(x: np.ndarray, cfos: list[float], p: SystemParams,
 
 @dataclass
 class DriftTable:
-    cfos: np.ndarray        # Hz, ascending uniform grid
+    cfos: np.ndarray        # Hz, the integers on [-reach, reach]
     shifts: np.ndarray      # samples, argmax drift of the correlation peak
     gains: np.ndarray       # peak magnitude relative to the zero-offset peak
-    meta: dict
+    n_pre: int              # preamble length, samples
     alt_indptr: np.ndarray  # CSR bounds into alt_lags, one row per cfo
     alt_lags: np.ndarray    # samples, near-top lag set of each cfo
 
     def _index(self, df: float) -> int:
-        return int(np.clip(np.rint((df - self.cfos[0])
-                                   / (self.cfos[1] - self.cfos[0])),
-                           0, self.cfos.size - 1))
+        return int(np.clip(np.rint(df - self.cfos[0]), 0, self.cfos.size - 1))
 
     def shift_at(self, df: float) -> int:
         return int(self.shifts[self._index(df)])
@@ -430,15 +417,17 @@ class DriftTable:
         return float(np.max(self.gains[self._window(df, slack)]))
 
 
-def build_drift_table(nzc: int, tb: float, fs: float,
-                      cfo_grid: np.ndarray | None = None,
-                      alt_frac: float = 0.8) -> DriftTable:
+def build_drift_table(p: SystemParams) -> DriftTable:
     """Measure the correlation-peak drift of a CFO-hit preamble.
 
-    For each offset of cfo_grid (ascending and uniform, at least two
-    points) the clean preamble is correlated against its modulated copy
-    and the argmax lag is reduced to its cyclic symbol lag, so the
-    stored drift steps through whole symbols and stays within
+    The 1 Hz grid on [-reach, reach] covers every offset difference
+    spc_resolve reads: a periodogram line lies within Fm + _CFO_MARGIN,
+    plus the half padded bin _refine can add, of zero; two differ by at
+    most twice that, and lookups widen it by _CFO_SLACK.
+
+    For each offset the clean preamble is correlated against its
+    modulated copy and the argmax lag is reduced to its cyclic symbol
+    lag, so the stored drift steps through whole symbols and stays within
     +-floor(Nzc/2) symbols of zero by construction. For any preamble
     |corr| at offset -f and lag k equals |corr| at +f and lag -k, so each
     distinct |f| is transformed once and the row at -|f| reads the +|f|
@@ -449,25 +438,17 @@ def build_drift_table(nzc: int, tb: float, fs: float,
     the smallest |lag| with the sign of the offset.
 
     Alongside the argmax each row keeps the set of lags whose magnitude
-    reaches alt_frac of the top, with the argmax's 1e-9 tie tolerance so
+    reaches _ALT_FRAC of the top, with the argmax's 1e-9 tie tolerance so
     that lags tying in exact arithmetic stand or fall together: near the
     gain plateaus that set is the argmax alone, but where the gain
     collapses several lags come within noise of each other and an
     observed image can land on any of them.
     """
-    sps = round(fs * tb)
-    if abs(fs * tb - sps) > 1e-9 or sps < 1:
-        raise InvalidParamsError("fs*Tb must be a positive integer")
-    if not 0.0 < alt_frac <= 1.0:
-        raise InvalidParamsError("alt_frac must lie in (0, 1]")
-    if cfo_grid is None:
-        cfo_grid = np.arange(-400.0, 401.0)
-    cfo_grid = np.asarray(cfo_grid, dtype=float)
-    if cfo_grid.ndim != 1 or cfo_grid.size < 2:
-        raise InvalidParamsError("cfo_grid needs at least two points")
-    step = np.diff(cfo_grid)
-    if not (np.all(step > 0) and np.ptp(step) <= 1e-6 * step[0]):
-        raise InvalidParamsError("cfo_grid must be ascending and uniform")
+    p.validate(sample_level=True)
+    nzc, fs, sps = p.Nzc, p.Fs, p.samples_per_symbol
+    half_bin = fs / (2 * _LINE_PAD * _MIN_FRAME)
+    reach = math.ceil(2 * (p.Fm + _CFO_MARGIN + half_bin) + _CFO_SLACK)
+    cfo_grid = np.arange(-reach, reach + 1.0)
     pre = _preamble(nzc, sps)
     n = pre.size
     nfft = 1 << int(math.ceil(math.log2(2 * n - 1)))
@@ -505,7 +486,7 @@ def build_drift_table(nzc: int, tb: float, fs: float,
         # scored at +|f|; at -|f| the (unique) best lag negates
         score = rank - (fa > 0).astype(np.int64)[:, None] * lag_sign
         best = np.argmin(np.where(tie, score, np.iinfo(np.int64).max), axis=1)
-        r, c = np.nonzero(mag >= (top * alt_frac * (1.0 - 1e-9))[:, None])
+        r, c = np.nonzero(mag >= (top * _ALT_FRAC * (1.0 - 1e-9))[:, None])
         near_abs = np.zeros((2, fa.size, nzc), dtype=bool)
         near_abs[np.arange(2)[:, None], r, sym[:, c] + half] = True
         block = np.flatnonzero((which >= lo) & (which < lo + fa.size))
@@ -516,10 +497,7 @@ def build_drift_table(nzc: int, tb: float, fs: float,
     alt_indptr = np.zeros(rows + 1, dtype=np.int64)
     np.cumsum(near.sum(axis=1), out=alt_indptr[1:])
     alt_lags = (np.nonzero(near)[1] - half).astype(np.int64) * sps
-    return DriftTable(cfo_grid, shifts, gains,
-                      {"nzc": nzc, "tb": tb, "fs": fs, "sps": sps,
-                       "alt_frac": alt_frac},
-                      alt_indptr, alt_lags)
+    return DriftTable(cfo_grid, shifts, gains, n, alt_indptr, alt_lags)
 
 
 # ---------------------------------------------------------------------------
@@ -564,8 +542,7 @@ def spc_resolve(pm: PeakMap, dt: DriftTable) -> list[ValidatedPeak]:
     branches = pm.branches
     if not branches:
         return []
-    n_pre = dt.meta["nzc"] * dt.meta["sps"]
-    energy = float(n_pre)
+    energy = float(dt.n_pre)
     wmax = max(b.weight for b in branches)
     alive = [np.ones(b.positions.size, dtype=bool) for b in branches]
     pool = [(float(b.magnitudes[i]), j, i)
@@ -611,7 +588,7 @@ def spc_resolve(pm: PeakMap, dt: DriftTable) -> list[ValidatedPeak]:
         for k, bk in enumerate(branches):
             delta = -(bk.cfo - branches[j].cfo)
             q = dt.alt_window(delta, _CFO_SLACK)
-            targets = pos + np.concatenate([q, q + n_pre, q - n_pre])
+            targets = pos + np.concatenate([q, q + dt.n_pre, q - dt.n_pre])
             if bk.positions.size:
                 near = np.min(np.abs(bk.positions[:, None]
                                      - targets[None, :]), axis=1) <= _TOL

@@ -6,6 +6,7 @@ on noise-free inputs; the statistical error rates of the same pipeline
 under noise live in the acceptance suite.
 """
 
+import functools
 import hashlib
 import math
 
@@ -24,7 +25,7 @@ E_PRE = 23 * 40   # clean preamble correlation energy
 
 @pytest.fixture(scope="module")
 def dt():
-    return sg.build_drift_table(P.Nzc, P.Tb, P.Fs)
+    return sg.build_drift_table(P)
 
 
 def chain(x, dt, thr=1.4 / P.gamma):
@@ -53,7 +54,7 @@ def test_zc_preamble_properties():
     with pytest.raises(InvalidParamsError):
         sg.zc_preamble(24)
     with pytest.raises(InvalidParamsError):
-        sg.zc_preamble(9, root=3)   # shares a factor with the length
+        sg.zc_preamble(15)   # shares a factor with the root 5
 
 
 def test_pam4_mapping():
@@ -270,12 +271,10 @@ def test_drift_table_alt_sets(dt):
         tight = set(dt.shifts_window(df, 2.5).tolist())
         wide = set(dt.alt_window(df, 2.5).tolist())
         assert tight <= wide
-    with pytest.raises(InvalidParamsError):
-        sg.build_drift_table(P.Nzc, P.Tb, P.Fs, alt_frac=0.0)
 
 
 def test_drift_table_deterministic(dt):
-    again = sg.build_drift_table(P.Nzc, P.Tb, P.Fs)
+    again = sg.build_drift_table(P)
     assert np.array_equal(dt.shifts, again.shifts)
     assert np.array_equal(dt.gains, again.gains)
     assert np.array_equal(dt.alt_indptr, again.alt_indptr)
@@ -304,13 +303,15 @@ NZC_ODD = [n for n in range(3, 32, 2) if n > 5 and math.gcd(5, n) == 1]
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(st.sampled_from(NZC_ODD), st.integers(1, 40),
-       st.floats(0.05, 60.0, allow_nan=False), st.integers(1, 20),
-       st.sampled_from([0.3, 0.8, 1.0]))
-def test_drift_table_mirrors_at_opposite_offsets(nzc, sps, step, m, alt_frac):
-    # on a grid symmetric about 0 the rows at +-f read one transform
+       st.sampled_from([0.0, 100.0, 300.0]) | st.floats(0.0, 300.0))
+def test_drift_table_mirrors_at_opposite_offsets(nzc, sps, fm):
+    # the grid is symmetric about 0, and the rows at +-f read one transform
     fs = 4000.0
-    grid = step * np.arange(-m, m + 1)
-    table = sg.build_drift_table(nzc, sps / fs, fs, grid, alt_frac)
+    table = sg.build_drift_table(SystemParams(Nzc=nzc, Fs=fs, Tb=sps / fs,
+                                              Fm=fm))
+    grid = table.cfos
+    m = grid.size // 2
+    assert grid[m] == 0.0 and np.array_equal(grid, np.arange(-m, m + 1.0))
     wrap = {-(nzc // 2) * sps, (nzc // 2) * sps}
     for i in range(m):
         j = grid.size - 1 - i
@@ -325,16 +326,43 @@ def test_drift_table_mirrors_at_opposite_offsets(nzc, sps, step, m, alt_frac):
         assert set((-alt_i).tolist()) ^ set(alt_j.tolist()) <= wrap
 
 
-@pytest.mark.parametrize("grid", [
-    [5.0],                  # one point: no grid step
-    [2.0, 1.0, 3.0],        # not ascending
-    [1.0, 1.0, 2.0],        # repeated point
-    [0.0, 1.0, 3.0],        # not uniform
-    [[0.0, 1.0]],           # not one-dimensional
-])
-def test_drift_table_rejects_bad_grids(grid):
-    with pytest.raises(InvalidParamsError):
-        sg.build_drift_table(P.Nzc, P.Tb, P.Fs, cfo_grid=np.array(grid))
+@functools.lru_cache(maxsize=None)
+def table_at(fm):
+    return sg.build_drift_table(SystemParams(Fm=fm))
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from([0.0, 100.0, 300.0]), st.integers(0, 2 ** 32 - 1),
+       st.integers(64, 4000), st.integers(1, 8),
+       st.sampled_from([0.05, 1.0, 100.0]))
+def test_drift_table_covers_every_branch_difference(fm, seed, n, k, snr):
+    # a periodogram line lies within Fm + _CFO_MARGIN of zero plus the
+    # half padded bin _refine can move it (Fs / 512 at the shortest
+    # frame); spc_resolve reads the table at the difference of two lines
+    # widened by _CFO_SLACK, so the grid must reach that far unclamped
+    p = SystemParams(Fm=fm)
+    bound = fm + sg._CFO_MARGIN + p.Fs / 512
+    rng = np.random.default_rng(seed)
+    # tones over the band, half of them within two bins of its edges
+    edge = np.sign(rng.uniform(-1, 1, k)) * (fm + sg._CFO_MARGIN)
+    f = np.where(rng.uniform(size=k) < 0.5,
+                 edge + rng.uniform(-2, 2, k) * p.Fs / n,
+                 rng.uniform(-bound - 20, bound + 20, k))
+    t = np.arange(n) / p.Fs
+    x = sg.awgn(np.sum(np.exp(2j * math.pi * f[:, None] * t), axis=0), snr, rng)
+    assert all(abs(c) <= bound for c in sg.periodogram_cfos(x, p))
+    cfos = table_at(fm).cfos
+    assert cfos[0] <= -(2 * bound + sg._CFO_SLACK)
+    assert cfos[-1] >= 2 * bound + sg._CFO_SLACK
+
+
+def test_drift_table_validates_params():
+    # a fractional samples-per-symbol count, and a preamble length the
+    # root 5 does not fit
+    for bad in (SystemParams(Tb=0.0101), SystemParams(Nzc=15)):
+        with pytest.raises(InvalidParamsError):
+            sg.build_drift_table(bad)
 
 
 # ---------------------------------------------------------------------------
