@@ -158,13 +158,8 @@ def packet_duration(p: SystemParams) -> float:
     Tp = D / (W * log2(1 + gamma/Gamma)); the result is stored back into
     p.Tp so downstream users observe a consistent parameter set.
     """
-    ratio = p.gamma / p.Gamma
-    if ratio <= -1.0:
-        raise InvalidParamsError("gamma/Gamma must exceed -1")
-    rate = p.W * math.log2(1.0 + ratio)
-    if rate <= 0.0:
-        raise InvalidParamsError("spectral efficiency is zero, packet never ends")
-    p.Tp = p.D / rate
+    p.validate()   # gamma, Gamma and W > 0: the rate is positive
+    p.Tp = p.D / (p.W * math.log2(1.0 + p.gamma / p.Gamma))
     return p.Tp
 
 

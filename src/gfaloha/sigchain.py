@@ -27,7 +27,6 @@ _DRIFT_BLOCK = 64   # drift-table rows per block, half as many |CFO|
 _ALT_FRAC = 0.8     # drift table: near-top lags reach this share of the top
 _ETA = 0.5          # peak map: correlation threshold, share of ||preamble||^2
 _SMOOTH_SYMBOLS = 8  # event framing: power smoothing span, symbols
-_GAP_SYMBOLS = 2.0   # event framing: longest gap bridged, symbols
 _LINE_DB = 10.0      # periodogram: carrier line height over the median, dB
 _MAX_LINES = 8       # periodogram: most carrier lines kept
 _CFO_MARGIN = 10.0   # periodogram: search band beyond Fm, Hz
@@ -189,9 +188,10 @@ def frame_events(x: np.ndarray, p: SystemParams,
 
     Power is box-averaged over eight symbols (several, because the
     nonnegative constellation has a zero level and short zero runs must
-    not split a packet); runs separated by gaps of at most two symbols
-    merge, and each run is widened by the smoothing span so
-    threshold-crossing lag cannot clip a preamble. A run longer than
+    not split a packet), and each run is widened by that smoothing span
+    on both sides so threshold-crossing lag cannot clip a preamble; runs
+    whose widened spans touch, those at most two spans (sixteen symbols)
+    of sub-threshold samples apart, merge. A run longer than
     Tmax splits into the fewest frames of near-equal length no longer
     than Tmax, so no frame is a sliver too short for the periodogram;
     consecutive frames overlap by one preamble, so every preamble lies
@@ -211,25 +211,18 @@ def frame_events(x: np.ndarray, p: SystemParams,
     win = _SMOOTH_SYMBOLS * sps
     lead = (win - 1) // 2   # the centered ("same") part of the convolution
     smooth = _box_sum(np.abs(x) ** 2, win)[lead: lead + x.size] / win
-    above = smooth > power_threshold
-    if not above.any():
+    idx = np.flatnonzero(smooth > power_threshold)
+    if idx.size == 0:
         return []
-    idx = np.flatnonzero(above)
-    breaks = np.flatnonzero(np.diff(idx) > _GAP_SYMBOLS * sps)
-    guard = win
-    run_starts = np.maximum(np.concatenate([[idx[0]], idx[breaks + 1]]) - guard, 0)
-    run_ends = np.minimum(np.concatenate([idx[breaks], [idx[-1]]]) + 1 + guard,
-                          x.size)
-    # Guard widening can make neighbors touch; merge those.
-    merged = [(int(run_starts[0]), int(run_ends[0]))]
-    for s, e in zip(run_starts[1:], run_ends[1:]):
-        if s <= merged[-1][1]:
-            merged[-1] = (merged[-1][0], int(e))
-        else:
-            merged.append((int(s), int(e)))
+    # run [a, b] widened to [a - win, b + 1 + win) touches the next run
+    # exactly when their index gap is at most 2 * win + 1; clamping the
+    # spans to the stream changes no such decision
+    breaks = np.flatnonzero(np.diff(idx) > 2 * win + 1)
+    starts = np.maximum(idx[np.concatenate([[0], breaks + 1])] - win, 0)
+    stops = np.minimum(idx[np.concatenate([breaks, [-1]])] + 1 + win, x.size)
 
     frames = []
-    for s, e in merged:
+    for s, e in zip(starts.tolist(), stops.tolist()):
         # n frames of near-equal length <= max_len, each overlapping the
         # next by one preamble; a run under the cap is one frame [s, e)
         step = e - s - overlap
@@ -377,24 +370,19 @@ def peak_map(x: np.ndarray, cfos: list[float], p: SystemParams) -> PeakMap:
 
 @dataclass
 class DriftTable:
-    cfos: np.ndarray        # Hz, the integers on [-reach, reach]
+    reach: int              # row r is the offset r - reach Hz
     shifts: np.ndarray      # samples, argmax drift of the correlation peak
     gains: np.ndarray       # peak magnitude relative to the zero-offset peak
+    near: np.ndarray        # bool rows x Nzc, the near-top lags of each
+                            # row: column c is symbol lag c - Nzc//2
     n_pre: int              # preamble length, samples
-    alt_indptr: np.ndarray  # CSR bounds into alt_lags, one row per cfo
-    alt_lags: np.ndarray    # samples, near-top lag set of each cfo
-
-    def _index(self, df: float) -> int:
-        return int(np.clip(np.rint(df - self.cfos[0]), 0, self.cfos.size - 1))
-
-    def shift_at(self, df: float) -> int:
-        return int(self.shifts[self._index(df)])
 
     def _window(self, df: float, slack: float) -> slice:
-        lo = np.searchsorted(self.cfos, df - slack, side="left")
-        hi = np.searchsorted(self.cfos, df + slack, side="right")
-        lo = max(0, min(lo, self.cfos.size - 1))
-        hi = max(lo + 1, min(hi, self.cfos.size))
+        """The rows on [df-slack, df+slack]; where none lies there, the
+        first row past df-slack, clamped to the grid."""
+        rows = self.shifts.size
+        lo = min(max(math.ceil(df - slack) + self.reach, 0), rows - 1)
+        hi = max(lo + 1, min(math.floor(df + slack) + self.reach + 1, rows))
         return slice(lo, hi)
 
     def shifts_window(self, df: float, slack: float) -> np.ndarray:
@@ -409,9 +397,9 @@ class DriftTable:
         must cover every place an image can appear, uses this set rather
         than the argmax alone.
         """
-        w = self._window(df, slack)
-        return np.unique(self.alt_lags[self.alt_indptr[w.start]:
-                                       self.alt_indptr[w.stop]])
+        nzc = self.near.shape[1]
+        cols = np.flatnonzero(self.near[self._window(df, slack)].any(axis=0))
+        return (cols - nzc // 2) * (self.n_pre // nzc)
 
     def max_gain_window(self, df: float, slack: float) -> float:
         return float(np.max(self.gains[self._window(df, slack)]))
@@ -448,7 +436,6 @@ def build_drift_table(p: SystemParams) -> DriftTable:
     nzc, fs, sps = p.Nzc, p.Fs, p.samples_per_symbol
     half_bin = fs / (2 * _LINE_PAD * _MIN_FRAME)
     reach = math.ceil(2 * (p.Fm + _CFO_MARGIN + half_bin) + _CFO_SLACK)
-    cfo_grid = np.arange(-reach, reach + 1.0)
     pre = _preamble(nzc, sps)
     n = pre.size
     nfft = 1 << int(math.ceil(math.log2(2 * n - 1)))
@@ -469,12 +456,13 @@ def build_drift_table(p: SystemParams) -> DriftTable:
     lag_sign = np.sign(lags)
     energy = float(np.sum(np.abs(pre) ** 2))
 
-    rows = cfo_grid.size
+    rows = 2 * reach + 1
     shifts = np.empty(rows, dtype=np.int64)
     gains = np.empty(rows)
     near = np.zeros((rows, nzc), dtype=bool)   # column: symbol lag + half
-    absf, which = np.unique(np.abs(cfo_grid), return_inverse=True)
-    neg = (cfo_grid < 0).astype(np.int64)
+    absf = np.arange(reach + 1.0)                  # each |offset|, Hz
+    which = np.abs(np.arange(rows) - reach)        # row -> index into absf
+    neg = (np.arange(rows) < reach).astype(np.int64)
     per = max(1, _DRIFT_BLOCK // 2)
     for lo in range(0, absf.size, per):
         fa = absf[lo: lo + per]
@@ -494,10 +482,7 @@ def build_drift_table(p: SystemParams) -> DriftTable:
         shifts[block] = sym[s, best[j]] * sps
         gains[block] = top[j] / energy
         near[block] = near_abs[s, j]
-    alt_indptr = np.zeros(rows + 1, dtype=np.int64)
-    np.cumsum(near.sum(axis=1), out=alt_indptr[1:])
-    alt_lags = (np.nonzero(near)[1] - half).astype(np.int64) * sps
-    return DriftTable(cfo_grid, shifts, gains, n, alt_indptr, alt_lags)
+    return DriftTable(reach, shifts, gains, near, n)
 
 
 # ---------------------------------------------------------------------------

@@ -343,6 +343,18 @@ def test_validate_receiver_report(tmp_path):
     assert on_disk == report
 
 
+def test_validate_receiver_at_shorter_packets(tmp_path):
+    # at Fs = 2000 a packet is 1000 samples; the suites place packets at
+    # offsets scaled to the packet, so each lies whole inside its stream
+    # (the two-packet rates are calibrated at the defaults, so ungated)
+    cfg = tiny(tmp_path, system=SystemParams(Fs=2000.0), receiver_trials=25)
+    report = ex.validate_receiver(cfg)
+    assert (tmp_path / "receiver-validation.json").exists()
+    assert report["drift"]["pass"]
+    assert report["single_noise_free"]["pass"]
+    assert report["single_snr"]["pass"]
+
+
 def test_receiver_decisions_digest(tmp_path):
     # equal counts can hide different decisions; the digest cannot
     digest = {}

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import gfaloha
@@ -28,28 +29,39 @@ def test_removed_names_stay_unexported():
         assert not hasattr(gfaloha, name)
 
 
+def names(node) -> Counter:
+    """Every name and attribute named anywhere under node."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr
+                   for n in ast.walk(node)
+                   if isinstance(n, (ast.Name, ast.Attribute)))
+
+
 def test_every_top_level_definition_is_reached():
-    # a top-level function or class must be named somewhere in the
-    # package outside its own body, be exported, or be the CLI entry
-    # point; code only tests reach is deleted or merged into the path
-    # the program uses (names are matched across modules, not resolved)
+    # a top-level function or class, and each non-dunder method of a
+    # top-level class, must be named somewhere in the package outside
+    # its own body; a top-level one may instead be exported or be the CLI
+    # entry point. Code only tests reach is deleted or merged into the
+    # path the program uses (names are matched across modules, not
+    # resolved)
     src = Path(gfaloha.__file__).parent
-    defined, used = [], set()
+    funcs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    defined, used = [], Counter()
     for path in sorted(src.glob("*.py")):
-        for top in ast.parse(path.read_text()).body:
-            own = None
-            if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                ast.ClassDef)):
-                own = top.name
-                defined.append((path.stem, own))
-            for node in ast.walk(top):
-                name = (node.id if isinstance(node, ast.Name) else
-                        node.attr if isinstance(node, ast.Attribute) else None)
-                if name is not None and name != own:
-                    used.add(name)
-    orphans = [f"{mod}.{name}" for mod, name in defined
-               if name not in used and name not in gfaloha.__all__
-               and (mod, name) != ("cli", "main")]
+        tree = ast.parse(path.read_text())
+        used += names(tree)
+        for top in tree.body:
+            if not isinstance(top, (*funcs, ast.ClassDef)):
+                continue
+            exempt = (top.name in gfaloha.__all__
+                      or (path.stem, top.name) == ("cli", "main"))
+            defined.append((f"{path.stem}.{top.name}", top, exempt))
+            if isinstance(top, ast.ClassDef):
+                defined += [(f"{path.stem}.{top.name}.{m.name}", m, False)
+                            for m in top.body if isinstance(m, funcs)
+                            and not (m.name.startswith("__")
+                                     and m.name.endswith("__"))]
+    orphans = [label for label, node, exempt in defined
+               if not exempt and used[node.name] == names(node)[node.name]]
     assert orphans == []
 
 

@@ -124,6 +124,14 @@ def test_packet_duration_scales_with_rate():
         100.0 / (200.0 * math.log2(1.0 + db2lin(3.0))))
 
 
+@pytest.mark.parametrize("kw", [dict(Gamma=0.0), dict(Gamma=-1.0),
+                                dict(W=0.0), dict(D=0)])
+def test_packet_duration_rejects_invalid_params(kw):
+    # validated before use: a zero Gamma must not divide by zero
+    with pytest.raises(InvalidParamsError):
+        packet_duration(SystemParams(**kw))
+
+
 def test_load_params_roundtrip(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"system": {"W": 100.0, "N": 4, "M": 8},

@@ -6,6 +6,7 @@ on noise-free inputs; the statistical error rates of the same pipeline
 under noise live in the acceptance suite.
 """
 
+import dataclasses
 import functools
 import hashlib
 import math
@@ -124,6 +125,18 @@ def test_frame_events_silence_and_single_packet():
     assert 0 <= start <= 1000 and 3000 <= stop <= sig.size   # packet plus guard
     with pytest.raises(InvalidParamsError):
         sg.frame_events(quiet, P, power_threshold=0.0)
+
+
+@pytest.mark.parametrize("d, n_frames", [(960, 1), (961, 2)])
+def test_frame_events_merge_distance(d, n_frames):
+    # an impulse smooths into a run of win = 8 symbols = 320 samples, so
+    # impulses 3 * win apart leave runs 2 * win + 1 apart, whose widened
+    # spans touch; one sample further they stay two frames
+    x = np.zeros(4000, dtype=complex)
+    x[[1000, 1000 + d]] = math.sqrt(320)   # smoothed power 1
+    frames = sg.frame_events(x, P, power_threshold=0.5)
+    assert len(frames) == n_frames
+    assert frames[0][0] == 1000 - 159 - 320   # run start - lead - win
 
 
 def test_frame_events_split_at_cap():
@@ -256,17 +269,18 @@ def test_peak_map_branch_weights():
 
 def test_drift_table_bounds(dt):
     sps = P.samples_per_symbol
-    assert dt.shift_at(0.0) == 0
-    assert dt.gains[dt.cfos == 0.0] == pytest.approx([1.0])
+    assert dt.shifts[dt.reach] == 0
+    assert dt.gains[dt.reach] == pytest.approx(1.0)
     assert np.max(np.abs(dt.shifts)) <= (P.Nzc // 2) * sps
     assert np.all(dt.shifts % sps == 0)   # whole-symbol drifts
 
 
 def test_drift_table_alt_sets(dt):
     # the argmax lag is always part of its own near-top set
-    for i in range(0, dt.cfos.size, 37):
-        row = dt.alt_lags[dt.alt_indptr[i]: dt.alt_indptr[i + 1]]
-        assert dt.shifts[i] in row
+    sps = P.samples_per_symbol
+    assert dt.near.shape == (2 * dt.reach + 1, P.Nzc)
+    for i in range(0, dt.shifts.size, 37):
+        assert dt.near[i, dt.shifts[i] // sps + P.Nzc // 2]
     for df in (0.0, 21.0, 50.0, 150.0):
         tight = set(dt.shifts_window(df, 2.5).tolist())
         wide = set(dt.alt_window(df, 2.5).tolist())
@@ -275,10 +289,8 @@ def test_drift_table_alt_sets(dt):
 
 def test_drift_table_deterministic(dt):
     again = sg.build_drift_table(P)
-    assert np.array_equal(dt.shifts, again.shifts)
-    assert np.array_equal(dt.gains, again.gains)
-    assert np.array_equal(dt.alt_indptr, again.alt_indptr)
-    assert np.array_equal(dt.alt_lags, again.alt_lags)
+    for f in dataclasses.fields(sg.DriftTable):
+        assert np.array_equal(getattr(dt, f.name), getattr(again, f.name))
 
 
 @settings(max_examples=60, deadline=None)
@@ -309,21 +321,23 @@ def test_drift_table_mirrors_at_opposite_offsets(nzc, sps, fm):
     fs = 4000.0
     table = sg.build_drift_table(SystemParams(Nzc=nzc, Fs=fs, Tb=sps / fs,
                                               Fm=fm))
-    grid = table.cfos
-    m = grid.size // 2
-    assert grid[m] == 0.0 and np.array_equal(grid, np.arange(-m, m + 1.0))
+    m = table.reach
+    rows = 2 * m + 1
+    assert table.shifts.size == table.gains.size == rows
+    assert table.near.shape == (rows, nzc)
     wrap = {-(nzc // 2) * sps, (nzc // 2) * sps}
+
+    def alt(r):
+        return set(((np.flatnonzero(table.near[r]) - nzc // 2) * sps).tolist())
+
     for i in range(m):
-        j = grid.size - 1 - i
-        assert grid[j] == -grid[i]
+        j = rows - 1 - i   # offset i - m Hz and its mirror m - i Hz
         assert table.gains[i].tobytes() == table.gains[j].tobytes()
         a, b = int(table.shifts[i]), int(table.shifts[j])
         # a lag of exactly half the preamble wraps to -floor(Nzc/2) symbols
         # at both signs
         assert a == -b or {a, b} <= wrap
-        alt_i = table.alt_lags[table.alt_indptr[i]: table.alt_indptr[i + 1]]
-        alt_j = table.alt_lags[table.alt_indptr[j]: table.alt_indptr[j + 1]]
-        assert set((-alt_i).tolist()) ^ set(alt_j.tolist()) <= wrap
+        assert {-q for q in alt(i)} ^ alt(j) <= wrap
 
 
 @functools.lru_cache(maxsize=None)
@@ -352,9 +366,7 @@ def test_drift_table_covers_every_branch_difference(fm, seed, n, k, snr):
     t = np.arange(n) / p.Fs
     x = sg.awgn(np.sum(np.exp(2j * math.pi * f[:, None] * t), axis=0), snr, rng)
     assert all(abs(c) <= bound for c in sg.periodogram_cfos(x, p))
-    cfos = table_at(fm).cfos
-    assert cfos[0] <= -(2 * bound + sg._CFO_SLACK)
-    assert cfos[-1] >= 2 * bound + sg._CFO_SLACK
+    assert table_at(fm).reach >= 2 * bound + sg._CFO_SLACK
 
 
 def test_drift_table_validates_params():
@@ -398,7 +410,7 @@ def test_spc_weight_floor_demotes_ghost_branch(dt):
 def test_spc_cancellation_claims_drift_image(dt):
     # branch B holds exactly the image of A's packet; validating A must
     # cancel it before it is examined on its own
-    q = dt.shift_at(-21.0)
+    q = dt.shifts[dt.reach - 21]
     pm = sg.PeakMap([
         sg.PeakBranch(0.0, np.array([500]), np.array([920.0]), 1000.0),
         sg.PeakBranch(21.0, np.array([500 + q]),

@@ -12,8 +12,8 @@ branch weights summed over thousands of samples by about 1e-11), so
 the contract is:
 
 - integer and decision fields are bit-equal, dtypes included: drift
-  `shifts`, `alt_indptr` and `alt_lags`; peak `positions`, `span` and
-  each branch's `cfo`;
+  `reach`, `shifts` and `near`; peak `positions`, `span` and each
+  branch's `cfo`;
 - float fields agree within 1e-12 of their operand scale: 1 for drift
   `gains`, sum |x| for branch weights, ||preamble|| * ||x|| for peak
   magnitudes;
@@ -24,7 +24,14 @@ the contract is:
 
 The reference computes its own CFO grid from the table's rule (1 Hz
 steps over twice the widest periodogram line plus the lookup slack), so
-the grid is checked too.
+the grid's reach is checked too. The table's window lookups index that
+integer grid directly; they are checked against the searchsorted lookups
+on a float grid and the per-row lag sets they replaced.
+
+`frame_events` merges supra-threshold runs whose smoothing-widened spans
+touch, in one array pass. The two-step rule it replaced (bridge gaps of
+two symbols, then merge touching guard spans in a loop) is kept as a
+reference, and the frames must be equal.
 
 Event framing smooths power with a box sum taken as differences of one
 running sum. It is checked against scipy.signal.fftconvolve, which it
@@ -49,6 +56,7 @@ transform length as a parameter; at the receiver's transform length
 the two return the same CFO list bit for bit.
 """
 
+import functools
 import math
 import tracemalloc
 
@@ -60,7 +68,7 @@ from scipy.fft import next_fast_len
 from scipy.signal import fftconvolve
 
 from gfaloha import sigchain as sg
-from gfaloha.params import SystemParams
+from gfaloha.params import InvalidParamsError, SystemParams
 
 P = SystemParams()
 # odd preamble lengths up to 31 for which the root 5 is a valid ZC root
@@ -98,8 +106,7 @@ def ref_build_drift_table(p):
 
     shifts = np.empty(cfo_grid.size, dtype=np.int64)
     gains = np.empty(cfo_grid.size)
-    alt_indptr = np.zeros(cfo_grid.size + 1, dtype=np.int64)
-    alt_rows = []
+    near = np.zeros((cfo_grid.size, nzc), dtype=bool)
     for i in range(cfo_grid.size):
         top = mag[i].max()
         tie = np.flatnonzero(mag[i] >= top * (1.0 - 1e-9))
@@ -107,12 +114,9 @@ def ref_build_drift_table(p):
         best = tl[np.lexsort((-np.sign(tl) * np.sign(cfo_grid[i]), np.abs(tl)))][0]
         shifts[i] = canon(int(best))
         gains[i] = top / energy
-        alt = lags[mag[i] >= top * 0.8 * (1.0 - 1e-9)]
-        near = np.unique([canon(int(v)) for v in alt])
-        alt_rows.append(near)
-        alt_indptr[i + 1] = alt_indptr[i] + near.size
-    return sg.DriftTable(cfo_grid, shifts, gains, n, alt_indptr,
-                         np.concatenate(alt_rows))
+        for v in lags[mag[i] >= top * 0.8 * (1.0 - 1e-9)]:
+            near[i, canon(int(v)) // sps + half] = True
+    return sg.DriftTable(reach, shifts, gains, near, n)
 
 
 def ref_correlate_preamble(x, fs, cfo, preamble, sep):
@@ -168,7 +172,8 @@ def assert_close_array(a, b, scale):
 
 
 def assert_same_table(got, want):
-    for name in ("cfos", "shifts", "alt_indptr", "alt_lags"):
+    assert type(got.reach) is int and got.reach == want.reach
+    for name in ("shifts", "near"):
         assert_same_array(getattr(got, name), getattr(want, name))
     assert_close_array(got.gains, want.gains, 1.0)
     assert type(got.n_pre) is int and got.n_pre == want.n_pre
@@ -240,7 +245,7 @@ def test_drift_tie_breaks_follow_offset_sign():
     p = SystemParams(Nzc=7, Fs=40.0, Tb=1 / 40, Fm=0.0, W=10.0)
     got = sg.build_drift_table(p)
     assert_same_table(got, ref_build_drift_table(p))
-    assert got.shifts[np.isin(got.cfos, [-20.0, 20.0])].tolist() == [-2, 2]
+    assert got.shifts[got.reach + np.array([-20, 20])].tolist() == [-2, 2]
 
 
 def test_default_table_peak_memory():
@@ -251,6 +256,49 @@ def test_default_table_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak < 24 * 2 ** 20
+
+
+def ref_windows(table, df, slack):
+    """The window lookups as searchsorted on the float grid and the union
+    of the per-row near-top lag sets: (shifts, alt lags, max gain)."""
+    cfos = np.arange(-table.reach, table.reach + 1.0)
+    lo = np.searchsorted(cfos, df - slack, side="left")
+    hi = np.searchsorted(cfos, df + slack, side="right")
+    lo = max(0, min(lo, cfos.size - 1))
+    hi = max(lo + 1, min(hi, cfos.size))
+    nzc = table.near.shape[1]
+    sps = table.n_pre // nzc
+    rows = [(np.nonzero(table.near[r])[0] - nzc // 2).astype(np.int64) * sps
+            for r in range(lo, hi)]
+    return (np.unique(table.shifts[lo:hi]), np.unique(np.concatenate(rows)),
+            float(np.max(table.gains[lo:hi])))
+
+
+# the defaults, the CFO range's extremes, a longer and a shorter preamble
+WINDOW_PARAMS = [P, SystemParams(Fm=300.0), SystemParams(Fm=0.0),
+                 SystemParams(Nzc=31), SystemParams(Nzc=13, Fs=2000.0)]
+
+
+@functools.lru_cache(maxsize=None)
+def window_table(i):
+    return sg.build_drift_table(WINDOW_PARAMS[i])
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(0, len(WINDOW_PARAMS) - 1), st.data())
+def test_window_lookups_match_float_grid(i, data):
+    # offsets on and between grid points, inside and past the grid's ends
+    table = window_table(i)
+    edge = table.reach + 8
+    df = data.draw(st.integers(-4 * edge, 4 * edge).map(lambda k: k / 4)
+                   | st.floats(-edge, edge))
+    slack = data.draw(st.sampled_from([0.0, 0.5, sg._GATE_SLACK,
+                                       sg._CFO_SLACK])
+                      | st.floats(0.0, 6.0))
+    shifts, alt, gain = ref_windows(table, df, slack)
+    assert_same_array(table.shifts_window(df, slack), shifts)
+    assert_same_array(table.alt_window(df, slack), alt)
+    assert table.max_gain_window(df, slack) == gain
 
 
 # ---------------------------------------------------------------------------
@@ -328,6 +376,90 @@ def test_peak_map_matches_on_framed_events():
             cfos = sg.periodogram_cfos(frame, P)
             assert_same_map(sg.peak_map(frame, cfos, P),
                             ref_peak_map(frame, cfos, P), frame, P)
+
+
+# ---------------------------------------------------------------------------
+# Event framing against the two-step gap rule
+# ---------------------------------------------------------------------------
+
+def ref_frame_events(x, p, power_threshold):
+    """Bridge gaps of two symbols, then merge touching guard spans."""
+    if power_threshold <= 0:
+        raise InvalidParamsError("power threshold must be positive")
+    sps = p.samples_per_symbol
+    max_len = int(round(p.Tmax * p.Fs))
+    overlap = p.Nzc * sps
+    if max_len <= overlap:
+        raise InvalidParamsError("frame cap Tmax must exceed the preamble length")
+    win = sg._SMOOTH_SYMBOLS * sps
+    lead = (win - 1) // 2   # the centered ("same") part of the convolution
+    smooth = sg._box_sum(np.abs(x) ** 2, win)[lead: lead + x.size] / win
+    above = smooth > power_threshold
+    if not above.any():
+        return []
+    idx = np.flatnonzero(above)
+    breaks = np.flatnonzero(np.diff(idx) > 2.0 * sps)
+    guard = win
+    run_starts = np.maximum(np.concatenate([[idx[0]], idx[breaks + 1]]) - guard, 0)
+    run_ends = np.minimum(np.concatenate([idx[breaks], [idx[-1]]]) + 1 + guard,
+                          x.size)
+    # Guard widening can make neighbors touch; merge those.
+    merged = [(int(run_starts[0]), int(run_ends[0]))]
+    for s, e in zip(run_starts[1:], run_ends[1:]):
+        if s <= merged[-1][1]:
+            merged[-1] = (merged[-1][0], int(e))
+        else:
+            merged.append((int(s), int(e)))
+
+    frames = []
+    for s, e in merged:
+        # n frames of near-equal length <= max_len, each overlapping the
+        # next by one preamble; a run under the cap is one frame [s, e)
+        step = e - s - overlap
+        n = max(1, -(-step // (max_len - overlap)))
+        frames += [(s + step * i // n, s + step * (i + 1) // n + overlap)
+                   for i in range(n)]
+    return frames
+
+
+FRAME_PARAMS = [P, SystemParams(Fs=2000.0, Tmax=1.0)]
+
+
+@st.composite
+def burst_streams(draw):
+    """Bursts of random length and level, some a single sample, spaced
+    around the merge distance, on an optional noise floor; and a
+    threshold."""
+    p = draw(st.sampled_from(FRAME_PARAMS))
+    sps = p.samples_per_symbol
+    win = sg._SMOOTH_SYMBOLS * sps
+    max_len = round(p.Tmax * p.Fs)
+    # an impulse smooths into a run of win samples: impulses 3 * win
+    # apart (3 * win - 1 zeros between) leave runs exactly 2 * win + 1
+    # apart
+    gaps = (st.sampled_from([0, 2 * sps, win, 3 * win - 1, 3 * win,
+                             3 * win + 1, 3 * win + 2])
+            | st.integers(0, 4 * win))
+    widths = st.just(1) | st.integers(1, 3 * win) | st.integers(1, 2 * max_len)
+    bursts = draw(st.lists(st.tuples(gaps, widths), max_size=6))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    parts = [np.zeros(draw(st.integers(0, 2 * win)))]
+    for gap, width in bursts:
+        level = rng.uniform(0.5, 2.0) * (math.sqrt(win) if width == 1 else 1.0)
+        parts += [np.zeros(gap), np.full(width, level)]
+    parts.append(np.zeros(draw(st.integers(0, 2 * win))))
+    x = np.concatenate(parts).astype(complex)
+    x += draw(st.sampled_from([0.0, 0.1, 0.5])) * (
+        rng.standard_normal(x.size) + 1j * rng.standard_normal(x.size))
+    return x, p, draw(st.floats(0.05, 2.0))
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(burst_streams())
+def test_frame_events_match_two_step_rule(case):
+    x, p, thr = case
+    assert sg.frame_events(x, p, thr) == ref_frame_events(x, p, thr)
 
 
 # ---------------------------------------------------------------------------
