@@ -352,11 +352,14 @@ def _digest(decisions, got: list[tuple]) -> list[tuple]:
 def validate_receiver(cfg: ExperimentConfig) -> dict:
     """Exercise the sample-level chain on its synthetic suites.
 
-    Four checks: drift-table properties and build determinism, a
-    noise-free single packet decoded bit-exactly, single-packet
-    decoding at SNR gamma over receiver_trials random draws, and the
-    random two-packet suite with its measured miss and false-positive
-    rates (pass below 5% and 1%). decisions_sha256 digests every
+    Four checks: drift-table properties (no drift at zero offset, every
+    drift within half the preamble), a noise-free single packet decoded
+    bit-exactly, single-packet decoding at SNR gamma over
+    receiver_trials random draws, and the random two-packet suite with
+    its measured miss and false-positive rates (pass below 5% and 1%).
+    The suites place packets at offsets proportional to the packet
+    length, and one drift table serves them all (the tests check that
+    two builds agree). decisions_sha256 digests every
     decoded (position, CFO, bits) triple of the three decoding suites in
     order, so two reports with equal counts but different decisions
     differ. Writes the report JSON into the output directory and returns
@@ -374,18 +377,14 @@ def validate_receiver(cfg: ExperimentConfig) -> dict:
     decisions = hashlib.sha256()
 
     dt = sg.build_drift_table(p)
-    dt2 = sg.build_drift_table(p)
     bound = p.Nzc // 2
     drift = {
         "q_zero_symbols": int(dt.shifts[dt.reach]) // p.samples_per_symbol,
         "q_max_symbols": int(np.max(np.abs(dt.shifts))) // p.samples_per_symbol,
         "bound_symbols": bound,
-        "deterministic": all(np.array_equal(getattr(dt, f), getattr(dt2, f))
-                             for f in ("shifts", "gains", "near")),
     }
     drift["pass"] = (drift["q_zero_symbols"] == 0
-                     and drift["q_max_symbols"] <= bound
-                     and drift["deterministic"])
+                     and drift["q_max_symbols"] <= bound)
 
     rng = np.random.default_rng(cfg.seed)
     bits = rng.integers(0, 2, nbits).astype(np.uint8)

@@ -11,6 +11,7 @@ from scipy import stats
 from gfaloha import experiment as ex
 from gfaloha import interference as itf
 from gfaloha import kpi, mcsim
+from gfaloha import sigchain as sg
 from gfaloha.params import EnergyParams, InvalidParamsError, SystemParams
 
 
@@ -343,6 +344,15 @@ def test_validate_receiver_report(tmp_path):
     assert on_disk == report
 
 
+def test_validate_receiver_builds_one_drift_table(tmp_path, monkeypatch):
+    calls = []
+    build = sg.build_drift_table
+    monkeypatch.setattr(sg, "build_drift_table",
+                        lambda p: calls.append(p) or build(p))
+    ex.validate_receiver(tiny(tmp_path, receiver_trials=2))
+    assert len(calls) == 1
+
+
 def test_validate_receiver_at_shorter_packets(tmp_path):
     # at Fs = 2000 a packet is 1000 samples; the suites place packets at
     # offsets scaled to the packet, so each lies whole inside its stream
@@ -366,8 +376,8 @@ def test_receiver_decisions_digest(tmp_path):
 
 
 @pytest.mark.parametrize("seed, digest", [
-    (1, "e14a897b28644fd3ea69acfa0bcc0ac8e52d8321ff59097bda65eb12d053033e"),
-    (97, "8ff996f825175bbd620adda09c05b19eabda3f7e18b8eeccd653af10a613fd8d"),
+    (1, "bbc1c439935546ebb4e6628fb7064284470abecade6788e0c2b76bcb059995a0"),
+    (97, "0228e096fe22b00465c81ea414b9d4b58e32c2f1302d00efa85358f1e4a61ef2"),
 ])
 def test_receiver_report_pinned(tmp_path, seed, digest):
     # a 60-trial report, byte for byte; the default 1000-trial report is
