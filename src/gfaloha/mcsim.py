@@ -157,7 +157,8 @@ def sic_decode(graph: CollisionGraph, p: SystemParams, policy: str = "mrc",
     flip threshold ties); the sc test takes every merged endpoint from
     one edge's interval, as a loop over interval lists does, and sums
     the stretches dirty on all replicas in ascending position, the
-    order of a left-to-right loop over the intersected intervals.
+    order of a left-to-right loop over the intersected intervals, on
+    sort keys whose ties change no bit (see _clean_fraction_test).
     """
     if policy not in ("none", "mrc", "sc"):
         raise ValueError(f"unknown decoding policy {policy!r}")
@@ -231,20 +232,24 @@ def _clean_fraction_test(graph: CollisionGraph, p: SystemParams, cr: float):
     partial frequency overlap spoils the stretch it covers. An alive
     edge dirties [max(0, d), min(Tp, d + Tp)) of a replica, d being the
     interferer's start relative to the replica's: a prefix [0, d + Tp)
-    for d < 0, a suffix [d, Tp) otherwise. Sorted by (replica, d) once
-    per call, a replica's stretch ends never decrease, so the running
-    maximum of the ends is the end itself: a merged stretch runs from a
-    start above the previous end to the end of its last member. A +1/-1
-    sweep over each packet's merged endpoints then finds the stretches
-    where every replica is dirty; a replica without alive edges keeps
-    the depth below the replica count, so its packet covers nothing and
-    decodes.
+    for d < 0, a suffix [d, Tp) otherwise. Sorted once per call on the
+    unique key replica * 2E + rank in argsort(d), a replica's stretch
+    ends never decrease, so the running maximum of the ends is the end
+    itself: a merged stretch runs from a start above the previous end to
+    the end of its last member. A +1/-1 sweep over each packet's merged
+    endpoints, ends listed first and sorted stably on packet + 1j *
+    position, then finds the stretches where every replica is dirty; a
+    replica without alive edges keeps the depth below the replica count,
+    so its packet covers nothing and decodes. Entries of a replica tied
+    in d carry equal lo and hi, and tied endpoints equal position and
+    step, so no sort's tie order can change a bit.
     """
     pkt, tp, npk = graph.packet, p.Tp, graph.n_packets
     rep = np.concatenate([graph.ea, graph.eb])
     d = np.concatenate([graph.dt, -graph.dt])
-    order = np.argsort(d)
-    order = order[np.argsort(rep[order], kind="stable")]
+    rank = np.empty(d.size, dtype=np.int64)
+    rank[np.argsort(d)] = np.arange(d.size)
+    order = np.argsort(rep.astype(np.int64) * d.size + rank)
     rep, d = rep[order], d[order]
     lo, hi = np.maximum(0.0, d), np.minimum(tp, d + tp)
     edge = order % len(graph.ea)   # entry i of the concatenation is edge i mod E
@@ -264,10 +269,10 @@ def _clean_fraction_test(graph: CollisionGraph, p: SystemParams, cr: float):
             c_pkt = rep_pkt[sel[starts]]
             # Ends sort before starts at one position, so the depth reaches
             # the replica count only on stretches of positive length.
-            pos = np.concatenate([lo_s[starts], hi_s[ends]])
-            step = np.repeat(np.array([1, -1], dtype=np.int64), starts.size)
+            pos = np.concatenate([hi_s[ends], lo_s[starts]])
+            step = np.repeat(np.array([-1, 1], dtype=np.int64), starts.size)
             epk = np.concatenate([c_pkt, c_pkt])
-            o = np.lexsort((step, pos, epk))
+            o = np.argsort(epk + 1j * pos, kind="stable")
             pos, epk = pos[o], epk[o]
             full = np.flatnonzero(np.cumsum(step[o]) == n_rep_of[epk])
             covered = np.bincount(epk[full], weights=pos[full + 1] - pos[full],

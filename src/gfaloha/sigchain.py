@@ -160,6 +160,7 @@ def awgn(x: np.ndarray, snr: float, rng: np.random.Generator) -> np.ndarray:
 # Event framing
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=256)
 def _fast_len(n: int) -> int:
     """Smallest complex transform length >= n that pocketfft runs fast:
     11-smooth (scipy.fft.next_fast_len's rule for complex input)."""
@@ -269,7 +270,7 @@ def periodogram_cfos(x: np.ndarray, p: SystemParams) -> list[float]:
     does, and lines stay four padded bins apart. Only the bins inside
     the search band are examined (with their two neighbours, for the
     local-maximum test and the refinement); the median is taken from
-    the middle order statistics of the magnitudes, dB being monotone.
+    the two middle magnitudes of one partition, dB being monotone.
     """
     if x.size < _MIN_FRAME:
         raise InvalidParamsError("frame too short for a periodogram")
@@ -277,8 +278,9 @@ def periodogram_cfos(x: np.ndarray, p: SystemParams) -> list[float]:
         return []
     nfft = _fast_len(_LINE_PAD * x.size)
     spec = np.abs(np.fft.fft(x, nfft))
-    mid = [(nfft - 1) // 2, nfft // 2]
-    floor = np.median(_db(np.partition(spec, mid)[mid]))
+    half = nfft // 2
+    part = np.partition(spec, half)
+    floor = np.median(_db(np.array([part[:nfft - half].max(), part[half]])))
     min_sep = _LINE_PAD  # about one pre-padding resolution bin, in padded bins
     limit = p.Fm + _CFO_MARGIN
 
@@ -317,6 +319,14 @@ def _preamble(nzc: int, sps: int) -> np.ndarray:
     return pre
 
 
+@functools.lru_cache(maxsize=4)
+def _preamble_spectrum(nzc: int, sps: int, n: int) -> np.ndarray:
+    """conj(fft(preamble, n)), the matched filter at length n; read-only."""
+    f = np.conj(np.fft.fft(_preamble(nzc, sps), n))
+    f.flags.writeable = False
+    return f
+
+
 def peak_map(x: np.ndarray, cfos: list[float], p: SystemParams) -> PeakMap:
     """Correlate a frame against the preamble on every CFO branch.
 
@@ -341,8 +351,8 @@ def peak_map(x: np.ndarray, cfos: list[float], p: SystemParams) -> PeakMap:
         corr = np.empty((y.shape[0], 0))
     else:
         n = _fast_len(x.size)
-        corr = np.abs(np.fft.ifft(np.fft.fft(y, n)
-                                  * np.conj(np.fft.fft(pre, n)))[:, :span])
+        corr = np.abs(np.fft.ifft(np.fft.fft(y, n) * _preamble_spectrum(
+            p.Nzc, p.samples_per_symbol, n))[:, :span])
     is_max = np.ones(corr.shape, dtype=bool)
     if span > 1:
         is_max[:, 0] = corr[:, 0] >= corr[:, 1]
@@ -439,7 +449,7 @@ def build_drift_table(p: SystemParams) -> DriftTable:
     pre = _preamble(nzc, sps)
     n = pre.size
     nfft = 1 << int(math.ceil(math.log2(2 * n - 1)))
-    f_pre = np.conj(np.fft.fft(pre, nfft))[None, :]
+    f_pre = _preamble_spectrum(nzc, sps, nfft)[None, :]
     # lag k in [-(n-1), n-1] sits at circular index k mod nfft
     lags = np.concatenate([np.arange(0, n), np.arange(-(n - 1), 0)])
     idx = np.concatenate([np.arange(0, n), nfft - np.arange(n - 1, 0, -1)])

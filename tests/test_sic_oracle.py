@@ -5,6 +5,11 @@ policies: every round retests every undecoded packet, and the
 clean-fraction test walks each packet's replicas, edges and interval
 lists in Python. sic_decode must return the same decoded set, round
 count and residual replica count on every graph.
+
+A second reference keeps the vectorized clean-fraction round in its
+earlier form, with a stable argsort of replica ids per call and a
+three-key lexsort per round; the program's round must decide exactly
+as it does for any alive-edge and test masks.
 """
 
 from dataclasses import replace
@@ -13,7 +18,8 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from gfaloha.mcsim import (build_collision_graph, nominal_lambda, rng_for,
-                           sic_decode, _AREA_TOL, _SINR_TOL)
+                           sic_decode, _AREA_TOL, _SINR_TOL,
+                           _clean_fraction_test)
 from gfaloha.params import SystemParams
 
 P = SystemParams()
@@ -129,6 +135,45 @@ def reference_sic(graph, p, policy, cr=0.5, max_rounds=32, decodable=None):
     return decoded, rounds, int(np.count_nonzero(~decoded[pkt]))
 
 
+def ref_clean_fraction_round(graph, p, cr):
+    """The clean-fraction round factory sorting with a stable argsort of
+    replica ids per call and np.lexsort per round."""
+    pkt, tp, npk = graph.packet, p.Tp, graph.n_packets
+    rep = np.concatenate([graph.ea, graph.eb])
+    d = np.concatenate([graph.dt, -graph.dt])
+    order = np.argsort(d)
+    order = order[np.argsort(rep[order], kind="stable")]
+    rep, d = rep[order], d[order]
+    lo, hi = np.maximum(0.0, d), np.minimum(tp, d + tp)
+    edge = order % len(graph.ea)   # entry i of the concatenation is edge i mod E
+    rep_pkt = pkt[rep]
+    n_rep_of = np.bincount(pkt, minlength=npk)
+    need = cr * tp - 1e-12
+
+    def round_test(e_alive, test):
+        sel = np.flatnonzero(test[rep_pkt] & e_alive[edge])
+        covered = np.zeros(npk)
+        if sel.size:
+            r, lo_s, hi_s = rep[sel], lo[sel], hi[sel]
+            first = np.ones(sel.size, dtype=bool)
+            first[1:] = (r[1:] != r[:-1]) | (lo_s[1:] > hi_s[:-1])
+            starts = np.flatnonzero(first)
+            ends = np.append(starts[1:], sel.size) - 1
+            c_pkt = rep_pkt[sel[starts]]
+            # Ends sort before starts at one position, so the depth reaches
+            # the replica count only on stretches of positive length.
+            pos = np.concatenate([lo_s[starts], hi_s[ends]])
+            step = np.repeat(np.array([1, -1], dtype=np.int64), starts.size)
+            epk = np.concatenate([c_pkt, c_pkt])
+            o = np.lexsort((step, pos, epk))
+            pos, epk = pos[o], epk[o]
+            full = np.flatnonzero(np.cumsum(step[o]) == n_rep_of[epk])
+            covered = np.bincount(epk[full], weights=pos[full + 1] - pos[full],
+                                  minlength=npk)
+        return test & (tp - covered >= need)
+    return round_test
+
+
 def assert_same(graph, p, policy, cr=0.5, max_rounds=32, decodable=None):
     out = sic_decode(graph, p, policy, cr=cr, max_rounds=max_rounds,
                      decodable=decodable)
@@ -186,6 +231,81 @@ def populations(draw):
     return graph, p, decodable
 
 
+@st.composite
+def tied_populations(draw):
+    """40 to 80 packets whose replicas start on a quarter-Tp grid with no
+    jitter, on a plain or a circular horizon: many replicas start
+    together, so stretch ends and endpoint positions tie often."""
+    n = draw(st.integers(1, 4))
+    m_slots = draw(st.integers(max(n, 2), 2 * n + 1))
+    p = replace(P, N=n, M=m_slots)
+    n_pk = draw(st.integers(40, 80))
+    quarter = p.Tp / 4
+    circular = draw(st.booleans())
+    horizon = (2 * m_slots * p.Tp + quarter * draw(st.integers(1, 8))
+               if circular else None)
+    grid = st.integers(0, 4 * m_slots * draw(st.integers(2, 8)))
+    cfo = st.sampled_from([-p.Fm, -37.5, 0.0, 0.0, 12.25, p.Fm])
+    t0, df, pkt = [], [], []
+    for q in range(n_pk):
+        s = quarter * draw(grid)
+        slots = [0] + sorted(draw(st.permutations(range(1, m_slots)))[: n - 1])
+        f = draw(cfo)
+        for k in slots:
+            t0.append(s + k * p.Tp)
+            df.append(f)
+            pkt.append(q)
+    graph = build_collision_graph(
+        (np.array(t0), np.array(df), np.array(pkt, dtype=np.int64)), p, horizon)
+    return graph, p, np.ones(n_pk, dtype=bool)
+
+
+def _masks(graph, seed, alive_share, test_share):
+    rng = np.random.default_rng(seed)
+    return (rng.random(len(graph.ea)) < alive_share,
+            rng.random(graph.n_packets) < test_share)
+
+
+def assert_round_matches(graph, p, cr, e_alive, test):
+    got = _clean_fraction_test(graph, p, cr)(e_alive, test)
+    want = ref_clean_fraction_round(graph, p, cr)(e_alive, test)
+    assert np.array_equal(got, want)
+    return want
+
+
+def _decides(graph, p, cr, e_alive, test, q):
+    return bool(ref_clean_fraction_round(graph, p, cr)(e_alive, test)[q])
+
+
+def assert_threshold_scan_matches(graph, p, e_alive, test):
+    """Find by bisection on the float bits the smallest cr at which some
+    tested packet fails, then compare every decision ulp by ulp across it."""
+    lo, hi = 2.0 ** -20, 1.0
+    easy = ref_clean_fraction_round(graph, p, lo)(e_alive, test)
+    hard = ref_clean_fraction_round(graph, p, hi)(e_alive, test)
+    flips = np.flatnonzero(easy & ~hard)
+    if flips.size == 0:
+        return
+    q = flips[0]
+    lo_b, hi_b = np.float64(lo).view(np.int64), np.float64(hi).view(np.int64)
+    while hi_b - lo_b > 1:
+        mid = (lo_b + hi_b) // 2
+        if _decides(graph, p, float(np.int64(mid).view(np.float64)), e_alive, test, q):
+            lo_b = mid
+        else:
+            hi_b = mid
+    outcomes = set()
+    for b in range(hi_b - 8, hi_b + 8):
+        cr = float(np.int64(b).view(np.float64))
+        outcomes.add(bool(assert_round_matches(graph, p, cr, e_alive, test)[q]))
+    assert outcomes == {True, False}
+
+
+masks = st.tuples(st.integers(0, 2 ** 32 - 1),
+                  st.sampled_from([0.0, 0.3, 0.7, 1.0]),
+                  st.sampled_from([0.0, 0.5, 1.0]))
+
+
 crs = st.one_of(st.just(1.0), st.just(0.5),
                 st.floats(0.01, 1.0, allow_nan=False))
 
@@ -196,6 +316,47 @@ crs = st.one_of(st.just(1.0), st.just(0.5),
 def test_sic_matches_reference(pop, cr, max_rounds, policy):
     graph, p, decodable = pop
     assert_same(graph, p, policy, cr, max_rounds, decodable)
+
+
+@settings(max_examples=200, deadline=None)
+@given(populations(), crs, masks)
+def test_sc_round_matches_lexsort_round(pop, cr, mask):
+    graph, p, _ = pop
+    e_alive, test = _masks(graph, *mask)
+    assert_round_matches(graph, p, cr, e_alive, test)
+    assert_threshold_scan_matches(graph, p, e_alive, test)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tied_populations(), crs, masks)
+def test_sc_round_matches_lexsort_round_on_tied_starts(pop, cr, mask):
+    graph, p, decodable = pop
+    e_alive, test = _masks(graph, *mask)
+    assert_round_matches(graph, p, cr, e_alive, test)
+    assert_threshold_scan_matches(graph, p, e_alive, test)
+    assert_same(graph, p, "sc", cr, 32, decodable)
+
+
+def test_sc_int32_ids_decode_as_int64():
+    # A hand-built graph may carry int32 ids. The entry key
+    # replica * 2E + rank exceeds 2**31 here, so an int32 key would wrap.
+    p = replace(P, N=2, M=4)
+    npk = 30000
+    rng = rng_for(7, 3)
+    horizon = npk / nominal_lambda(0.3, p)
+    start = rng.uniform(0.0, horizon, npk)
+    slots = rng.integers(1, p.M, npk)
+    t0 = np.mod(start[:, None] + np.c_[np.zeros(npk), slots] * p.Tp, horizon)
+    df = np.repeat(rng.uniform(-p.Fm, p.Fm, npk), p.N)
+    g64 = build_collision_graph(
+        (t0.ravel(), df, np.repeat(np.arange(npk), p.N)), p, horizon)
+    assert g64.n_replicas * 2 * len(g64.ea) > 2 ** 31
+    g32 = replace(g64, packet=g64.packet.astype(np.int32),
+                  ea=g64.ea.astype(np.int32), eb=g64.eb.astype(np.int32))
+    out32, out64 = sic_decode(g32, p, "sc"), sic_decode(g64, p, "sc")
+    assert np.array_equal(out32.decoded, out64.decoded)
+    assert (out32.rounds, out32.residual_replicas) == (
+        out64.rounds, out64.residual_replicas)
 
 
 def test_packet_ids_without_replicas():
