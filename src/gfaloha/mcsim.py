@@ -157,8 +157,9 @@ def sic_decode(graph: CollisionGraph, p: SystemParams, policy: str = "mrc",
     flip threshold ties); the sc test takes every merged endpoint from
     one edge's interval, as a loop over interval lists does, and sums
     the stretches dirty on all replicas in ascending position, the
-    order of a left-to-right loop over the intersected intervals, on
-    sort keys whose ties change no bit (see _clean_fraction_test).
+    order of a left-to-right loop over the intersected intervals. It
+    sorts on replica * 2E + rank(d) and packet + 1j * position, whose
+    ties carry equal values, so no tie order changes a bit.
     """
     if policy not in ("none", "mrc", "sc"):
         raise ValueError(f"unknown decoding policy {policy!r}")
@@ -240,9 +241,8 @@ def _clean_fraction_test(graph: CollisionGraph, p: SystemParams, cr: float):
     endpoints, ends listed first and sorted stably on packet + 1j *
     position, then finds the stretches where every replica is dirty; a
     replica without alive edges keeps the depth below the replica count,
-    so its packet covers nothing and decodes. Entries of a replica tied
-    in d carry equal lo and hi, and tied endpoints equal position and
-    step, so no sort's tie order can change a bit.
+    so its packet covers nothing and decodes. Tied entries carry equal
+    lo and hi, tied endpoints equal position and step: no tie changes a bit.
     """
     pkt, tp, npk = graph.packet, p.Tp, graph.n_packets
     rep = np.concatenate([graph.ea, graph.eb])
