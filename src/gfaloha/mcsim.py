@@ -66,14 +66,17 @@ def _segment_arange(counts: np.ndarray) -> np.ndarray:
 
 
 def build_collision_graph(replicas, p: SystemParams,
-                          horizon: float | None = None) -> CollisionGraph:
+                          horizon: float | None = None,
+                          decodable: np.ndarray | None = None) -> CollisionGraph:
     """Find all pairwise rectangle intersections via a start-time sweep.
 
     `replicas` is a (t0, df, packet) triple of arrays: start time, CFO and
     packet id per replica. With a horizon the time axis is circular:
     rectangles crossing the end wrap to the start. Same-packet pairs are
     excluded (replicas of one attempt sit in distinct slots and cannot
-    overlap).
+    overlap). Given sic_decode's `decodable` mask, pairs of two
+    undecodable packets are left out too: their edges add only to the
+    sums of replicas that sic_decode never tests.
     """
     t0, df, packet = (np.asarray(a) for a in replicas)
     n = len(t0)
@@ -102,6 +105,9 @@ def build_collision_graph(replicas, p: SystemParams,
     dt = ts[b] - ts[a]  # in [0, Tp]; a pair that only touches gets no area
 
     keep = (ia != ib) & (packet[ia] != packet[ib])
+    if decodable is not None:
+        decodable = np.asarray(decodable, dtype=bool)
+        keep &= decodable[packet[ia]] | decodable[packet[ib]]
     ia, ib, dt = ia[keep], ib[keep], dt[keep]
     area = overlap_area(dt, df[ia] - df[ib], p)
     keep = area > 0.0
@@ -154,12 +160,11 @@ def sic_decode(graph: CollisionGraph, p: SystemParams, policy: str = "mrc",
     undecoded packets every round, bit for bit: the interference area
     of a replica is recomputed with a bincount over the alive edges
     (never by subtracting cancelled areas, which drifts in float and can
-    flip threshold ties); the sc test takes every merged endpoint from
-    one edge's interval, as a loop over interval lists does, and sums
-    the stretches dirty on all replicas in ascending position, the
-    order of a left-to-right loop over the intersected intervals. It
-    sorts on replica * 2E + rank(d) and packet + 1j * position, whose
-    ties carry equal values, so no tie order changes a bit.
+    flip threshold ties); the sc test takes each replica's clean stretch
+    from the max and min of its alive edges' interval ends, which no
+    order changes, and adds the stretches dirty on all replicas in
+    ascending position, each as the difference of two interval ends,
+    as a left-to-right loop over the intersected interval lists does.
     """
     if policy not in ("none", "mrc", "sc"):
         raise ValueError(f"unknown decoding policy {policy!r}")
@@ -231,53 +236,55 @@ def _clean_fraction_test(graph: CollisionGraph, p: SystemParams, cr: float):
     A position inside the packet counts as clean if at least one replica
     carries it free of any overlapping, not yet cancelled replica; even
     partial frequency overlap spoils the stretch it covers. An alive
-    edge dirties [max(0, d), min(Tp, d + Tp)) of a replica, d being the
-    interferer's start relative to the replica's: a prefix [0, d + Tp)
-    for d < 0, a suffix [d, Tp) otherwise. Sorted once per call on the
-    unique key replica * 2E + rank in argsort(d), a replica's stretch
-    ends never decrease, so the running maximum of the ends is the end
-    itself: a merged stretch runs from a start above the previous end to
-    the end of its last member. A +1/-1 sweep over each packet's merged
-    endpoints, ends listed first and sorted stably on packet + 1j *
-    position, then finds the stretches where every replica is dirty; a
-    replica without alive edges keeps the depth below the replica count,
-    so its packet covers nothing and decodes. Tied entries carry equal
-    lo and hi, tied endpoints equal position and step: no tie changes a bit.
+    edge dirties [lo, hi) = [max(0, d), min(Tp, d + Tp)) of a replica, d
+    being the interferer's start relative to the replica's: a prefix
+    ending at hi if lo == 0, a suffix starting at lo if hi == Tp (both
+    if d + Tp rounds to Tp). So a replica is clean on [a, b), a the
+    latest prefix end (or 0) and b the earliest suffix start (or Tp), and
+    dirty throughout if b <= a (touching stretches merge). max and min
+    ignore the entries' order, so no entry is sorted. Each tested
+    packet's stretches, sorted on a (an empty one as (0, 0)), are walked
+    with the running maximum `reach` of their ends: an a above reach
+    adds the dirty gap a - reach, and Tp - reach closes the sum. These
+    are the endpoint differences a left-to-right loop over the
+    intersected interval lists adds, in its order. A replica without
+    alive edges is clean on [0, Tp), so its packet decodes, and so does
+    a packet id without replicas.
     """
-    pkt, tp, npk = graph.packet, p.Tp, graph.n_packets
+    pkt, tp, npk, nrep = graph.packet, p.Tp, graph.n_packets, graph.n_replicas
     rep = np.concatenate([graph.ea, graph.eb])
     d = np.concatenate([graph.dt, -graph.dt])
-    rank = np.empty(d.size, dtype=np.int64)
-    rank[np.argsort(d)] = np.arange(d.size)
-    order = np.argsort(rep.astype(np.int64) * d.size + rank)
-    rep, d = rep[order], d[order]
     lo, hi = np.maximum(0.0, d), np.minimum(tp, d + tp)
-    edge = order % len(graph.ea)   # entry i of the concatenation is edge i mod E
-    rep_pkt = pkt[rep]
+    # (replica, packet, edge, end) of the prefixes and (..., start) of the
+    # suffixes; entry i of the concatenation is edge i mod E
+    sides = [(rep[i], pkt[rep[i]], i % len(graph.ea), x[i]) for i, x in
+             ((np.flatnonzero(lo == 0.0), hi), (np.flatnonzero(hi == tp), lo))]
+    # Replica ids per packet; spare slots hold the empty stretch nrep, a
+    # packet without replicas the clean stretch nrep + 1.
     n_rep_of = np.bincount(pkt, minlength=npk)
+    by_pkt = np.argsort(pkt, kind="stable")
+    rows = np.full((npk, max(1, int(n_rep_of.max(initial=0)))), nrep)
+    rows[pkt[by_pkt], _segment_arange(n_rep_of)] = by_pkt
+    rows[n_rep_of == 0, 0] = nrep + 1
     need = cr * tp - 1e-12
 
     def round_test(e_alive, test):
-        sel = np.flatnonzero(test[rep_pkt] & e_alive[edge])
-        covered = np.zeros(npk)
-        if sel.size:
-            r, lo_s, hi_s = rep[sel], lo[sel], hi[sel]
-            first = np.ones(sel.size, dtype=bool)
-            first[1:] = (r[1:] != r[:-1]) | (lo_s[1:] > hi_s[:-1])
-            starts = np.flatnonzero(first)
-            ends = np.append(starts[1:], sel.size) - 1
-            c_pkt = rep_pkt[sel[starts]]
-            # Ends sort before starts at one position, so the depth reaches
-            # the replica count only on stretches of positive length.
-            pos = np.concatenate([hi_s[ends], lo_s[starts]])
-            step = np.repeat(np.array([-1, 1], dtype=np.int64), starts.size)
-            epk = np.concatenate([c_pkt, c_pkt])
-            o = np.argsort(epk + 1j * pos, kind="stable")
-            pos, epk = pos[o], epk[o]
-            full = np.flatnonzero(np.cumsum(step[o]) == n_rep_of[epk])
-            covered = np.bincount(epk[full], weights=pos[full + 1] - pos[full],
-                                  minlength=npk)
-        return test & (tp - covered >= need)
+        a, b = np.zeros(nrep + 2), np.full(nrep + 2, tp)
+        b[nrep] = 0.0
+        for out, f, (r, q, e, x) in zip((a, b), (np.maximum, np.minimum), sides):
+            on = np.flatnonzero(test[q] & e_alive[e])
+            f.at(out, r[on], x[on])
+        tested = np.flatnonzero(test)
+        a, b = a[rows[tested]], b[rows[tested]]
+        clean = b > a
+        z = np.sort(a * clean + 1j * (b * clean), axis=1)
+        reach, covered = np.zeros((2, tested.size))
+        for a_k, b_k in zip(z.real.T, z.imag.T):
+            covered += np.maximum(a_k - reach, 0.0)
+            np.maximum(reach, b_k, out=reach)
+        new = np.zeros(npk, dtype=bool)
+        new[tested] = tp - (covered + (tp - reach)) >= need
+        return new
     return round_test
 
 
@@ -354,7 +361,8 @@ def run_trial(rng: np.random.Generator, lambda_agg: float, horizon: float,
         all_pkt = np.concatenate([pkt, n_att + np.arange(n_static)])
         decodable = np.concatenate([np.ones(n_att, bool),
                                     np.zeros(n_static, bool)])
-        graph = build_collision_graph((all_t0, all_df, all_pkt), p, horizon)
+        graph = build_collision_graph((all_t0, all_df, all_pkt), p, horizon,
+                                      decodable if n_static else None)
         out = sic_decode(graph, p, policy, cr=cr, max_rounds=max_rounds,
                          decodable=decodable)
         ok = out.decoded[:n_att]

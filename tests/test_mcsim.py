@@ -177,6 +177,24 @@ def test_run_trial_retries_reduce_loss():
     assert no_retry.attempts == no_retry.offered
 
 
+@pytest.mark.parametrize("cr", [1.0, 0.5])
+@pytest.mark.parametrize("load", [0.05, 0.2, 0.5])
+def test_sc_single_replica_outage_matches_closed_form(load, cr):
+    # At N=1 a replica's clean stretch is [a, b): a is the latest end of a
+    # prefix interferer, b the earliest start of a suffix interferer, two
+    # Poisson streams of rate nu over Tp. At W = 2*Fm every pair overlaps
+    # in frequency, so nu = lambda, and one SIC round decodes with
+    # probability exp(-nu*(1 + cr)*Tp) * (1 + nu*(1 - cr)*Tp).
+    p = replace(P, N=1, M=1)
+    assert p.W == 2 * p.Fm
+    lam = nominal_lambda(load, p)
+    r = run_trial(rng_for(13, int(100 * load), int(10 * cr)), lam, 2e5 / lam,
+                  p, E, "sc", cr=cr, max_retries=0, max_rounds=1)
+    x = lam * p.Tp
+    want = 1.0 - np.exp(-x * (1.0 + cr)) * (1.0 + x * (1.0 - cr))
+    assert r.outage == pytest.approx(want, rel=0.05)
+
+
 def test_run_trial_horizon_guard():
     with pytest.raises(InvalidParamsError):
         run_trial(rng_for(9, 0), 1.0, 8 * P.M * P.Tp, P, E)

@@ -6,10 +6,12 @@ clean-fraction test walks each packet's replicas, edges and interval
 lists in Python. sic_decode must return the same decoded set, round
 count and residual replica count on every graph.
 
-A second reference keeps the vectorized clean-fraction round in its
-earlier form, with a stable argsort of replica ids per call and a
-three-key lexsort per round; the program's round must decide exactly
-as it does for any alive-edge and test masks.
+A second reference keeps the vectorized clean-fraction round in an
+earlier form: it sorts the edge intervals per replica, merges them into
+stretches and finds the stretches dirty on every replica with a +1/-1
+sweep over their endpoints under a three-key lexsort. The program's
+round computes one clean interval per replica instead and must decide
+exactly as the sweep does for any alive-edge and test masks.
 """
 
 from dataclasses import replace
@@ -21,6 +23,7 @@ from gfaloha.mcsim import (build_collision_graph, nominal_lambda, rng_for,
                            sic_decode, _AREA_TOL, _SINR_TOL,
                            _clean_fraction_test)
 from gfaloha.params import SystemParams
+from gfaloha.traffic import draw_frames
 
 P = SystemParams()
 
@@ -338,8 +341,9 @@ def test_sc_round_matches_lexsort_round_on_tied_starts(pop, cr, mask):
 
 
 def test_sc_int32_ids_decode_as_int64():
-    # A hand-built graph may carry int32 ids. The entry key
-    # replica * 2E + rank exceeds 2**31 here, so an int32 key would wrap.
+    # A hand-built graph may carry int32 ids, and they must decide as
+    # int64 ids do. The graph is large enough that replica * 2E passes
+    # 2**31, so no id product in the round may be formed in int32.
     p = replace(P, N=2, M=4)
     npk = 30000
     rng = rng_for(7, 3)
@@ -368,6 +372,20 @@ def test_packet_ids_without_replicas():
         assert_same(g, P, policy)
 
 
+def assert_scan_across(graph, covered, decodable):
+    """Scan cr ulp by ulp across the threshold at which a packet with this
+    dirty sum stops decoding: sic_decode must match the reference on both
+    sides, so a dirty sum off in its last bit fails."""
+    cr = (P.Tp - covered + 1e-12) / P.Tp
+    for _ in range(40):
+        cr = np.nextafter(cr, 0.0)
+    outcomes = set()
+    for _ in range(80):
+        cr = np.nextafter(cr, 1.0)
+        outcomes.add(bool(assert_same(graph, P, "sc", cr, 1, decodable).decoded[0]))
+    assert outcomes == {True, False}
+
+
 def test_sc_threshold_ties_are_bit_exact():
     # Packet 0 sends two replicas at t=0 on disjoint bands; four static
     # interferers leave three stretches dirty on both. Their lengths sum
@@ -382,15 +400,107 @@ def test_sc_threshold_ties_are_bit_exact():
     pieces = [(0.0, (a1 - P.Tp) + P.Tp), (b1, (a2 - P.Tp) + P.Tp), (b2, P.Tp)]
     covered = sum(hi - lo for lo, hi in pieces)
     assert covered != sum(hi - lo for lo, hi in pieces[::-1])
-    decodable = np.arange(5) == 0
-    cr = (P.Tp - covered + 1e-12) / P.Tp
-    for _ in range(40):
-        cr = np.nextafter(cr, 0.0)
-    outcomes = set()
-    for _ in range(80):
-        cr = np.nextafter(cr, 1.0)
-        outcomes.add(bool(assert_same(graph, P, "sc", cr, 1, decodable).decoded[0]))
-    assert outcomes == {True, False}
+    assert_scan_across(graph, covered, np.arange(5) == 0)
+
+
+def test_sc_touching_dirty_stretches_merge():
+    # Replica 1 of packet 0 is dirty on [0, x) and on [x, Tp). The two
+    # stretches touch, so the replica is dirty throughout and has no clean
+    # stretch, not an empty one at x. Replica 2, on a disjoint band, is
+    # clean on [a2, b2) with b2 < x. Splitting the dirty stretch [b2, Tp)
+    # at x changes the dirty sum in its last bit, which the scan sees.
+    a2, b2, x = 0.06136720199214035, 0.2391228190495662, 0.3871762237407773
+    assert (x - P.Tp) + P.Tp == x
+    t0 = np.array([0.0, 0.0, x - P.Tp, x, a2 - P.Tp, b2])
+    df = np.array([0.0, 250.0, 0.0, 0.0, 250.0, 250.0])
+    graph = build_collision_graph((t0, df, np.array([0, 0, 1, 2, 3, 4])), P)
+    a2 = (a2 - P.Tp) + P.Tp
+    covered = a2 + (P.Tp - b2)
+    assert covered != a2 + (x - b2) + (P.Tp - x)
+    assert_scan_across(graph, covered, np.arange(5) == 0)
+
+
+def test_sc_hand_built_replica_counts():
+    # Decodable packets with 3, 2, 1 and 3 replicas, then nine static
+    # interferers. Clean stretches: packet 0 [0.25, 0.375), [0, 0.25) and
+    # [0.125, 0.4375), so 0.0625 of it is dirty on all three; packet 1
+    # [0, 1e-17) and [0, 0.25); packet 2 starts 1e-17 after packet 1's
+    # first replica, so that entry is [0, Tp) and packet 2 is dirty
+    # throughout until packet 1 is cancelled; packet 3 has one replica
+    # hit at its own start, one dirty on two touching stretches and one
+    # with no edge at all.
+    t0 = np.array([10.0, 11.0, 12.0, 0.0, 1.0, 1e-17, 40.0, 41.0, 42.0,
+                   9.75, 10.375, 11.25, 11.625, 12.4375, 1.25, 40.0, 40.75, 41.25])
+    pkt = np.array([0, 0, 0, 1, 1, 2, 3, 3, 3, *range(4, 13)])
+    decodable = np.arange(13) < 4
+    graph = build_collision_graph((t0, np.zeros(t0.size), pkt), P)
+    assert not np.isin(8, np.r_[graph.ea, graph.eb])
+    e = np.flatnonzero((graph.ea == 3) & (graph.eb == 5))
+    assert graph.dt[e].tolist() == [1e-17]      # replica 5 sees d = -1e-17
+    assert np.minimum(P.Tp, -graph.dt[e] + P.Tp) == P.Tp
+    one_round = [sic_decode(graph, P, "sc", cr, 1, decodable).decoded[:4].tolist()
+                 for cr in (1.0, 0.875, 0.5)]
+    assert one_round == [[False, False, False, True], [True, False, False, True],
+                         [True, True, False, True]]
+    out = assert_same(graph, P, "sc", 0.5, 32, decodable)
+    assert out.decoded[:4].all() and out.rounds == 3
+    alive = np.ones(len(graph.ea), dtype=bool)
+    for cr in (1.0, 0.875, 0.5, 0.3, 1e-3):
+        assert_same(graph, P, "sc", cr, 32, decodable)
+        assert_round_matches(graph, P, cr, alive, decodable)
+    assert_threshold_scan_matches(graph, P, alive, decodable)
+
+
+def _retry_wave(seed, load, n_att, n_static, p):
+    """One retry wave as run_trial lays it out: fresh attempts, then the
+    replicas of earlier failed attempts as undecodable one-replica
+    packets."""
+    rng = rng_for(seed, 1)
+    lam = nominal_lambda(load, p)
+    horizon = n_att / lam
+    slots, cfo = draw_frames(rng, n_att, p)
+    start = rng.uniform(0.0, horizon, n_att)
+    t0 = np.r_[np.mod(start[:, None] + slots * p.Tp, horizon).ravel(),
+               rng.uniform(0.0, horizon, n_static)]
+    df = np.r_[np.repeat(cfo, p.N), rng.uniform(-p.Fm, p.Fm, n_static)]
+    pkt = np.r_[np.repeat(np.arange(n_att), p.N), n_att + np.arange(n_static)]
+    return (t0, df, pkt), horizon, np.arange(n_att + n_static) < n_att
+
+
+def assert_mask_keeps_outcome(pop, p, horizon, decodable, crs=(0.5,)):
+    full = build_collision_graph(pop, p, horizon)
+    masked = build_collision_graph(pop, p, horizon, decodable)
+    # the masked graph is the full one without its static-static edges,
+    # in the same order
+    keep = decodable[full.packet[full.ea]] | decodable[full.packet[full.eb]]
+    for name in ("ea", "eb", "dt", "area"):
+        assert np.array_equal(getattr(masked, name), getattr(full, name)[keep])
+    for policy in ("none", "mrc", "sc"):
+        for cr in crs:
+            want = sic_decode(full, p, policy, cr=cr, decodable=decodable)
+            got = sic_decode(masked, p, policy, cr=cr, decodable=decodable)
+            assert np.array_equal(got.decoded, want.decoded)
+            assert (got.rounds, got.residual_replicas) == (
+                want.rounds, want.residual_replicas)
+    return full, masked
+
+
+def test_retry_wave_graph_leaves_out_static_pairs():
+    p = replace(P, N=2, M=4)
+    pop, horizon, decodable = _retry_wave(5, 0.75, 600, 900, p)
+    full, masked = assert_mask_keeps_outcome(pop, p, horizon, decodable,
+                                             crs=(1.0, 0.5, 0.3))
+    static = ~decodable[masked.packet]
+    assert not (static[masked.ea] & static[masked.eb]).any()
+    assert len(masked.ea) < len(full.ea)
+
+
+@settings(max_examples=150, deadline=None)
+@given(populations(), crs)
+def test_static_pairs_decide_nothing(pop, cr):
+    graph, p, decodable = pop
+    pop = (graph.t0, graph.df, graph.packet)
+    assert_mask_keeps_outcome(pop, p, None, decodable, crs=(cr,))
 
 
 def test_loaded_wave_matches_reference():
