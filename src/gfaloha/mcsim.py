@@ -362,7 +362,7 @@ def run_trial(rng: np.random.Generator, lambda_agg: float, horizon: float,
         decodable = np.concatenate([np.ones(n_att, bool),
                                     np.zeros(n_static, bool)])
         graph = build_collision_graph((all_t0, all_df, all_pkt), p, horizon,
-                                      decodable if n_static else None)
+                                      decodable)
         out = sic_decode(graph, p, policy, cr=cr, max_rounds=max_rounds,
                          decodable=decodable)
         ok = out.decoded[:n_att]

@@ -341,9 +341,11 @@ def test_sc_round_matches_lexsort_round_on_tied_starts(pop, cr, mask):
 
 
 def test_sc_int32_ids_decode_as_int64():
-    # A hand-built graph may carry int32 ids, and they must decide as
-    # int64 ids do. The graph is large enough that replica * 2E passes
-    # 2**31, so no id product in the round may be formed in int32.
+    # A hand-built graph may carry int32 ids. The round indexes the
+    # per-replica a/b arrays (through np.maximum.at / np.minimum.at) and
+    # the packet rows table with them; int32 and int64 ids must give the
+    # same SicOutcome on a graph large enough (replica * 2E past 2**31)
+    # that any id product formed in int32 would wrap.
     p = replace(P, N=2, M=4)
     npk = 30000
     rng = rng_for(7, 3)
