@@ -5,7 +5,10 @@ energy events out of a stream, estimates per-packet CFOs with a
 periodogram, locates preambles by matched filtering per CFO branch, and
 cross-validates peaks across branches through the frequency-dependent
 correlation-peak drift of the Zadoff-Chu preamble. Validated packets
-are cut out and demodulated; decode_stream runs the whole chain.
+are cut out and demodulated after a fine CFO correction, which looks
+for the residual tone only within twice the validation slack of zero
+(one packet's CFO window), so another packet's stronger carrier line
+cannot capture it; decode_stream runs the whole chain.
 Streams are plain complex arrays sampled at SystemParams.Fs.
 
 Conventions: all SNRs here are per-sample power ratios of the complex
@@ -241,17 +244,21 @@ def _db(mag: np.ndarray) -> np.ndarray:
     return 20 * np.log10(np.maximum(mag, 1e-300))
 
 
-def _refine(spec: np.ndarray, k: int, fs: float) -> float:
-    """Frequency of bin k of the magnitude spectrum spec at rate fs,
-    refined parabolically on the dB magnitudes of bins k-1, k and k+1.
+def _refine(mag: np.ndarray, k: int, nfft: int, fs: float) -> float:
+    """Frequency of bin k of an nfft-point spectrum at rate fs, refined
+    parabolically on the dB values of mag, the magnitudes of bins k-1,
+    k and k+1. A negative k names bin nfft + k.
 
-    The neighbours are circular, so a peak straddling the FFT wrap
-    interpolates across it instead of collapsing to the bin edge.
+    Callers take the neighbours circularly, so a peak straddling the FFT
+    wrap interpolates across it instead of collapsing to the bin edge.
+    The vertex is kept within half a bin of k, where it always lies when
+    bin k is a local maximum; a band edge that is not one reads no
+    further out.
     """
-    nfft = spec.size
-    a, b, c = _db(spec[[(k - 1) % nfft, k, (k + 1) % nfft]])
+    a, b, c = _db(mag)
     denom = a - 2 * b + c
     frac = 0.0 if denom == 0 else float(0.5 * (a - c) / denom)
+    frac = min(max(frac, -0.5), 0.5)
     # bin k's frequency, as np.fft.fftfreq(nfft, 1 / fs)[k] gives it
     f = (k if k < (nfft + 1) // 2 else k - nfft) * (1.0 / (nfft * (1.0 / fs)))
     return float(f + frac * fs / nfft)
@@ -300,7 +307,8 @@ def periodogram_cfos(x: np.ndarray, p: SystemParams) -> list[float]:
             chosen.append(int(k))
         if len(chosen) >= _MAX_LINES:
             break
-    return sorted(_refine(spec, k, p.Fs) for k in chosen)
+    return sorted(_refine(spec[[(k - 1) % nfft, k, (k + 1) % nfft]], k, nfft,
+                          p.Fs) for k in chosen)
 
 
 # ---------------------------------------------------------------------------
@@ -627,46 +635,50 @@ def extract_sequences(x: np.ndarray, frame: tuple[int, int],
 
 
 @functools.lru_cache(maxsize=4)
-def _pad_twiddles(n: int, pad: int) -> np.ndarray:
-    """Row j holds exp(-2j*pi*j*t / (pad*n)) for t < n, read-only."""
+def _fine_band(n: int, pad: int, fs: float) -> np.ndarray:
+    """Read-only n x (2m+1) matrix whose product with a length-n vector
+    gives bins 0..m, then -m..-1, of its pad*n-point zero-padded
+    spectrum: m - 1 is the last bin within 2*_CFO_SLACK of zero at rate
+    fs, and bins +-m are the outer neighbours the refinement reads.
+    """
     nfft = pad * n
-    jt = np.arange(pad)[:, None] * np.arange(n)[None, :] % nfft
-    w = np.exp(-2j * math.pi * jt / nfft)
+    m = min(int(2 * _CFO_SLACK * nfft / fs), (nfft - 3) // 2) + 1
+    bins = np.r_[0:m + 1, nfft - m:nfft]
+    w = np.exp(-2j * math.pi * (np.arange(n)[:, None] * bins % nfft) / nfft)
     w.flags.writeable = False
     return w
-
-
-def _padded_fft(r: np.ndarray, pad: int) -> np.ndarray:
-    """np.fft.fft(r, pad * r.size) as pad transforms of length r.size.
-
-    Bin pad*m + j of the padded spectrum is entry [j, m]: the length-n
-    transform of r modulated by twiddle row j. At the receiver's
-    preamble length 920 = 8*5*23 this beats one 29,440-point transform.
-    """
-    return np.fft.fft(r * _pad_twiddles(r.size, pad), axis=1)
 
 
 def fine_cfo(seq: np.ndarray, p: SystemParams) -> float:
     """Residual offset from the preamble after coarse demodulation.
 
     The wiped preamble leaves a tone at the residual, read off its
-    zero-padded spectrum and refined on the neighbouring bins.
+    32-times zero-padded spectrum and refined on the neighbouring bins.
+    Only the bins within 2*_CFO_SLACK of zero are computed, as one
+    matrix product: the residual of a packet validated within
+    _CFO_SLACK lies there (decode_stream and spc_resolve take branches
+    twice the slack apart as one packet), and a stronger line outside
+    it belongs to another signal. Ties go to the lowest bin in FFT
+    order (0, 1, ..., then the negative bins), and an all-zero sequence
+    reads 0.
     """
     pre = upsampled_preamble(p)
     if seq.size < pre.size:
         raise InvalidParamsError("sequence shorter than the preamble")
     r = seq[: pre.size] * np.conj(pre)
-    # transposed and flattened into bin order, so ties go to the lowest bin
-    spec = np.abs(_padded_fft(r, _FINE_CFO_PAD)).T.ravel()
-    return _refine(spec, int(np.argmax(spec)), p.Fs)
+    spec = np.abs(r @ _fine_band(pre.size, _FINE_CFO_PAD, p.Fs))
+    m = spec.size // 2          # spec[m] and spec[m + 1]: bins +-m, never the peak
+    i = int(np.argmax(np.concatenate((spec[:m], (-1.0, -1.0), spec[m + 2:]))))
+    return _refine(spec[[i - 1, i, (i + 1) % spec.size]],
+                   i if i < m else i - spec.size, _FINE_CFO_PAD * pre.size, p.Fs)
 
 
 def demap_payload(seq: np.ndarray, p: SystemParams) -> np.ndarray:
     """Coherent payload demodulation of an extracted packet.
 
-    Removes the residual CFO measured on the preamble, equalizes with
-    the preamble-estimated complex gain, integrates each symbol, and
-    slices to Gray bits.
+    Removes the residual CFO that fine_cfo reads off the preamble within
+    2*_CFO_SLACK of zero, equalizes with the preamble-estimated complex
+    gain, integrates each symbol, and slices to Gray bits.
     """
     df = fine_cfo(seq, p)
     x = seq * np.exp(-2j * math.pi * df * np.arange(seq.size) / p.Fs)

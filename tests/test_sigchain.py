@@ -519,11 +519,24 @@ def test_extract_rejects_outside_offsets():
 
 
 def test_fine_cfo_residual():
+    # up to the edges of the +-2*_CFO_SLACK band the fine CFO searches
     rng = np.random.default_rng(13)
-    pk = sg.synthesize_packet(None, P, 3.7, rng=rng)
-    assert sg.fine_cfo(pk, P) == pytest.approx(3.7, abs=0.05)
+    for cfo in (3.7, -4.9, 4.9):
+        pk = sg.synthesize_packet(None, P, cfo, rng=rng)
+        assert sg.fine_cfo(pk, P) == pytest.approx(cfo, abs=0.05)
     with pytest.raises(InvalidParamsError):
         sg.fine_cfo(pk[:100], P)
+
+
+def test_fine_cfo_ignores_stronger_line_outside_band():
+    # a stronger line at +156 Hz over the preamble alone, as another
+    # signal leaves it, does not capture the residual; its sidelobes
+    # pull the estimate by about 0.035 Hz
+    pk = sg.synthesize_packet(None, P, 0.3, rng=np.random.default_rng(15))
+    pre = sg.upsampled_preamble(P)
+    t = np.arange(pre.size)
+    pk[: pre.size] += 1.5 * pre * np.exp(2j * math.pi * 156.0 * t / P.Fs)
+    assert sg.fine_cfo(pk, P) == pytest.approx(0.3, abs=0.05)
 
 
 def test_demap_payload_equalizes_gain_and_phase():

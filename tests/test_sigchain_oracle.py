@@ -39,15 +39,19 @@ replaced, and against the direct sum of np.convolve, within 1e-12 of
 sum |a|: the running sum rounds differently from either. The transform
 length of the complex FFTs is checked against scipy.fft.next_fast_len.
 
-`fine_cfo` computes its 32-times padded spectrum as 32 interleaved
-transforms of the preamble length (`_padded_fft`) and reads three bins
-of it; the full-spectrum version it replaced is kept as a reference.
-The two transforms round differently, so the contract is:
+`fine_cfo` computes only the bins of its 32-times padded spectrum
+within 2*_CFO_SLACK of zero (and one neighbour each side), as one
+product with a cached matrix (`_fine_band`), and searches its peak
+there; the full-spectrum version it replaced is kept as a reference.
+The product rounds differently from the transform, so the contract is:
 
-- the interleaved spectrum equals np.fft.fft(r, pad * n) within
-  1e-12 * sum |r|, for any length n and pad;
-- `fine_cfo` lands on the reference's argmax bin, and its CFO is
-  within 1e-9 Hz of the reference's.
+- each band column equals its bin of np.fft.fft(r, pad * n) within
+  1e-12 * sum |r|;
+- for a residual inside the band, clean or in noise, `fine_cfo` lands
+  on the reference's argmax bin, and its CFO is within 1e-9 Hz of the
+  reference's;
+- for any sequence, whatever lies outside the band, the CFO is within
+  37 bins of zero (the band's outer neighbours).
 
 `periodogram_cfos` runs its line test and dB conversion on the search
 band's bins alone and takes the median from the middle order
@@ -539,14 +543,18 @@ def ref_fine_cfo(seq, p):
 
 
 def test_fine_cfo_matches_full_spectrum():
-    # residuals across the whole spectrum, both signs and the wrap at 0,
-    # at SNRs from clean to noise-dominated; plus an all-zero sequence
-    # (every bin at the 1e-300 floor, argmax 0)
+    # residuals inside the band, both signs and the wrap at 0, at SNRs
+    # from clean to noise-dominated; plus an all-zero sequence (every bin
+    # at the 1e-300 floor, argmax 0)
     rng = np.random.default_rng(2024)
     pre = sg.upsampled_preamble(P)
+    nfft = sg._FINE_CFO_PAD * pre.size
+    w = sg._fine_band(pre.size, sg._FINE_CFO_PAD, P.Fs)
+    m = w.shape[1] // 2
+    bins = np.r_[0:m + 1, nfft - m:nfft]
+    inner = np.r_[0:m, m + 2:2 * m + 1]
     cases = [np.zeros(pre.size, complex)]
-    for cfo in np.concatenate([rng.uniform(-0.5, 0.5, 40) * P.Fs / 46,
-                               [0.0, 1e-3, -1e-3, P.Fs / 2 - 1.0]]):
+    for cfo in np.concatenate([rng.uniform(-4.9, 4.9, 40), [0.0, 1e-3, -1e-3]]):
         pk = sg.synthesize_packet(None, P, float(cfo), rng=rng)
         cases.append(pk)
         for snr in (0.1, 1.0, 10.0):
@@ -554,29 +562,33 @@ def test_fine_cfo_matches_full_spectrum():
     for seq in cases:
         k, f = ref_fine_cfo(seq, P)
         r = seq[: pre.size] * np.conj(pre)
-        spec = np.abs(sg._padded_fft(r, sg._FINE_CFO_PAD)).T.ravel()
-        assert int(np.argmax(spec)) == k
+        band = r @ w
+        full = np.fft.fft(r, nfft)
+        assert np.all(np.abs(band - full[bins]) <= 1e-12 * np.sum(np.abs(r)))
+        assert bins[inner[np.argmax(np.abs(band[inner]))]] == k
         assert abs(sg.fine_cfo(seq, P) - f) <= 1e-9
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.integers(0, 2 ** 32 - 1),
-       st.sampled_from([1, 2, 3, 23, 920, 1009, 1999]) | st.integers(1, 2000),
-       st.integers(1, 40))
-def test_padded_fft_matches_padded_transform(seed, n, pad):
-    # prime lengths included, where both transforms go through Bluestein
+@given(st.integers(0, 2 ** 32 - 1), st.floats(-P.Fs / 2, P.Fs / 2),
+       st.sampled_from([0.0, 1.0, 1e3]) | st.floats(0, 1e3),
+       st.sampled_from([0.0, 1.0]) | st.floats(0, 10))
+def test_fine_cfo_stays_in_band(seed, line, amp, noise):
+    # any preamble-length sequence: a wiped-preamble line anywhere in the
+    # spectrum, at any strength, under any noise (all zero included)
     rng = np.random.default_rng(seed)
-    r = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    got = sg._padded_fft(r, pad)
-    assert got.shape == (pad, n)
-    want = np.fft.fft(r, pad * n)
-    assert np.all(np.abs(got.T.ravel() - want) <= 1e-12 * np.sum(np.abs(r)))
+    pre = sg.upsampled_preamble(P)
+    t = np.arange(pre.size)
+    seq = (amp * pre * np.exp(2j * math.pi * line * t / P.Fs)
+           + noise * (rng.standard_normal(pre.size)
+                      + 1j * rng.standard_normal(pre.size)))
+    assert abs(sg.fine_cfo(seq, P)) <= 37 * P.Fs / (sg._FINE_CFO_PAD * pre.size)
 
 
 def test_cached_arrays_are_shared_and_read_only():
-    w = sg._pad_twiddles(920, sg._FINE_CFO_PAD)
-    assert w.shape == (sg._FINE_CFO_PAD, 920) and not w.flags.writeable
-    assert sg._pad_twiddles(920, sg._FINE_CFO_PAD) is w
+    w = sg._fine_band(920, sg._FINE_CFO_PAD, P.Fs)
+    assert w.shape == (920, 75) and not w.flags.writeable
+    assert sg._fine_band(920, sg._FINE_CFO_PAD, P.Fs) is w
     pre = sg.upsampled_preamble(P)
     assert not pre.flags.writeable
     assert sg.upsampled_preamble(SystemParams()) is pre
