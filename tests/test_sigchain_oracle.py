@@ -585,6 +585,26 @@ def test_fine_cfo_stays_in_band(seed, line, amp, noise):
     assert abs(sg.fine_cfo(seq, P)) <= 37 * P.Fs / (sg._FINE_CFO_PAD * pre.size)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(3, 200), st.integers(1, 8),
+       st.sampled_from([4000.0, 10.0]) | st.floats(1.0, 1e5))
+def test_fine_band_matches_padded_transform(seed, n, pad, fs):
+    # any length, padding and rate, down to rates where +-2*_CFO_SLACK
+    # spans the whole padded spectrum and the band stops at its ends
+    rng = np.random.default_rng(seed)
+    r = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    w = sg._fine_band(n, pad, fs)
+    nfft = pad * n
+    m = w.shape[1] // 2
+    bins = np.r_[0:m + 1, nfft - m:nfft]
+    assert np.unique(bins).size == bins.size == 2 * m + 1
+    # the inner bins are exactly those within the band, as far as it fits
+    assert (m - 1) * fs / nfft <= 2 * sg._CFO_SLACK
+    assert m * fs / nfft > 2 * sg._CFO_SLACK or 2 * m + 2 >= nfft
+    want = np.fft.fft(r, nfft)[bins]
+    assert np.all(np.abs(r @ w - want) <= 1e-12 * np.sum(np.abs(r)))
+
+
 def test_cached_arrays_are_shared_and_read_only():
     w = sg._fine_band(920, sg._FINE_CFO_PAD, P.Fs)
     assert w.shape == (920, 75) and not w.flags.writeable
