@@ -13,7 +13,7 @@ from .kpi import KpiReport, grant_free_kpis, granted_kpis
 from .mcsim import (CollisionGraph, build_collision_graph, nominal_lambda,
                     run_granted_baseline, run_trial, sic_decode)
 from .params import (EnergyParams, InvalidParamsError, SystemParams,
-                     load_params, packet_duration, slots_for_replicas)
+                     packet_duration, slots_for_replicas)
 from .traffic import draw_frames, generate_arrivals
 
 __version__ = "0.1.0"
@@ -22,7 +22,7 @@ __all__ = [
     "CollisionGraph", "EnergyParams", "ExperimentConfig",
     "InvalidParamsError", "KpiReport", "SystemParams", "analytic_outage",
     "build_base_cdf", "build_collision_graph", "draw_frames",
-    "generate_arrivals", "grant_free_kpis", "granted_kpis", "load_params",
+    "generate_arrivals", "grant_free_kpis", "granted_kpis",
     "nominal_lambda", "offered_load_of", "packet_duration",
     "run_experiment", "run_granted_baseline", "run_trial",
     "sic_decode", "slots_for_replicas", "solve_offered_load",

@@ -30,7 +30,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for sp in (run, val):
         sp.add_argument("--config", metavar="PATH",
                         help="JSON config with system/energy/experiment sections")
-        sp.add_argument("--out", metavar="DIR",
+        sp.add_argument("--out", dest="out_dir", metavar="DIR",
                         help="output directory (default: results)")
         sp.add_argument("--seed", type=int, help="master seed override")
 
@@ -39,38 +39,26 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--loads", metavar="LIST",
                      help="comma-separated load grid override")
     run.add_argument("--reps", type=int, help="repetitions per cell")
-    run.add_argument("--packets", type=int,
+    run.add_argument("--packets", dest="packets_per_point", type=int,
                      help="offered packets per sweep point")
     run.add_argument("--workers", type=int, help="parallel worker processes")
 
-    val.add_argument("--trials", type=int,
+    val.add_argument("--trials", dest="receiver_trials", type=int,
                      help="trials per synthetic suite (default 1000)")
     return parser
 
 
 def _config_from_args(args) -> ExperimentConfig:
+    """The config with each given flag set on the field its dest names."""
     cfg = (ExperimentConfig.from_file(args.config) if args.config
            else ExperimentConfig())
-    updates = {}
-    if args.out is not None:
-        updates["out_dir"] = args.out
-    if args.seed is not None:
-        updates["seed"] = args.seed
-    if getattr(args, "figures", None) is not None:
-        updates["figures"] = tuple(args.figures.split(","))
-    if getattr(args, "loads", None) is not None:
-        updates["loads"] = tuple(float(x) for x in args.loads.split(","))
-    if getattr(args, "reps", None) is not None:
-        updates["reps"] = args.reps
-    if getattr(args, "packets", None) is not None:
-        updates["packets_per_point"] = args.packets
-    if getattr(args, "workers", None) is not None:
-        updates["workers"] = args.workers
-    if getattr(args, "trials", None) is not None:
-        updates["receiver_trials"] = args.trials
-    if updates:
-        cfg = replace(cfg, **updates)
-    return cfg.validate()
+    updates = {k: v for k, v in vars(args).items()
+               if v is not None and k not in ("command", "config")}
+    if "figures" in updates:
+        updates["figures"] = tuple(updates["figures"].split(","))
+    if "loads" in updates:
+        updates["loads"] = tuple(float(x) for x in updates["loads"].split(","))
+    return replace(cfg, **updates).validate()
 
 
 def main(argv=None) -> int:

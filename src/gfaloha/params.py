@@ -192,13 +192,3 @@ def _read_config(path) -> tuple[SystemParams, EnergyParams, dict]:
     e = _from_mapping(EnergyParams, raw.get("energy", {}), "energy").validate()
     return p, e, raw.get("experiment", {})
 
-
-def load_params(path) -> tuple[SystemParams, EnergyParams]:
-    """Read a JSON config with optional "system" and "energy" sections.
-
-    Absent keys keep their defaults. Unknown keys raise InvalidParamsError
-    so typos do not silently run the default instead; a file or section
-    that is not a JSON object raises it too.
-    """
-    p, e, _ = _read_config(path)
-    return p, e

@@ -596,8 +596,7 @@ def spc_resolve(pm: PeakMap, dt: DriftTable) -> list[ValidatedPeak]:
                 near = np.min(np.abs(bk.positions[:, None]
                                      - targets[None, :]), axis=1) <= _TOL
                 alive[k][near] = False
-    validated.sort(key=lambda v: -v.magnitude)
-    kept: list[ValidatedPeak] = []
+    kept: list[ValidatedPeak] = []   # validated runs strongest first
     for v in validated:
         if any(abs(v.position - u.position) <= _TOL
                and abs(v.cfo - u.cfo) <= 2 * _CFO_SLACK for u in kept):

@@ -1,11 +1,13 @@
 """Command-line entry points."""
 
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-from gfaloha.cli import main
+from gfaloha.cli import _build_parser, _config_from_args, main
+from gfaloha.experiment import ExperimentConfig
 
 
 def test_run_tiny_sweep(tmp_path, capsys):
@@ -34,6 +36,28 @@ def test_run_config_file(tmp_path):
     assert rc == 0
     rows = (out / "fig-se.csv").read_text().splitlines()
     assert len(rows) == 1 + 2    # header, grant-free, granted
+
+
+@pytest.mark.parametrize("command", ["run", "validate-receiver"])
+def test_every_option_names_a_config_field(command):
+    # each given option reaches dataclasses.replace under its dest; any
+    # other dest would raise a TypeError that main does not catch
+    dests = set(vars(_build_parser().parse_args([command])))
+    assert dests - {"command", "config"} <= {f.name for f in
+                                             fields(ExperimentConfig)}
+
+
+def test_each_flag_sets_its_config_field():
+    cfg = _config_from_args(_build_parser().parse_args([
+        "run", "--out", "o", "--seed", "3", "--figures", "ee,se",
+        "--loads", "0.1,0.2", "--reps", "2", "--packets", "50",
+        "--workers", "2"]))
+    assert (cfg.out_dir, cfg.seed, cfg.figures, cfg.loads, cfg.reps,
+            cfg.packets_per_point, cfg.workers) == (
+        "o", 3, ("ee", "se"), (0.1, 0.2), 2, 50, 2)
+    cfg = _config_from_args(_build_parser().parse_args(
+        ["validate-receiver", "--trials", "9"]))
+    assert cfg.receiver_trials == 9 and cfg.out_dir == "results"
 
 
 @pytest.mark.parametrize("argv", [

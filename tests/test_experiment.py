@@ -375,14 +375,19 @@ def test_receiver_decisions_digest(tmp_path):
     assert digest["a"] != digest["b"]
 
 
-@pytest.mark.parametrize("seed, digest", [
-    (1, "bbc1c439935546ebb4e6628fb7064284470abecade6788e0c2b76bcb059995a0"),
-    (97, "0228e096fe22b00465c81ea414b9d4b58e32c2f1302d00efa85358f1e4a61ef2"),
-])
-def test_receiver_report_pinned(tmp_path, seed, digest):
+@pytest.mark.parametrize("seed, digest, decisions", [
+    (1, "bbc1c439935546ebb4e6628fb7064284470abecade6788e0c2b76bcb059995a0",
+     "0abe92539ab9b75b80f0f7584882dfab958180dd3c16a7967a32b8b518e448b5"),
+    (97, "0228e096fe22b00465c81ea414b9d4b58e32c2f1302d00efa85358f1e4a61ef2",
+     "072ff0936c9b0b842913785ffaae0a3bf79b7246c3f9d2744bfdcd68e3c17d1a"),
+], ids=["seed1", "seed97"])
+def test_receiver_report_pinned(tmp_path, seed, digest, decisions):
     # a 60-trial report, byte for byte; the default 1000-trial report is
-    # pinned by tests/data/default-run.sha256
-    ex.validate_receiver(ex.ExperimentConfig(receiver_trials=60, seed=seed,
-                                             out_dir=str(tmp_path)))
+    # pinned by tests/data/default-run.sha256. The decisions digest is
+    # pinned on its own, so a re-pin for a new report key shows that no
+    # decoded position, CFO or bit moved.
+    report = ex.validate_receiver(ex.ExperimentConfig(
+        receiver_trials=60, seed=seed, out_dir=str(tmp_path)))
+    assert report["decisions_sha256"] == decisions
     data = (tmp_path / "receiver-validation.json").read_bytes()
     assert hashlib.sha256(data).hexdigest() == digest

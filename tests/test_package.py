@@ -21,10 +21,11 @@ def test_removed_names_stay_unexported():
     # the scalar frame draw and the second sweep driver were merged into
     # traffic.draw_frames and experiment.run_experiment; the MMSE helpers
     # had no caller in the program; the analytic chain carries its laws
-    # as plain pmf arrays and its solution as SolveResult.g
+    # as plain pmf arrays and its solution as SolveResult.g; every config
+    # file is read through ExperimentConfig.from_file
     for name in ("sweep", "Replica", "VirtualFrame", "draw_virtual_frame",
                  "mmse_weights", "combined_sinr", "InterferenceCdf",
-                 "LoadPoint"):
+                 "LoadPoint", "load_params"):
         assert name not in gfaloha.__all__
         assert not hasattr(gfaloha, name)
 

@@ -6,9 +6,10 @@ import math
 import numpy as np
 import pytest
 
+from gfaloha.experiment import ExperimentConfig
 from gfaloha.params import (EnergyParams, InvalidParamsError, SystemParams,
-                            db2lin, load_params, packet_duration,
-                            slots_for_replicas, zc_root_ok)
+                            db2lin, packet_duration, slots_for_replicas,
+                            zc_root_ok)
 
 
 def test_db_roundtrip():
@@ -136,7 +137,8 @@ def test_load_params_roundtrip(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"system": {"W": 100.0, "N": 4, "M": 8},
                                "energy": {"Tr": 1200.0}}))
-    p, e = load_params(cfg)
+    c = ExperimentConfig.from_file(cfg)
+    p, e = c.system, c.energy
     assert p.W == 100.0 and p.N == 4
     assert e.Tr == 1200.0
     assert e.Pc == 1e-3   # untouched default
@@ -146,10 +148,10 @@ def test_load_params_rejects_unknown_keys(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"system": {"bandwidth": 100.0}}))
     with pytest.raises(InvalidParamsError, match="bandwidth"):
-        load_params(cfg)
+        ExperimentConfig.from_file(cfg)
     cfg.write_text(json.dumps({"radio": {}}))
     with pytest.raises(InvalidParamsError, match="radio"):
-        load_params(cfg)
+        ExperimentConfig.from_file(cfg)
 
 
 @pytest.mark.parametrize("text", ['[]', '5', '{"system": []}', '{"system": "x"}',
@@ -160,4 +162,4 @@ def test_load_params_rejects_non_object_sections(tmp_path, text):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(text)
     with pytest.raises(InvalidParamsError, match="JSON object"):
-        load_params(cfg)
+        ExperimentConfig.from_file(cfg)
