@@ -356,14 +356,15 @@ def validate_receiver(cfg: ExperimentConfig) -> dict:
     drift within half the preamble), a noise-free single packet decoded
     bit-exactly, single-packet decoding at SNR gamma over
     receiver_trials random draws, and the random two-packet suite with
-    its measured miss and false-positive rates (pass below 5% and 1%).
-    The suites place packets at offsets proportional to the packet
-    length, and one drift table serves them all (the tests check that
-    two builds agree). decisions_sha256 digests every
-    decoded (position, CFO, bits) triple of the three decoding suites in
-    order, so two reports with equal counts but different decisions
-    differ. Writes the report JSON into the output directory and returns
-    it.
+    its measured miss and false-positive rates (pass below 5% and 1%)
+    and its bit-exact rate: the share of sent packets whose matched
+    decode carries their payload exactly (reported, not gated). The
+    suites place packets at offsets proportional to the packet length,
+    and one drift table serves them all (the tests check that two
+    builds agree). decisions_sha256 digests every decoded (position,
+    CFO, bits) triple of the three decoding suites in order, so two
+    reports with equal counts but different decisions differ. Writes
+    the report JSON into the output directory and returns it.
     """
     cfg.validate()
     p = cfg.system
@@ -416,7 +417,7 @@ def validate_receiver(cfg: ExperimentConfig) -> dict:
     single = {"trials": n_trials, "missed": missed, "bit_error_trials": bad,
               "pass": missed == 0 and bad == 0}
 
-    miss2 = n_val = false = 0
+    miss2 = n_val = false = exact = 0
     for _ in range(n_trials):
         cfos = rng.uniform(-p.Fm, p.Fm, 2)
         starts = np.sort(rng.integers(n_pkt // 10, 11 * n_pkt // 10, 2))
@@ -425,16 +426,18 @@ def validate_receiver(cfg: ExperimentConfig) -> dict:
         got = receive(3, sent)
         n_val += len(got)
         used = [False] * len(got)
-        for s0, _, c in sent:
+        for s0, tb, c in sent:
             for i, g in enumerate(got):
                 if not used[i] and abs(g[0] - s0) <= 1 and abs(g[1] - c) <= 3.0:
                     used[i] = True
+                    exact += g[2] is not None and np.array_equal(g[2], tb)
                     break
             else:
                 miss2 += 1
         false += used.count(False)
     two = {"trials": n_trials, "miss_rate": miss2 / (2 * n_trials),
-           "false_rate": false / n_val if n_val else 0.0}
+           "false_rate": false / n_val if n_val else 0.0,
+           "bit_exact_rate": exact / (2 * n_trials)}
     two["pass"] = two["miss_rate"] < 0.05 and two["false_rate"] < 0.01
 
     report = {"drift": drift, "single_noise_free": noise_free,

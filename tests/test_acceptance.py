@@ -157,6 +157,7 @@ def test_c7_receiver_validation_suites(tmp_path):
               "miss < 5% and false validations < 1% on the two-packet suite",
            rep["pass"] and elapsed < 300,
            f"miss={two['miss_rate']:.3%}, false={two['false_rate']:.3%}, "
+           f"bit-exact={two['bit_exact_rate']:.1%} (not gated), "
            f"q_max={rep['drift']['q_max_symbols']} sym, {elapsed:.0f} s")
 
 

@@ -148,3 +148,6 @@ def test_validate_receiver_smoke(tmp_path, capsys):
     assert out.strip().splitlines()[-1].startswith("overall")
     assert report["drift"]["pass"]
     assert report["single_snr"]["trials"] == 60
+    # a bit-exact packet is one the miss count found
+    two = report["two_packet"]
+    assert 0.0 <= two["bit_exact_rate"] <= 1.0 - two["miss_rate"]

@@ -376,9 +376,9 @@ def test_receiver_decisions_digest(tmp_path):
 
 
 @pytest.mark.parametrize("seed, digest, decisions", [
-    (1, "bbc1c439935546ebb4e6628fb7064284470abecade6788e0c2b76bcb059995a0",
+    (1, "855e6b6f7db82f0a636ef4300dd515afefb42d6024fb17fbb73a9d3076066b57",
      "0abe92539ab9b75b80f0f7584882dfab958180dd3c16a7967a32b8b518e448b5"),
-    (97, "0228e096fe22b00465c81ea414b9d4b58e32c2f1302d00efa85358f1e4a61ef2",
+    (97, "916027070626c1479f1263326a58be1c7594943f4cd2f3a820d329b03ca12627",
      "072ff0936c9b0b842913785ffaae0a3bf79b7246c3f9d2744bfdcd68e3c17d1a"),
 ], ids=["seed1", "seed97"])
 def test_receiver_report_pinned(tmp_path, seed, digest, decisions):
