@@ -54,7 +54,10 @@ class ExperimentConfig:
     kpi_replicas under kpi_policy with retries on; the reliability
     figure sweeps reliability_replicas x cr_grid under the
     clean-fraction policy with retries off (single-attempt success, the
-    quantity the success-probability curves show).
+    quantity the success-probability curves show). Each (load, N, rep)
+    of the reliability figure is one traffic draw, decoded at every
+    cr_grid threshold, so its rows differ only by the receiver and a
+    threshold's row does not depend on its place in the grid.
     """
 
     system: SystemParams = field(default_factory=SystemParams)
@@ -152,10 +155,11 @@ def _run_cell(args):
     rng = mcsim.rng_for(cfg.seed, kind, *key)
     if kind == _KIND_GRANTED:
         return mcsim.run_granted_baseline(rng, lam, horizon, p, cfg.energy)
-    # the reliability figure shows single-attempt success: no retries
-    retries = cfg.max_retries if kind == _KIND_KPI else 0
+    if kind == _KIND_REL:
+        # single-attempt outage at every threshold of cr (the cr grid)
+        return mcsim.first_attempt_outage(rng, lam, horizon, p, cr)
     return mcsim.run_trial(rng, lam, horizon, p, cfg.energy, policy,
-                           cr=cr, max_retries=retries)
+                           cr=cr, max_retries=cfg.max_retries)
 
 
 def _execute(jobs: list, workers: int) -> list:
@@ -221,7 +225,10 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
 
     # Row group -> (load, SystemParams, policy, cr) of its cells, in run
     # order. Cell rep of group (kind, *idx) draws substream (kind, *idx,
-    # rep).
+    # rep). A reliability group holds the whole cr grid and writes one
+    # row per threshold; its key ends in 0, the index of the threshold
+    # whose substream it draws, so each cr_grid[0] row keeps the bytes
+    # it had when every threshold drew its own traffic.
     table: dict[tuple, tuple] = {}
     for li, load in enumerate(cfg.loads):
         if kpi_figs:
@@ -229,10 +236,9 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
                 table[_KIND_KPI, li, ni] = (load, pn, cfg.kpi_policy,
                                             p0.St / p0.gamma)
             table[_KIND_GRANTED, li] = (load, p0, "granted", None)
-        if "reliability" in cfg.figures:
+        if "reliability" in cfg.figures and cfg.cr_grid:
             for ni, pn in enumerate(rel_p):
-                for ci, cr in enumerate(cfg.cr_grid):
-                    table[_KIND_REL, li, ni, ci] = (load, pn, "sc", cr)
+                table[_KIND_REL, li, ni, 0] = (load, pn, "sc", cfg.cr_grid)
     jobs = [(cfg, kind, (*idx, rep), *group)
             for (kind, *idx), group in table.items()
             for rep in range(cfg.reps)]
@@ -245,9 +251,10 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     for (kind, *_), (load, p, policy, cr) in table.items():
         cells = list(islice(done, cfg.reps))
         if kind == _KIND_REL:
-            rows["reliability"].append(_row(
-                "reliability", load, "grant-free", policy, p.N, cr, None,
-                [1.0 - c.outage for c in cells]))
+            for i, c in enumerate(cr):
+                rows["reliability"].append(_row(
+                    "reliability", load, "grant-free", policy, p.N, c, None,
+                    [1.0 - outages[i] for outages in cells]))
             continue
         lam = mcsim.nominal_lambda(load, p)
         head = ("grant-free", policy, p.N, cr)

@@ -14,6 +14,7 @@ the signal chain module and is validated separately.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -40,6 +41,7 @@ class CollisionGraph:
     Edges exist only for strictly positive overlap area. dt stores the
     signed start-time difference t0[eb] - t0[ea] (unwrapped, |dt| < Tp)
     so the interfered interval inside each rectangle can be recovered.
+    tp is the packet duration the graph was built with.
     """
 
     t0: np.ndarray
@@ -50,10 +52,39 @@ class CollisionGraph:
     dt: np.ndarray
     area: np.ndarray
     n_packets: int
+    tp: float
 
     @property
     def n_replicas(self) -> int:
         return len(self.t0)
+
+    @functools.cached_property
+    def _sc_setup(self) -> tuple[list, np.ndarray]:
+        """The clean-fraction round's setup, which no threshold changes.
+
+        An edge dirties [lo, hi) = [max(0, d), min(tp, d + tp)) of a
+        replica, d being the interferer's start relative to the
+        replica's: a prefix ending at hi if lo == 0, a suffix starting at
+        lo if hi == tp (both if d + tp rounds to tp). Returns the
+        (replica, packet, edge, end) entries of the prefixes and the
+        (..., start) entries of the suffixes, entry i of the edge-end
+        concatenation being edge i mod E, and the packet x (largest
+        replica count) table of replica ids: spare slots hold the empty
+        stretch n_replicas, a packet without replicas the clean stretch
+        n_replicas + 1.
+        """
+        pkt, tp, npk, nrep = self.packet, self.tp, self.n_packets, self.n_replicas
+        rep = np.concatenate([self.ea, self.eb])
+        d = np.concatenate([self.dt, -self.dt])
+        lo, hi = np.maximum(0.0, d), np.minimum(tp, d + tp)
+        sides = [(rep[i], pkt[rep[i]], i % len(self.ea), x[i]) for i, x in
+                 ((np.flatnonzero(lo == 0.0), hi), (np.flatnonzero(hi == tp), lo))]
+        n_rep_of = np.bincount(pkt, minlength=npk)
+        by_pkt = np.argsort(pkt, kind="stable")
+        rows = np.full((npk, max(1, int(n_rep_of.max(initial=0)))), nrep)
+        rows[pkt[by_pkt], _segment_arange(n_rep_of)] = by_pkt
+        rows[n_rep_of == 0, 0] = nrep + 1
+        return sides, rows
 
 
 def _segment_arange(counts: np.ndarray) -> np.ndarray:
@@ -122,7 +153,7 @@ def build_collision_graph(replicas, p: SystemParams,
     _, first = np.unique(key, return_index=True)
     return CollisionGraph(t0, df, packet,
                           ia2[first].astype(np.int64), ib2[first].astype(np.int64),
-                          dt[first], area[first], n_packets)
+                          dt[first], area[first], n_packets, p.Tp)
 
 
 # ---------------------------------------------------------------------------
@@ -235,37 +266,23 @@ def _clean_fraction_test(graph: CollisionGraph, p: SystemParams, cr: float):
 
     A position inside the packet counts as clean if at least one replica
     carries it free of any overlapping, not yet cancelled replica; even
-    partial frequency overlap spoils the stretch it covers. An alive
-    edge dirties [lo, hi) = [max(0, d), min(Tp, d + Tp)) of a replica, d
-    being the interferer's start relative to the replica's: a prefix
-    ending at hi if lo == 0, a suffix starting at lo if hi == Tp (both
-    if d + Tp rounds to Tp). So a replica is clean on [a, b), a the
-    latest prefix end (or 0) and b the earliest suffix start (or Tp), and
-    dirty throughout if b <= a (touching stretches merge). max and min
-    ignore the entries' order, so no entry is sorted. Each tested
-    packet's stretches, sorted on a (an empty one as (0, 0)), are walked
-    with the running maximum `reach` of their ends: an a above reach
-    adds the dirty gap a - reach, and Tp - reach closes the sum. These
+    partial frequency overlap spoils the stretch it covers. Each alive
+    edge dirties a prefix or a suffix of a replica (graph._sc_setup,
+    built once per graph and shared by every threshold). So a replica
+    is clean on [a, b), a the latest prefix end (or 0) and b the
+    earliest suffix start (or Tp), and dirty throughout if b <= a
+    (touching stretches merge). max and min ignore the entries' order,
+    so no entry is sorted. Each tested packet's stretches, sorted on a
+    (an empty one as (0, 0)), are walked with the running maximum
+    `reach` of their ends: an a above reach adds the dirty gap
+    a - reach, and Tp - reach closes the sum. These
     are the endpoint differences a left-to-right loop over the
     intersected interval lists adds, in its order. A replica without
     alive edges is clean on [0, Tp), so its packet decodes, and so does
     a packet id without replicas.
     """
-    pkt, tp, npk, nrep = graph.packet, p.Tp, graph.n_packets, graph.n_replicas
-    rep = np.concatenate([graph.ea, graph.eb])
-    d = np.concatenate([graph.dt, -graph.dt])
-    lo, hi = np.maximum(0.0, d), np.minimum(tp, d + tp)
-    # (replica, packet, edge, end) of the prefixes and (..., start) of the
-    # suffixes; entry i of the concatenation is edge i mod E
-    sides = [(rep[i], pkt[rep[i]], i % len(graph.ea), x[i]) for i, x in
-             ((np.flatnonzero(lo == 0.0), hi), (np.flatnonzero(hi == tp), lo))]
-    # Replica ids per packet; spare slots hold the empty stretch nrep, a
-    # packet without replicas the clean stretch nrep + 1.
-    n_rep_of = np.bincount(pkt, minlength=npk)
-    by_pkt = np.argsort(pkt, kind="stable")
-    rows = np.full((npk, max(1, int(n_rep_of.max(initial=0)))), nrep)
-    rows[pkt[by_pkt], _segment_arange(n_rep_of)] = by_pkt
-    rows[n_rep_of == 0, 0] = nrep + 1
+    tp, npk, nrep = graph.tp, graph.n_packets, graph.n_replicas
+    sides, rows = graph._sc_setup
     need = cr * tp - 1e-12
 
     def round_test(e_alive, test):
@@ -316,6 +333,66 @@ def nominal_lambda(load: float, p: SystemParams) -> float:
     return load * (2.0 * p.Fm + p.W) / (p.W * p.N * p.Tp)
 
 
+def _measured_arrivals(rng: np.random.Generator, lambda_agg: float,
+                       horizon: float, p: SystemParams):
+    """Report arrivals over the horizon and the mask of the measured ones:
+    both simulators leave out 2*M*Tp of arrivals at each end."""
+    if horizon <= 8 * p.M * p.Tp:
+        raise InvalidParamsError("horizon too short for warm-up exclusion")
+    arrivals = generate_arrivals(rng, lambda_agg, horizon)
+    margin = 2.0 * p.M * p.Tp
+    return arrivals, (arrivals >= margin) & (arrivals < horizon - margin)
+
+
+def _wave_graph(rng: np.random.Generator, start: np.ndarray,
+                static_t0: np.ndarray, static_df: np.ndarray, horizon: float,
+                p: SystemParams):
+    """Draw one wave of attempts and build its collision graph.
+
+    Each attempt starting at `start` gets a fresh slot pattern and CFO;
+    its replicas (t0, df) lie on the circular horizon under packet id
+    i. The static replicas of earlier failed attempts follow, each with
+    its own packet id, marked undecodable. Returns t0, df, the graph and
+    the decodable mask.
+    """
+    n_att, n_static = start.size, static_t0.size
+    slots, cfo = draw_frames(rng, n_att, p)
+    t0 = np.mod(start[:, None] + slots * p.Tp, horizon).ravel()
+    df = np.repeat(cfo, p.N)
+    pkt = np.concatenate([np.repeat(np.arange(n_att), p.N),
+                          n_att + np.arange(n_static)])
+    decodable = np.concatenate([np.ones(n_att, bool), np.zeros(n_static, bool)])
+    graph = build_collision_graph((np.concatenate([t0, static_t0]),
+                                   np.concatenate([df, static_df]), pkt),
+                                  p, horizon, decodable)
+    return t0, df, graph, decodable
+
+
+def first_attempt_outage(rng: np.random.Generator, lambda_agg: float,
+                         horizon: float, p: SystemParams, crs, *,
+                         max_rounds: int = 32) -> list[float]:
+    """Clean-fraction outage of one first-attempt wave at each threshold.
+
+    Draws the arrivals and the wave of frames run_trial's first wave
+    draws, builds the collision graph once and decodes it under the sc
+    policy at every cr of `crs`. Entry i is (offered - delivered) /
+    offered over the measured reports at crs[i] (0.0 without any), bit
+    for bit run_trial(..., "sc", cr=crs[i], max_retries=0).outage.
+    Sharing one draw, the thresholds differ only by the receiver.
+    """
+    arrivals, measured = _measured_arrivals(rng, lambda_agg, horizon, p)
+    empty = np.empty(0)
+    _, _, graph, decodable = _wave_graph(rng, arrivals, empty, empty, horizon, p)
+    offered = int(measured.sum())
+    out = []
+    for cr in crs:
+        ok = sic_decode(graph, p, "sc", cr=cr, max_rounds=max_rounds,
+                        decodable=decodable).decoded
+        delivered = int((measured & ok).sum())
+        out.append((offered - delivered) / offered if offered else 0.0)
+    return out
+
+
 def run_trial(rng: np.random.Generator, lambda_agg: float, horizon: float,
               p: SystemParams, e: EnergyParams, policy: str = "mrc", *,
               cr: float = 0.5, max_retries: int = 5, max_rounds: int = 32,
@@ -329,11 +406,8 @@ def run_trial(rng: np.random.Generator, lambda_agg: float, horizon: float,
     before it. Later waves never rewrite earlier outcomes; the first and
     last 2*M*Tp of arrivals are excluded from the statistics.
     """
-    _check_horizon(horizon, p)
-    arrivals = generate_arrivals(rng, lambda_agg, horizon)
+    arrivals, measured = _measured_arrivals(rng, lambda_agg, horizon, p)
     n_rep = arrivals.size
-    margin = 2.0 * p.M * p.Tp
-    measured = (arrivals >= margin) & (arrivals < horizon - margin)
 
     # Static interference: replicas of failed attempts stay on air.
     static_t0 = np.empty(0)
@@ -348,21 +422,8 @@ def run_trial(rng: np.random.Generator, lambda_agg: float, horizon: float,
         if wave_report.size == 0:
             break
         n_att = wave_report.size
-        slots, cfo = draw_frames(rng, n_att, p)
-
-        t0 = np.mod(wave_start[:, None] + slots * p.Tp, horizon).ravel()
-        df = np.repeat(cfo, p.N)
-        pkt = np.repeat(np.arange(n_att), p.N)
-
-        n_static = static_t0.size
-        all_t0 = np.concatenate([t0, static_t0])
-        all_df = np.concatenate([df, static_df])
-        # Static replicas get one dummy packet id each, marked undecodable.
-        all_pkt = np.concatenate([pkt, n_att + np.arange(n_static)])
-        decodable = np.concatenate([np.ones(n_att, bool),
-                                    np.zeros(n_static, bool)])
-        graph = build_collision_graph((all_t0, all_df, all_pkt), p, horizon,
-                                      decodable)
+        t0, df, graph, decodable = _wave_graph(rng, wave_start, static_t0,
+                                               static_df, horizon, p)
         out = sic_decode(graph, p, policy, cr=cr, max_rounds=max_rounds,
                          decodable=decodable)
         ok = out.decoded[:n_att]
@@ -551,12 +612,6 @@ def _contend(rng: np.random.Generator, first_period: np.ndarray,
     return done
 
 
-def _check_horizon(horizon: float, p: SystemParams) -> None:
-    """Both simulators leave out 2*M*Tp of arrivals at each end."""
-    if horizon <= 8 * p.M * p.Tp:
-        raise InvalidParamsError("horizon too short for warm-up exclusion")
-
-
 def run_granted_baseline(rng: np.random.Generator, lambda_agg: float,
                          horizon: float, p: SystemParams, e: EnergyParams,
                          opportunities: int = kpi_mod.RA_OPPORTUNITIES,
@@ -572,14 +627,11 @@ def run_granted_baseline(rng: np.random.Generator, lambda_agg: float,
     and the generator's final state are those of drawing each period's
     picks in turn.
     """
-    _check_horizon(horizon, p)
     if opportunities < 1:
         raise InvalidParamsError("need at least one RA opportunity")
     if period <= 0:
         raise InvalidParamsError("RA period must be positive")
-    arrivals = generate_arrivals(rng, lambda_agg, horizon)
-    margin = 2.0 * p.M * p.Tp
-    measured = (arrivals >= margin) & (arrivals < horizon - margin)
+    arrivals, measured = _measured_arrivals(rng, lambda_agg, horizon, p)
     # A report contends at the RA instant closing its arrival period.
     first_period = np.floor(arrivals / period).astype(np.int64)
     done_period = _contend(rng, first_period, int(math.floor(horizon / period)),

@@ -208,6 +208,50 @@ def test_run_experiment_reproducible(tmp_path):
         assert (c / name).read_bytes() == ref
 
 
+def test_reliability_rows_share_one_draw_per_cell(tmp_path):
+    # Each (load, N, rep) is one traffic draw decoded at every threshold,
+    # on the substream (1, load index, N index, 0, rep): a threshold's
+    # row is the same line whatever the grid holds and wherever it sits,
+    # and the lower threshold never decodes less.
+    def run(name, **kw):
+        ex.run_experiment(tiny(tmp_path / name, figures=("reliability",),
+                               loads=(0.2, 0.5), reliability_replicas=(1, 2),
+                               packets_per_point=400, **kw))
+        return (tmp_path / name / "fig-reliability.csv").read_text()
+
+    def rows(text):
+        header, *lines = text.splitlines()
+        assert header == ",".join(ex.CSV_HEADER)
+        return {tuple(ln.split(",")[i] for i in (2, 5, 6)): ln for ln in lines}
+
+    both = rows(run("both", cr_grid=(1.0, 0.5)))
+    assert list(both) == [(load, n, cr) for load in ("0.2", "0.5")
+                          for n in ("1", "2") for cr in ("1", "0.5")]
+    for name, grid in (("swapped", (0.5, 1.0)), ("one", (1.0,)),
+                       ("half", (0.5,))):
+        assert rows(run(name, cr_grid=grid)) == {
+            key: ln for key, ln in both.items() if float(key[2]) in grid}
+    success = {key: float(ln.split(",")[8]) for key, ln in both.items()}
+    for load, n, cr in both:
+        assert success[load, n, "0.5"] >= success[load, n, "1"]
+
+    p, e = SystemParams(), EnergyParams()
+    for (load, n, cr), ln in both.items():
+        li, ni = ("0.2", "0.5").index(load), ("1", "2").index(n)
+        pn = p.with_replicas(int(n))
+        lam = mcsim.nominal_lambda(float(load), pn)
+        outage = [mcsim.run_trial(mcsim.rng_for(7, 1, li, ni, 0, rep), lam,
+                                  400 / lam, pn, e, "sc", cr=float(cr),
+                                  max_retries=0).outage
+                  for rep in range(2)]
+        assert ln.split(",")[8] == ex._fmt(
+            ex._mean_ci([1.0 - o for o in outage])[0])
+
+    assert run("w2", cr_grid=(1.0, 0.5), workers=2) == \
+        (tmp_path / "both" / "fig-reliability.csv").read_text()
+    assert run("none", cr_grid=()) == ",".join(ex.CSV_HEADER) + "\n"
+
+
 def test_summary_names_no_directory(tmp_path):
     # the same config run into two directories writes the same summary
     a, b = tmp_path / "a", tmp_path / "b"

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gfaloha.kpi import energy_efficiency
-from gfaloha.mcsim import (build_collision_graph, nominal_lambda, rng_for,
-                           run_granted_baseline, run_trial, sic_decode)
+from gfaloha.mcsim import (build_collision_graph, first_attempt_outage,
+                           nominal_lambda, rng_for, run_granted_baseline,
+                           run_trial, sic_decode)
 from gfaloha.interference import offered_load_of, overlap_area
 from gfaloha.params import EnergyParams, InvalidParamsError, SystemParams
 
@@ -193,6 +194,31 @@ def test_sc_single_replica_outage_matches_closed_form(load, cr):
     x = lam * p.Tp
     want = 1.0 - np.exp(-x * (1.0 + cr)) * (1.0 + x * (1.0 - cr))
     assert r.outage == pytest.approx(want, rel=0.05)
+
+
+@pytest.mark.parametrize("max_rounds", [1, 32])
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_first_attempt_outage_is_run_trial_without_retries(n, max_rounds):
+    # one draw decoded at each threshold gives, bit for bit, the outage
+    # each threshold's own run_trial gives on the same substream; so does
+    # a horizon without a measured report
+    p = P.with_replicas(n)
+    crs = (1.0, 0.5, 0.3)
+    for k, load in enumerate((0.05, 0.5)):
+        lam = nominal_lambda(load, p)
+        horizon = 1500 / lam
+        got = first_attempt_outage(rng_for(14, n, k), lam, horizon, p, crs,
+                                   max_rounds=max_rounds)
+        want = [run_trial(rng_for(14, n, k), lam, horizon, p, E, "sc", cr=c,
+                          max_retries=0, max_rounds=max_rounds).outage
+                for c in crs]
+        assert got == want
+        assert want[2] <= want[1] <= want[0]
+        assert want[0] > 0.0 or load < 0.5
+    horizon = 10 * p.M * p.Tp
+    assert first_attempt_outage(rng_for(15), 1e-9, horizon, p, crs) == [0.0] * 3
+    assert run_trial(rng_for(15), 1e-9, horizon, p, E, "sc",
+                     max_retries=0).outage == 0.0
 
 
 def test_run_trial_horizon_guard():

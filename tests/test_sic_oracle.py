@@ -340,6 +340,21 @@ def test_sc_round_matches_lexsort_round_on_tied_starts(pop, cr, mask):
     assert_same(graph, p, "sc", cr, 32, decodable)
 
 
+@settings(max_examples=200, deadline=None)
+@given(populations(), crs, st.floats(0.1, 0.9))
+def test_sc_lower_threshold_decodes_a_superset(pop, cr_hi, u):
+    # A packet clean at cr_hi is clean at any lower threshold, so each
+    # round cancels at least as much at cr_lo: the sweep, which decodes
+    # one draw at every threshold, shows this order in every cell.
+    graph, p, decodable = pop
+    cr_lo = u * cr_hi
+    for max_rounds in (1, 2, 32):
+        hi, lo = (sic_decode(graph, p, "sc", cr=cr, max_rounds=max_rounds,
+                             decodable=decodable).decoded
+                  for cr in (cr_hi, cr_lo))
+        assert not (hi & ~lo).any()
+
+
 def test_sc_int32_ids_decode_as_int64():
     # A hand-built graph may carry int32 ids. The round indexes the
     # per-replica a/b arrays (through np.maximum.at / np.minimum.at) and
