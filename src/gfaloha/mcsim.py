@@ -279,8 +279,11 @@ def _clean_fraction_test(graph: CollisionGraph, p: SystemParams, cr: float):
     are the endpoint differences a left-to-right loop over the
     intersected interval lists adds, in its order. A replica without
     alive edges is clean on [0, Tp), so its packet decodes, and so does
-    a packet id without replicas.
+    a packet id without replicas. The setup holds graph.tp, so p must
+    carry the packet duration the graph was built with.
     """
+    if graph.tp != p.Tp:
+        raise InvalidParamsError("graph was built with another packet duration")
     tp, npk, nrep = graph.tp, graph.n_packets, graph.n_replicas
     sides, rows = graph._sc_setup
     need = cr * tp - 1e-12
@@ -369,8 +372,7 @@ def _wave_graph(rng: np.random.Generator, start: np.ndarray,
 
 
 def first_attempt_outage(rng: np.random.Generator, lambda_agg: float,
-                         horizon: float, p: SystemParams, crs, *,
-                         max_rounds: int = 32) -> list[float]:
+                         horizon: float, p: SystemParams, crs) -> list[float]:
     """Clean-fraction outage of one first-attempt wave at each threshold.
 
     Draws the arrivals and the wave of frames run_trial's first wave
@@ -386,8 +388,7 @@ def first_attempt_outage(rng: np.random.Generator, lambda_agg: float,
     offered = int(measured.sum())
     out = []
     for cr in crs:
-        ok = sic_decode(graph, p, "sc", cr=cr, max_rounds=max_rounds,
-                        decodable=decodable).decoded
+        ok = sic_decode(graph, p, "sc", cr=cr, decodable=decodable).decoded
         delivered = int((measured & ok).sum())
         out.append((offered - delivered) / offered if offered else 0.0)
     return out

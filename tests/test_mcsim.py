@@ -129,6 +129,16 @@ def test_sc_single_replica_fraction():
     assert not sic_decode(g, P, "sc", cr=0.5, decodable=decodable).decoded[0]
 
 
+def test_sc_rejects_params_of_another_packet_duration():
+    # the clean stretches are cut at the duration the graph was built
+    # with, so sc decoding under another Tp is refused, not mixed
+    t0 = np.array([10.0, 9.8])
+    g = build_collision_graph((t0, np.zeros(2), np.array([0, 1])), P)
+    with pytest.raises(InvalidParamsError):
+        sic_decode(g, replace(P, Tp=2 * P.Tp), "sc", cr=0.4)
+    assert sic_decode(g, replace(P, St=2 * P.St), "sc", cr=0.4).decoded[0]
+
+
 def test_sic_rejects_bad_arguments():
     g = graph_of([0.0], [0.0], [0])
     with pytest.raises(ValueError):
@@ -196,9 +206,8 @@ def test_sc_single_replica_outage_matches_closed_form(load, cr):
     assert r.outage == pytest.approx(want, rel=0.05)
 
 
-@pytest.mark.parametrize("max_rounds", [1, 32])
 @pytest.mark.parametrize("n", [1, 2, 4])
-def test_first_attempt_outage_is_run_trial_without_retries(n, max_rounds):
+def test_first_attempt_outage_is_run_trial_without_retries(n):
     # one draw decoded at each threshold gives, bit for bit, the outage
     # each threshold's own run_trial gives on the same substream; so does
     # a horizon without a measured report
@@ -207,10 +216,9 @@ def test_first_attempt_outage_is_run_trial_without_retries(n, max_rounds):
     for k, load in enumerate((0.05, 0.5)):
         lam = nominal_lambda(load, p)
         horizon = 1500 / lam
-        got = first_attempt_outage(rng_for(14, n, k), lam, horizon, p, crs,
-                                   max_rounds=max_rounds)
+        got = first_attempt_outage(rng_for(14, n, k), lam, horizon, p, crs)
         want = [run_trial(rng_for(14, n, k), lam, horizon, p, E, "sc", cr=c,
-                          max_retries=0, max_rounds=max_rounds).outage
+                          max_retries=0).outage
                 for c in crs]
         assert got == want
         assert want[2] <= want[1] <= want[0]
