@@ -73,8 +73,6 @@ class ExperimentConfig:
     seed: int = 1234
     out_dir: str = "results"
     figures: tuple = FIGURES
-    low_load_cutoff: float = 0.2   # loads the divergence flag checks
-    divergence_tol: float = 0.03
     receiver_trials: int = 1000
     workers: int = 1
 
@@ -89,11 +87,8 @@ class ExperimentConfig:
                                     *self.reliability_replicas))):
             raise InvalidParamsError("replica counts must be integers")
         loads = tuple(self.loads)
-        if not all(map(is_real, (*loads, *self.cr_grid, self.low_load_cutoff,
-                                 self.divergence_tol))):
-            raise InvalidParamsError(
-                "loads, cr values, low_load_cutoff and divergence_tol must be "
-                "finite numbers")
+        if not all(map(is_real, (*loads, *self.cr_grid))):
+            raise InvalidParamsError("loads and cr values must be finite numbers")
         if any(b <= a for a, b in zip(loads, loads[1:])):
             raise InvalidParamsError("load grid must be strictly ascending")
         if any(x <= 0 for x in loads):
@@ -205,6 +200,10 @@ def _write_csv(path: Path, rows: list[dict]) -> None:
             fh.write(",".join(_fmt(row[k]) for k in CSV_HEADER) + "\n")
 
 
+_LOW_LOAD_CUTOFF = 0.2   # KPI rows up to this load are flagged divergent
+_DIVERGENCE_TOL = 0.03   # where analytic and empirical outage differ more
+
+
 def run_experiment(cfg: ExperimentConfig) -> dict:
     """Run the configured sweep and write figure CSVs plus a summary.
 
@@ -269,8 +268,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
             report = kpi_mod.grant_free_kpis(lam, res.po, p, e0)
             status = res.status
             po_e = float(np.mean([c.outage for c in cells]))
-            if load <= cfg.low_load_cutoff \
-                    and abs(res.po - po_e) > cfg.divergence_tol:
+            if load <= _LOW_LOAD_CUTOFF and abs(res.po - po_e) > _DIVERGENCE_TOL:
                 divergence = "divergent"
         for fig in kpi_figs:
             name = _FIG_KPI[fig]

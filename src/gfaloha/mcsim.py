@@ -180,7 +180,9 @@ def sic_decode(graph: CollisionGraph, p: SystemParams, policy: str = "mrc",
     Decoded packets are removed (all their replicas) and the next round
     sees the reduced interference; the loop stops at a fixpoint or after
     max_rounds. `decodable` marks packets the receiver may decode; the
-    rest (already-failed earlier transmissions) only radiate.
+    rest (already-failed earlier transmissions) only radiate. The graph's
+    areas and clean stretches are cut at graph.tp, so p must carry that
+    packet duration.
 
     Rounds are incremental. Every policy looks only at a packet's own
     replicas and their alive edges, so a packet that failed in round k
@@ -201,6 +203,8 @@ def sic_decode(graph: CollisionGraph, p: SystemParams, policy: str = "mrc",
         raise ValueError(f"unknown decoding policy {policy!r}")
     if not (0.0 < cr <= 1.0):
         raise InvalidParamsError("coding-rate threshold must lie in (0, 1]")
+    if graph.tp != p.Tp:
+        raise InvalidParamsError("graph was built with another packet duration")
     npk = graph.n_packets
     decoded = np.zeros(npk, dtype=bool)
     decodable = (np.ones(npk, dtype=bool) if decodable is None
@@ -279,11 +283,8 @@ def _clean_fraction_test(graph: CollisionGraph, p: SystemParams, cr: float):
     are the endpoint differences a left-to-right loop over the
     intersected interval lists adds, in its order. A replica without
     alive edges is clean on [0, Tp), so its packet decodes, and so does
-    a packet id without replicas. The setup holds graph.tp, so p must
-    carry the packet duration the graph was built with.
+    a packet id without replicas.
     """
-    if graph.tp != p.Tp:
-        raise InvalidParamsError("graph was built with another packet duration")
     tp, npk, nrep = graph.tp, graph.n_packets, graph.n_replicas
     sides, rows = graph._sc_setup
     need = cr * tp - 1e-12

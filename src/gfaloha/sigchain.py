@@ -70,7 +70,6 @@ class PeakMap:
 class ValidatedPeak:
     cfo: float
     position: int
-    magnitude: float
 
 
 def zc_preamble(nzc: int) -> np.ndarray:
@@ -130,17 +129,9 @@ def _cis(f: np.ndarray, n: int, fs: float) -> np.ndarray:
     return out.reshape(f.shape[0], a * b)[:, :n]
 
 
-def synthesize_packet(bits, p: SystemParams, df: float,
-                      rng: np.random.Generator | None = None) -> np.ndarray:
-    """Preamble + 4-PAM payload, upsampled to Fs and shifted by df.
-
-    bits=None draws a random full-packet payload from rng.
-    """
+def synthesize_packet(bits, p: SystemParams, df: float) -> np.ndarray:
+    """Preamble + 4-PAM payload, upsampled to Fs and shifted by df."""
     p.validate(sample_level=True)
-    if bits is None:
-        if rng is None:
-            raise InvalidParamsError("random payload needs an rng")
-        bits = rng.integers(0, 2, size=payload_bits_per_packet(p))
     sps = p.samples_per_symbol
     symbols = np.concatenate([zc_preamble(p.Nzc), pam4_map(bits)])
     x = _upsample(symbols, sps).astype(np.complex128)
@@ -538,9 +529,6 @@ def spc_resolve(pm: PeakMap, dt: DriftTable) -> list[ValidatedPeak]:
     candidates are examined, using the full near-top lag sets rather
     than the argmax drifts alone: where the drift gain collapses the
     observed image can sit on any of the near-degenerate lags.
-    Survivors within _TOL samples and a few Hz of a stronger validated
-    peak are duplicates of it on a neighbouring branch (the drift is
-    zero there) and are dropped.
     """
     branches = pm.branches
     if not branches:
@@ -582,7 +570,7 @@ def spc_resolve(pm: PeakMap, dt: DriftTable) -> list[ValidatedPeak]:
         # required
         if missing > (required // 3 if required >= 3 else 0):
             continue
-        validated.append(ValidatedPeak(branches[j].cfo, pos, mag))
+        validated.append(ValidatedPeak(branches[j].cfo, pos))
         # cancel the packet's whole image constellation, not just the
         # evidence that confirmed it, so leftover images cannot later
         # masquerade as packets of their own; a linear correlation
@@ -596,14 +584,8 @@ def spc_resolve(pm: PeakMap, dt: DriftTable) -> list[ValidatedPeak]:
                 near = np.min(np.abs(bk.positions[:, None]
                                      - targets[None, :]), axis=1) <= _TOL
                 alive[k][near] = False
-    kept: list[ValidatedPeak] = []   # validated runs strongest first
-    for v in validated:
-        if any(abs(v.position - u.position) <= _TOL
-               and abs(v.cfo - u.cfo) <= 2 * _CFO_SLACK for u in kept):
-            continue
-        kept.append(v)
-    kept.sort(key=lambda v: v.position)
-    return kept
+    validated.sort(key=lambda v: v.position)
+    return validated
 
 
 # ---------------------------------------------------------------------------
@@ -655,9 +637,9 @@ def fine_cfo(seq: np.ndarray, p: SystemParams) -> float:
     32-times zero-padded spectrum and refined on the neighbouring bins.
     Only the bins within 2*_CFO_SLACK of zero are computed, as one
     matrix product: the residual of a packet validated within
-    _CFO_SLACK lies there (decode_stream and spc_resolve take branches
-    twice the slack apart as one packet), and a stronger line outside
-    it belongs to another signal. Ties go to the lowest bin in FFT
+    _CFO_SLACK lies there (decode_stream takes validations twice the
+    slack apart as one packet), and a stronger line outside it belongs
+    to another signal. Ties go to the lowest bin in FFT
     order (0, 1, ..., then the negative bins), and an all-zero sequence
     reads 0.
     """
@@ -702,6 +684,12 @@ def decode_stream(x: np.ndarray, p: SystemParams, dt: DriftTable,
     Frames of a long run overlap by one preamble, so a packet can be
     validated in two of them; a validation within _TOL samples and twice
     the CFO slack of an earlier one is that packet again and is dropped.
+    This is also the one duplicate filter within a frame: spc_resolve
+    cancels a validated peak's images on every branch, and on a branch
+    a few Hz away they include the peak's own position (the drift is
+    zero there), so a copy of it there is cancelled before it is
+    examined; a copy that still validates is dropped here, after the one
+    earlier in position.
     """
     out = []
     n_pkt = round(p.Tp * p.Fs)

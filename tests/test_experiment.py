@@ -12,6 +12,7 @@ from gfaloha import experiment as ex
 from gfaloha import interference as itf
 from gfaloha import kpi, mcsim
 from gfaloha import sigchain as sg
+from gfaloha.cli import main
 from gfaloha.params import EnergyParams, InvalidParamsError, SystemParams
 
 
@@ -60,14 +61,15 @@ def read_rows(path):
     dict(workers=1.0),
     dict(kpi_replicas=(2.5,)),
     dict(reliability_replicas=(2, True)),
-    # loads, cr values and the divergence settings are finite numbers
+    # loads and cr values are finite numbers
     dict(loads=("0.1",)),
     dict(loads=(float("nan"),)),
     dict(loads=(0.1, float("inf"))),
     dict(cr_grid=(None,)),
     dict(cr_grid=(True,)),
-    dict(low_load_cutoff=float("nan")),
-    dict(divergence_tol="0.03"),
+    dict(cr_grid=(float("nan"),)),
+    # retries are counted from zero
+    dict(max_retries=-1),
     # and so are the parameters of the system and energy sections
     dict(system=SystemParams(W="200")),
     dict(system=SystemParams(Tack=float("nan"))),
@@ -110,9 +112,11 @@ def test_from_file(tmp_path):
 
     # oracle_samples sized a Monte Carlo base law the program no longer
     # draws; mixture and paper_literal chose count and base laws it no
-    # longer carries
+    # longer carries; the divergence flag's load cutoff and tolerance
+    # are module constants
     for key, val in (("repetitions", 3), ("oracle_samples", 3),
-                     ("mixture", "poisson"), ("paper_literal", False)):
+                     ("mixture", "poisson"), ("paper_literal", False),
+                     ("low_load_cutoff", 0.2), ("divergence_tol", 0.03)):
         path.write_text(json.dumps({"experiment": {key: val}}))
         with pytest.raises(InvalidParamsError, match="unknown experiment"):
             ex.ExperimentConfig.from_file(path)
@@ -289,6 +293,8 @@ def test_analytic_columns_equal_across_seeds(tmp_path):
                       for r in read_rows(tmp_path / str(seed) / f"fig-{fig}.csv")]
     analytic = [[r["analytic"] for r in rows[seed]] for seed in (1, 2)]
     assert analytic[0] == analytic[1] and "" not in analytic[0]
+    # the overload rows at load 0.5 included, every analytic cell is finite
+    assert np.isfinite(np.array(analytic[0], dtype=float)).all()
     assert [r["empirical"] for r in rows[1]] != [r["empirical"] for r in rows[2]]
 
 
@@ -360,9 +366,10 @@ def test_run_experiment_figure_subset(tmp_path):
     assert not (tmp_path / "fig-reliability.csv").exists()
 
 
-def test_divergence_flag(tmp_path):
+def test_divergence_flag(tmp_path, monkeypatch):
     # a zero tolerance trips the flag on every low-load grant-free row
-    ex.run_experiment(tiny(tmp_path, figures=("ee",), divergence_tol=0.0))
+    monkeypatch.setattr(ex, "_DIVERGENCE_TOL", 0.0)
+    ex.run_experiment(tiny(tmp_path, figures=("ee",)))
     rows = read_rows(tmp_path / "fig-ee.csv")
     gf = [r for r in rows if r["scheme"] == "grant-free"]
     assert all(r["divergence"] == "divergent" for r in gf)
@@ -395,6 +402,43 @@ def test_validate_receiver_builds_one_drift_table(tmp_path, monkeypatch):
                         lambda p: calls.append(p) or build(p))
     ex.validate_receiver(tiny(tmp_path, receiver_trials=2))
     assert len(calls) == 1
+
+
+def faulty_decoder(monkeypatch):
+    """Patch sg.decode_stream so the single suite's first stream loses its
+    packet and its second decodes one bit wrong; stream 1 of a report is
+    the noise-free packet, streams 2 .. trials + 1 the single suite's."""
+    decode, calls = sg.decode_stream, []
+
+    def decode_stream(x, p, dt, power_threshold):
+        got = decode(x, p, dt, power_threshold)
+        calls.append(None)
+        if len(calls) == 2:
+            return []
+        if len(calls) == 3:
+            pos, cfo, bits = got[0]
+            bits = bits.copy()
+            bits[0] ^= 1
+            return [(pos, cfo, bits), *got[1:]]
+        return got
+    monkeypatch.setattr(sg, "decode_stream", decode_stream)
+
+
+def test_validate_receiver_counts_single_suite_failures(tmp_path, monkeypatch,
+                                                       capsys):
+    faulty_decoder(monkeypatch)
+    report = ex.validate_receiver(tiny(tmp_path, receiver_trials=4))
+    single = report["single_snr"]
+    assert (single["missed"], single["bit_error_trials"]) == (1, 1)
+    assert report["single_noise_free"]["pass"]
+    assert not single["pass"] and not report["pass"]
+
+    faulty_decoder(monkeypatch)
+    assert main(["validate-receiver", "--trials", "4",
+                 "--out", str(tmp_path / "cli")]) == 1
+    line = next(ln for ln in capsys.readouterr().out.splitlines()
+                if ln.startswith("single_snr "))
+    assert "FAIL" in line and "'missed': 1, 'bit_error_trials': 1" in line
 
 
 def test_validate_receiver_at_shorter_packets(tmp_path):

@@ -48,6 +48,9 @@ def test_battery_lifetime():
     assert full == pytest.approx(E.E0 * E.Tr / (E.Est + attempt_energy(P, E)))
     assert battery_lifetime(0.5, P, E) < full
     assert battery_lifetime(1.0, P, E) == 0.0
+    for po in (-0.1, 1.5):
+        with pytest.raises(InvalidParamsError):
+            battery_lifetime(po, P, E)
 
 
 def test_energy_and_spectral_efficiency():
@@ -57,6 +60,11 @@ def test_energy_and_spectral_efficiency():
         2.0 * 50.0 / (2.0 * (P.Fm + P.W / 2.0)))
     assert spectral_efficiency(2.0, P, 0.5) == pytest.approx(
         spectral_efficiency(2.0, P, 0.0) / 2.0)
+    for po in (-0.1, 1.5):
+        with pytest.raises(InvalidParamsError):
+            energy_efficiency(po, P, E)
+    with pytest.raises(InvalidParamsError):
+        spectral_efficiency(-1.0, P, 0.0)
 
 
 def test_ra_contention_fixed_point():
@@ -68,6 +76,8 @@ def test_ra_contention_fixed_point():
         0.5 * RA_PERIOD, rel=1e-9)
     assert p_succ == pytest.approx(math.exp(-a / RA_OPPORTUNITIES), rel=1e-9)
     assert ra_contention(0.0) == (1.0, 1.0, True)
+    with pytest.raises(InvalidParamsError):
+        ra_contention(-1.0)
 
 
 def test_ra_contention_matches_scipy_lambertw():

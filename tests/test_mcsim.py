@@ -129,14 +129,18 @@ def test_sc_single_replica_fraction():
     assert not sic_decode(g, P, "sc", cr=0.5, decodable=decodable).decoded[0]
 
 
-def test_sc_rejects_params_of_another_packet_duration():
-    # the clean stretches are cut at the duration the graph was built
-    # with, so sc decoding under another Tp is refused, not mixed
+@pytest.mark.parametrize("policy", ["none", "mrc", "sc"])
+def test_sic_rejects_params_of_another_packet_duration(policy):
+    # the overlap areas and clean stretches are cut at the duration the
+    # graph was built with, so decoding under another Tp is refused, not
+    # mixed, whatever the policy; another St is accepted
     t0 = np.array([10.0, 9.8])
     g = build_collision_graph((t0, np.zeros(2), np.array([0, 1])), P)
     with pytest.raises(InvalidParamsError):
-        sic_decode(g, replace(P, Tp=2 * P.Tp), "sc", cr=0.4)
-    assert sic_decode(g, replace(P, St=2 * P.St), "sc", cr=0.4).decoded[0]
+        sic_decode(g, replace(P, Tp=2 * P.Tp), policy, cr=0.4)
+    out = sic_decode(g, replace(P, St=2 * P.St), policy, cr=0.4)
+    if policy == "sc":   # St plays no part in the clean-fraction test
+        assert out.decoded[0]
 
 
 def test_sic_rejects_bad_arguments():

@@ -48,6 +48,11 @@ def test_validate_rejects_bad_params():
         SystemParams(Tb=0.0103).validate(sample_level=True)  # Fs*Tb not integer
     with pytest.raises(InvalidParamsError):
         SystemParams(Fs=600.0).validate(sample_level=True)   # under 2*(2Fm+W)
+    for kw in (dict(Tp=0.0), dict(Tmax=-1.0), dict(Tack=-0.1)):
+        with pytest.raises(InvalidParamsError, match="Tp, Tmax"):
+            SystemParams(**kw).validate()
+    with pytest.raises(InvalidParamsError, match="Nzc must be"):
+        SystemParams(Nzc=0).validate()
 
 
 @pytest.mark.parametrize("kw", [dict(N=2.5, M=5), dict(N=2.0), dict(M=4.0),

@@ -34,10 +34,19 @@ def chain(x, dt, thr=1.4 / P.gamma):
     return sg.decode_stream(x, P, dt, thr)
 
 
+def random_bits(rng, p=P):
+    """A random full-packet payload."""
+    return rng.integers(0, 2, size=sg.payload_bits_per_packet(p))
+
+
 def packet_stream(specs, n, rng=None):
+    """Packets (start, cfo, bits) in a zero stream; bits None draws a
+    random payload from rng, in spec order."""
     sig = np.zeros(n, dtype=complex)
     for s0, cfo, bits in specs:
-        sig[s0: s0 + 2000] += sg.synthesize_packet(bits, P, cfo, rng=rng)
+        if bits is None:
+            bits = random_bits(rng)
+        sig[s0: s0 + 2000] += sg.synthesize_packet(bits, P, cfo)
     return sig
 
 
@@ -90,13 +99,13 @@ def test_payload_bits_per_packet():
 
 def test_synthesize_packet():
     rng = np.random.default_rng(1)
-    pk = sg.synthesize_packet(None, P, 40.0, rng=rng)
+    pk = sg.synthesize_packet(random_bits(rng), P, 40.0)
     assert pk.size == round(P.Tp * P.Fs)
     t = np.arange(E_PRE) / P.Fs
     demod = pk[:E_PRE] * np.exp(-2j * math.pi * 40.0 * t)
     assert np.allclose(demod, sg.upsampled_preamble(P), atol=1e-9)
     with pytest.raises(InvalidParamsError):
-        sg.synthesize_packet(None, P, 0.0)   # random payload needs an rng
+        sg.synthesize_packet(None, P, 0.0)   # the caller gives the bits
 
 
 def test_awgn_per_sample_snr():
@@ -157,9 +166,7 @@ def test_frame_events_long_run_splits_evenly(dt):
     # a run just over the cap splits into two near-equal frames, not a
     # full frame plus a sliver too short for the periodogram
     rng = np.random.default_rng(8)
-    # the payloads synthesize_packet would draw from rng, in stream order
-    bits = [rng.integers(0, 2, size=sg.payload_bits_per_packet(P))
-            for _ in range(4)]
+    bits = [random_bits(rng) for _ in range(4)]
     specs = [(k * 2000, 30.0 * k - 45.0, bits[k]) for k in range(4)]
     sig = packet_stream(specs, 8010)
     frames = sg.frame_events(sig, P, power_threshold=0.1)
@@ -246,7 +253,7 @@ def test_peak_map_suppression_spans_half_a_symbol():
     p = SystemParams(Nzc=11)
     rng = np.random.default_rng(6)
     sig = np.zeros(6000, dtype=complex)
-    pk = sg.synthesize_packet(None, p, 20.0, rng=rng)
+    pk = sg.synthesize_packet(random_bits(rng, p), p, 20.0)
     sig[500: 500 + pk.size] += pk
     noisy = sg.awgn(sig, p.gamma, rng)
     pos = sg.peak_map(noisy, [20.0], p).branches[0].positions
@@ -481,7 +488,7 @@ def test_extract_completes_past_the_frame():
     rng = np.random.default_rng(12)
     bits = rng.integers(0, 2, sg.payload_bits_per_packet(P)).astype(np.uint8)
     stream = packet_stream([(4500, 5.0, bits)], 9000)
-    v = sg.ValidatedPeak(5.0, 4500, 920.0)
+    v = sg.ValidatedPeak(5.0, 4500)
     seq = sg.extract_sequences(stream, (0, 5000), [v], P)[0]
     assert seq.size == 2000
     assert np.array_equal(sg.demap_payload(seq, P), bits)
@@ -498,10 +505,10 @@ def test_extract_cuts_equal_whole_buffer_demodulation():
     stream = packet_stream([(300, -40.0, None), (1700, 55.5, None),
                             (3900, 12.25, None)], 7000, rng=rng)
     start, stop = 100, 5100
-    vs = [sg.ValidatedPeak(-40.0, 200, 900.0),
-          sg.ValidatedPeak(55.5, 1600, 900.0),
-          sg.ValidatedPeak(12.25, 3800, 900.0),
-          sg.ValidatedPeak(-3.3, 4999, 1.0)]
+    vs = [sg.ValidatedPeak(-40.0, 200),
+          sg.ValidatedPeak(55.5, 1600),
+          sg.ValidatedPeak(12.25, 3800),
+          sg.ValidatedPeak(-3.3, 4999)]
     for v, got in zip(vs, sg.extract_sequences(stream, (start, stop), vs, P)):
         x = stream[start:]
         y = x * np.exp(-2j * math.pi * v.cfo * np.arange(x.size) / P.Fs)
@@ -515,14 +522,14 @@ def test_extract_rejects_outside_offsets():
     for pos in (-1, 4000):
         with pytest.raises(InvalidParamsError):
             sg.extract_sequences(stream, (1000, 5000),
-                                 [sg.ValidatedPeak(0.0, pos, 1.0)], P)
+                                 [sg.ValidatedPeak(0.0, pos)], P)
 
 
 def test_fine_cfo_residual():
     # up to the edges of the +-2*_CFO_SLACK band the fine CFO searches
     rng = np.random.default_rng(13)
     for cfo in (3.7, -4.9, 4.9):
-        pk = sg.synthesize_packet(None, P, cfo, rng=rng)
+        pk = sg.synthesize_packet(random_bits(rng), P, cfo)
         assert sg.fine_cfo(pk, P) == pytest.approx(cfo, abs=0.05)
     with pytest.raises(InvalidParamsError):
         sg.fine_cfo(pk[:100], P)
@@ -532,7 +539,7 @@ def test_fine_cfo_ignores_stronger_line_outside_band():
     # a stronger line at +156 Hz over the preamble alone, as another
     # signal leaves it, does not capture the residual; its sidelobes
     # pull the estimate by about 0.035 Hz
-    pk = sg.synthesize_packet(None, P, 0.3, rng=np.random.default_rng(15))
+    pk = sg.synthesize_packet(random_bits(np.random.default_rng(15)), P, 0.3)
     pre = sg.upsampled_preamble(P)
     t = np.arange(pre.size)
     pk[: pre.size] += 1.5 * pre * np.exp(2j * math.pi * 156.0 * t / P.Fs)
@@ -545,4 +552,6 @@ def test_demap_payload_equalizes_gain_and_phase():
     pk = sg.synthesize_packet(bits, P, 0.0)
     rotated = 0.35 * np.exp(1j * 1.1) * pk
     assert np.array_equal(sg.demap_payload(rotated, P), bits)
+    with pytest.raises(InvalidParamsError, match="zero preamble gain"):
+        sg.demap_payload(np.zeros_like(pk), P)
 

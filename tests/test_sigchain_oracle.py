@@ -309,11 +309,17 @@ def test_window_lookups_match_float_grid(i, data):
 # Peak map
 # ---------------------------------------------------------------------------
 
+def random_packet(rng, p, cfo):
+    """A packet at offset cfo carrying a random full payload from rng."""
+    bits = rng.integers(0, 2, size=sg.payload_bits_per_packet(p))
+    return sg.synthesize_packet(bits, p, cfo)
+
+
 def noisy_buffer(rng, p, n, packets):
     n_pkt = round(p.Tp * p.Fs)
     sig = np.zeros(n, dtype=complex)
     for s0, cfo in packets:
-        pk = sg.synthesize_packet(None, p, cfo, rng=rng)
+        pk = random_packet(rng, p, cfo)
         end = min(n, s0 + n_pkt)
         sig[s0: end] += pk[: end - s0]
     return sg.awgn(sig, p.gamma, rng) if np.any(sig) else sig
@@ -357,7 +363,7 @@ def test_peak_map_short_buffer():
 
 
 def test_peak_map_single_correlation_sample():
-    pk = sg.synthesize_packet(None, P, 8.0, rng=np.random.default_rng(4))
+    pk = random_packet(np.random.default_rng(4), P, 8.0)
     x = pk[:920]
     pm = sg.peak_map(x, [8.0, -30.0], P)
     assert pm.span == 1
@@ -373,7 +379,7 @@ def test_peak_map_matches_on_framed_events():
         sig = np.zeros(3 * n_pkt, dtype=complex)
         for c, s0 in zip(rng.uniform(-P.Fm, P.Fm, 2),
                          np.sort(rng.integers(200, 2200, 2))):
-            sig[s0: s0 + n_pkt] += sg.synthesize_packet(None, P, c, rng=rng)
+            sig[s0: s0 + n_pkt] += random_packet(rng, P, c)
         noisy = sg.awgn(sig, P.gamma, rng)
         for start, stop in sg.frame_events(noisy, P, 1.4 / P.gamma):
             frame = noisy[start:stop]
@@ -555,7 +561,7 @@ def test_fine_cfo_matches_full_spectrum():
     inner = np.r_[0:m, m + 2:2 * m + 1]
     cases = [np.zeros(pre.size, complex)]
     for cfo in np.concatenate([rng.uniform(-4.9, 4.9, 40), [0.0, 1e-3, -1e-3]]):
-        pk = sg.synthesize_packet(None, P, float(cfo), rng=rng)
+        pk = random_packet(rng, P, float(cfo))
         cases.append(pk)
         for snr in (0.1, 1.0, 10.0):
             cases.append(sg.awgn(pk, snr, rng))
