@@ -41,10 +41,12 @@ def read_rows(path):
     dict(packets_per_point=0),
     dict(receiver_trials=0),
     dict(workers=0),
+    dict(max_retries=-1),
     dict(figures=("ee", "histogram")),
     dict(kpi_policy="best"),
     dict(kpi_replicas=()),
     dict(cr_grid=(0.5, 0.0)),
+    dict(cr_grid=(1.5,)),
     # cells and figures are keyed by value, so a repeated entry would pool
     # two cells or write a figure's rows twice
     dict(kpi_replicas=(2, 2)),
@@ -67,9 +69,6 @@ def read_rows(path):
     dict(loads=(0.1, float("inf"))),
     dict(cr_grid=(None,)),
     dict(cr_grid=(True,)),
-    dict(cr_grid=(float("nan"),)),
-    # retries are counted from zero
-    dict(max_retries=-1),
     # and so are the parameters of the system and energy sections
     dict(system=SystemParams(W="200")),
     dict(system=SystemParams(Tack=float("nan"))),
