@@ -17,7 +17,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -41,22 +41,21 @@ class CollisionGraph:
     Edges exist only for strictly positive overlap area. dt stores the
     signed start-time difference t0[eb] - t0[ea] (unwrapped, |dt| < Tp)
     so the interfered interval inside each rectangle can be recovered.
-    tp is the packet duration the graph was built with.
+    p is a copy of the parameters the areas were cut with; sic_decode
+    decodes under them.
     """
 
-    t0: np.ndarray
-    df: np.ndarray
     packet: np.ndarray
     ea: np.ndarray
     eb: np.ndarray
     dt: np.ndarray
     area: np.ndarray
     n_packets: int
-    tp: float
+    p: SystemParams
 
     @property
     def n_replicas(self) -> int:
-        return len(self.t0)
+        return len(self.packet)
 
     @functools.cached_property
     def _sc_setup(self) -> tuple[list, np.ndarray]:
@@ -73,7 +72,7 @@ class CollisionGraph:
         stretch n_replicas, a packet without replicas the clean stretch
         n_replicas + 1.
         """
-        pkt, tp, npk, nrep = self.packet, self.tp, self.n_packets, self.n_replicas
+        pkt, tp, npk, nrep = self.packet, self.p.Tp, self.n_packets, self.n_replicas
         rep = np.concatenate([self.ea, self.eb])
         d = np.concatenate([self.dt, -self.dt])
         lo, hi = np.maximum(0.0, d), np.minimum(tp, d + tp)
@@ -135,7 +134,7 @@ def build_collision_graph(replicas, p: SystemParams,
     ia, ib = ext_idx[order[a]], ext_idx[order[b]]
     dt = ts[b] - ts[a]  # in [0, Tp]; a pair that only touches gets no area
 
-    keep = (ia != ib) & (packet[ia] != packet[ib])
+    keep = packet[ia] != packet[ib]
     if decodable is not None:
         decodable = np.asarray(decodable, dtype=bool)
         keep &= decodable[packet[ia]] | decodable[packet[ib]]
@@ -151,9 +150,9 @@ def build_collision_graph(replicas, p: SystemParams,
     dt = np.where(flip, -dt, dt)
     key = ia2.astype(np.int64) * n + ib2
     _, first = np.unique(key, return_index=True)
-    return CollisionGraph(t0, df, packet,
-                          ia2[first].astype(np.int64), ib2[first].astype(np.int64),
-                          dt[first], area[first], n_packets, p.Tp)
+    return CollisionGraph(packet, ia2[first].astype(np.int64),
+                          ib2[first].astype(np.int64), dt[first], area[first],
+                          n_packets, replace(p))
 
 
 # ---------------------------------------------------------------------------
@@ -167,8 +166,8 @@ class SicOutcome:
     residual_replicas: int       # replicas still on air when SIC stalled
 
 
-def sic_decode(graph: CollisionGraph, p: SystemParams, policy: str = "mrc",
-               cr: float = 0.5, max_rounds: int = 32,
+def sic_decode(graph: CollisionGraph, *, policy: str = "mrc", cr: float = 0.5,
+               max_rounds: int = 32,
                decodable: np.ndarray | None = None) -> SicOutcome:
     """Iterative decoding over the collision graph.
 
@@ -180,9 +179,9 @@ def sic_decode(graph: CollisionGraph, p: SystemParams, policy: str = "mrc",
     Decoded packets are removed (all their replicas) and the next round
     sees the reduced interference; the loop stops at a fixpoint or after
     max_rounds. `decodable` marks packets the receiver may decode; the
-    rest (already-failed earlier transmissions) only radiate. The graph's
-    areas and clean stretches are cut at graph.tp, so p must carry that
-    packet duration.
+    rest (already-failed earlier transmissions) only radiate. The
+    thresholds are those of graph.p, the parameters the graph was built
+    with.
 
     Rounds are incremental. Every policy looks only at a packet's own
     replicas and their alive edges, so a packet that failed in round k
@@ -203,15 +202,13 @@ def sic_decode(graph: CollisionGraph, p: SystemParams, policy: str = "mrc",
         raise ValueError(f"unknown decoding policy {policy!r}")
     if not (0.0 < cr <= 1.0):
         raise InvalidParamsError("coding-rate threshold must lie in (0, 1]")
-    if graph.tp != p.Tp:
-        raise InvalidParamsError("graph was built with another packet duration")
     npk = graph.n_packets
     decoded = np.zeros(npk, dtype=bool)
     decodable = (np.ones(npk, dtype=bool) if decodable is None
                  else np.asarray(decodable, dtype=bool))
     pkt = graph.packet
     pa, pb = pkt[graph.ea], pkt[graph.eb]
-    round_test = _ROUND_TESTS[policy](graph, p, cr)
+    round_test = _ROUND_TESTS[policy](graph, cr)
     test = decodable.copy()
     rounds = 0
 
@@ -241,9 +238,9 @@ def _interference_area(graph: CollisionGraph, e_alive: np.ndarray) -> np.ndarray
             + np.bincount(graph.eb[e_alive], weights=area, minlength=graph.n_replicas))
 
 
-def _no_combining_test(graph: CollisionGraph, p: SystemParams, cr: float):
+def _no_combining_test(graph: CollisionGraph, cr: float):
     pkt = graph.packet
-    area_thresh = area_threshold(p)
+    area_thresh = area_threshold(graph.p)
 
     def round_test(e_alive, test):
         m = _interference_area(graph, e_alive)
@@ -253,8 +250,8 @@ def _no_combining_test(graph: CollisionGraph, p: SystemParams, cr: float):
     return round_test
 
 
-def _mrc_test(graph: CollisionGraph, p: SystemParams, cr: float):
-    pkt = graph.packet
+def _mrc_test(graph: CollisionGraph, cr: float):
+    pkt, p = graph.packet, graph.p
 
     def round_test(e_alive, test):
         m = _interference_area(graph, e_alive)
@@ -265,7 +262,7 @@ def _mrc_test(graph: CollisionGraph, p: SystemParams, cr: float):
     return round_test
 
 
-def _clean_fraction_test(graph: CollisionGraph, p: SystemParams, cr: float):
+def _clean_fraction_test(graph: CollisionGraph, cr: float):
     """Clean-fraction policy: the replicas' clean stretches cover cr*Tp.
 
     A position inside the packet counts as clean if at least one replica
@@ -285,7 +282,7 @@ def _clean_fraction_test(graph: CollisionGraph, p: SystemParams, cr: float):
     alive edges is clean on [0, Tp), so its packet decodes, and so does
     a packet id without replicas.
     """
-    tp, npk, nrep = graph.tp, graph.n_packets, graph.n_replicas
+    tp, npk, nrep = graph.p.Tp, graph.n_packets, graph.n_replicas
     sides, rows = graph._sc_setup
     need = cr * tp - 1e-12
 
@@ -389,7 +386,7 @@ def first_attempt_outage(rng: np.random.Generator, lambda_agg: float,
     offered = int(measured.sum())
     out = []
     for cr in crs:
-        ok = sic_decode(graph, p, "sc", cr=cr, decodable=decodable).decoded
+        ok = sic_decode(graph, policy="sc", cr=cr, decodable=decodable).decoded
         delivered = int((measured & ok).sum())
         out.append((offered - delivered) / offered if offered else 0.0)
     return out
@@ -426,7 +423,7 @@ def run_trial(rng: np.random.Generator, lambda_agg: float, horizon: float,
         n_att = wave_report.size
         t0, df, graph, decodable = _wave_graph(rng, wave_start, static_t0,
                                                static_df, horizon, p)
-        out = sic_decode(graph, p, policy, cr=cr, max_rounds=max_rounds,
+        out = sic_decode(graph, policy=policy, cr=cr, max_rounds=max_rounds,
                          decodable=decodable)
         ok = out.decoded[:n_att]
 
@@ -499,7 +496,6 @@ class _PickStream:
     def __init__(self, rng: np.random.Generator, m: int):
         self.rng, self.m = rng, m
         self.buf = np.empty(0, dtype=np.int64)
-        self.listed: list[int] | None = None    # buf.tolist(), made on demand
         self.pos = 0            # next unused pick in buf
         self.drawn = 0          # picks the last refill drew
         self.saved: dict = {}   # generator state before the last refill
@@ -512,16 +508,9 @@ class _PickStream:
             more = self.rng.integers(0, self.m, size=self.drawn)
             self.buf = np.concatenate((self.buf[self.pos:], more))
             self.pos = 0
-            self.listed = None
         out = self.buf[self.pos:self.pos + k]
         self.pos += k
         return out
-
-    def take_list(self, k: int) -> list[int]:
-        self.take(k)
-        if self.listed is None:
-            self.listed = self.buf.tolist()
-        return self.listed[self.pos - k:self.pos]
 
     def close(self) -> None:
         """Redraw, from the state before the last refill, only the part
@@ -577,7 +566,7 @@ def _contend(rng: np.random.Generator, first_period: np.ndarray,
                 if not isinstance(kept, list):
                     kept = kept.tolist()
                 backlog = kept + list(range(lo, hi))
-                mine = picks.take_list(b)
+                mine = picks.take(b).tolist()
                 count = [0] * m
                 for x in mine:
                     count[x] += 1

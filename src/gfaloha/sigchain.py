@@ -130,8 +130,15 @@ def _cis(f: np.ndarray, n: int, fs: float) -> np.ndarray:
 
 
 def synthesize_packet(bits, p: SystemParams, df: float) -> np.ndarray:
-    """Preamble + 4-PAM payload, upsampled to Fs and shifted by df."""
+    """Preamble + 4-PAM payload, upsampled to Fs and shifted by df.
+
+    bits is the full payload: a flat array of payload_bits_per_packet(p)
+    bits, so the packet spans Tp.
+    """
     p.validate(sample_level=True)
+    n_bits = payload_bits_per_packet(p)
+    if np.shape(bits) != (n_bits,):
+        raise InvalidParamsError(f"payload must be a flat array of {n_bits} bits")
     sps = p.samples_per_symbol
     symbols = np.concatenate([zc_preamble(p.Nzc), pam4_map(bits)])
     x = _upsample(symbols, sps).astype(np.complex128)

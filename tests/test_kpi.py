@@ -114,6 +114,8 @@ def test_ra_contention_saturates():
     assert not stable and attempts == math.inf and p_succ == 0.0
     assert ra_contention(lam_max * (1 + 1e-12)) == (math.inf, 0.0, False)
     assert ra_contention(lam_max * 0.99)[2]
+    # the exact saturation demand sits on Lambert W's branch point
+    assert ra_contention(lam_max) == (math.e, 1.0 / math.e, True)
 
 
 def test_granted_kpis_stable_and_saturated():

@@ -51,7 +51,7 @@ def test_graph_edges_carry_the_shared_overlap_area(seed, n, horizon, fm):
     t0[rng.random(n) < 0.2] = 3.0        # exact ties in start time
     df = rng.uniform(-fm, fm, n)
     g = build_collision_graph((t0, df, rng.integers(0, n, n)), p, horizon)
-    want = overlap_area(g.dt, g.df[g.ea] - g.df[g.eb], p)
+    want = overlap_area(g.dt, df[g.ea] - df[g.eb], p)
     assert np.array_equal(g.area, want)
     assert np.all(g.area > 0.0)
 
@@ -86,7 +86,7 @@ def test_sic_cascade():
     strict = replace(P, St=P.gamma)
     g = build_collision_graph(
         (np.array([0.6, 2.0, 0.9]), np.zeros(3), np.array([0, 0, 1])), strict)
-    out = sic_decode(g, strict, policy="none")
+    out = sic_decode(g, policy="none")
     assert out.rounds >= 2
     assert out.decoded.tolist() == [True, True]
 
@@ -95,7 +95,7 @@ def test_sic_deadlock():
     strict = replace(P, St=P.gamma)
     g = build_collision_graph(
         (np.array([0.0, 0.0]), np.zeros(2), np.array([0, 1])), strict)
-    out = sic_decode(g, strict, policy="none")
+    out = sic_decode(g, policy="none")
     assert not out.decoded.any()
     assert out.residual_replicas == 2
 
@@ -107,8 +107,8 @@ def test_mrc_beats_no_combining():
     pkt = np.array([0, 0, 1, 2])
     decodable = np.array([True, False, False])
     g = build_collision_graph((t0, np.zeros(4), pkt), P)
-    assert not sic_decode(g, P, "none", decodable=decodable).decoded[0]
-    assert sic_decode(g, P, "mrc", decodable=decodable).decoded[0]
+    assert not sic_decode(g, policy="none", decodable=decodable).decoded[0]
+    assert sic_decode(g, policy="mrc", decodable=decodable).decoded[0]
 
 
 def test_sc_clean_fraction_union():
@@ -117,38 +117,35 @@ def test_sc_clean_fraction_union():
     pkt = np.array([0, 0, 1, 2])
     decodable = np.array([True, False, False])
     g = build_collision_graph((t0, np.zeros(4), pkt), P)
-    assert sic_decode(g, P, "sc", cr=0.9, decodable=decodable).decoded[0]
-    assert not sic_decode(g, P, "sc", cr=0.95, decodable=decodable).decoded[0]
+    assert sic_decode(g, policy="sc", cr=0.9, decodable=decodable).decoded[0]
+    assert not sic_decode(g, policy="sc", cr=0.95, decodable=decodable).decoded[0]
 
 
 def test_sc_single_replica_fraction():
     t0 = np.array([10.0, 9.8])
     g = build_collision_graph((t0, np.zeros(2), np.array([0, 1])), P)
     decodable = np.array([True, False])
-    assert sic_decode(g, P, "sc", cr=0.4, decodable=decodable).decoded[0]
-    assert not sic_decode(g, P, "sc", cr=0.5, decodable=decodable).decoded[0]
+    assert sic_decode(g, policy="sc", cr=0.4, decodable=decodable).decoded[0]
+    assert not sic_decode(g, policy="sc", cr=0.5, decodable=decodable).decoded[0]
 
 
-@pytest.mark.parametrize("policy", ["none", "mrc", "sc"])
-def test_sic_rejects_params_of_another_packet_duration(policy):
-    # the overlap areas and clean stretches are cut at the duration the
-    # graph was built with, so decoding under another Tp is refused, not
-    # mixed, whatever the policy; another St is accepted
-    t0 = np.array([10.0, 9.8])
-    g = build_collision_graph((t0, np.zeros(2), np.array([0, 1])), P)
-    with pytest.raises(InvalidParamsError):
-        sic_decode(g, replace(P, Tp=2 * P.Tp), policy, cr=0.4)
-    out = sic_decode(g, replace(P, St=2 * P.St), policy, cr=0.4)
-    if policy == "sc":   # St plays no part in the clean-fraction test
-        assert out.decoded[0]
+def test_graph_keeps_the_parameters_it_was_cut_with():
+    # sic_decode reads the graph's copy, which a later in-place write to
+    # the caller's parameters (as params.packet_duration makes) leaves alone
+    p = replace(P)
+    g = build_collision_graph((np.array([10.0, 9.8]), np.zeros(2),
+                               np.array([0, 1])), p)
+    p.Tp = 2 * P.Tp
+    assert g.p == P and g.p is not p
+    assert sic_decode(g, policy="sc", cr=0.4).decoded.tolist() == [True, True]
 
 
 def test_sic_rejects_bad_arguments():
     g = graph_of([0.0], [0.0], [0])
     with pytest.raises(ValueError):
-        sic_decode(g, P, policy="zf")
+        sic_decode(g, policy="zf")
     with pytest.raises(InvalidParamsError):
-        sic_decode(g, P, policy="sc", cr=0.0)
+        sic_decode(g, policy="sc", cr=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -178,7 +178,7 @@ def ref_clean_fraction_round(graph, p, cr):
 
 
 def assert_same(graph, p, policy, cr=0.5, max_rounds=32, decodable=None):
-    out = sic_decode(graph, p, policy, cr=cr, max_rounds=max_rounds,
+    out = sic_decode(graph, policy=policy, cr=cr, max_rounds=max_rounds,
                      decodable=decodable)
     dec, rounds, residual = reference_sic(graph, p, policy, cr, max_rounds,
                                           decodable)
@@ -193,8 +193,9 @@ def assert_same(graph, p, policy, cr=0.5, max_rounds=32, decodable=None):
 # ---------------------------------------------------------------------------
 
 @st.composite
-def populations(draw):
-    """Small replica populations shaped like one retry wave of run_trial.
+def raw_populations(draw):
+    """Small replica populations shaped like one retry wave of run_trial,
+    as ((t0, df, packet), p, horizon, decodable).
 
     Start times and CFOs come from coarse grids, so coincident starts,
     interferers starting exactly at a replica's start and touching
@@ -229,9 +230,18 @@ def populations(draw):
         df.append(draw(cfo))
         pkt.append(n_att + j)
     decodable = np.arange(n_att + n_static) < n_att
-    graph = build_collision_graph(
-        (np.array(t0), np.array(df), np.array(pkt, dtype=np.int64)), p, horizon)
-    return graph, p, decodable
+    pop = (np.array(t0), np.array(df), np.array(pkt, dtype=np.int64))
+    return pop, p, horizon, decodable
+
+
+def _build(raw):
+    pop, p, horizon, decodable = raw
+    return build_collision_graph(pop, p, horizon), p, decodable
+
+
+def populations():
+    """raw_populations built into (graph, p, decodable)."""
+    return raw_populations().map(_build)
 
 
 @st.composite
@@ -270,7 +280,7 @@ def _masks(graph, seed, alive_share, test_share):
 
 
 def assert_round_matches(graph, p, cr, e_alive, test):
-    got = _clean_fraction_test(graph, p, cr)(e_alive, test)
+    got = _clean_fraction_test(graph, cr)(e_alive, test)
     want = ref_clean_fraction_round(graph, p, cr)(e_alive, test)
     assert np.array_equal(got, want)
     return want
@@ -349,7 +359,7 @@ def test_sc_lower_threshold_decodes_a_superset(pop, cr_hi, u):
     graph, p, decodable = pop
     cr_lo = u * cr_hi
     for max_rounds in (1, 2, 32):
-        hi, lo = (sic_decode(graph, p, "sc", cr=cr, max_rounds=max_rounds,
+        hi, lo = (sic_decode(graph, policy="sc", cr=cr, max_rounds=max_rounds,
                              decodable=decodable).decoded
                   for cr in (cr_hi, cr_lo))
         assert not (hi & ~lo).any()
@@ -374,7 +384,7 @@ def test_sc_int32_ids_decode_as_int64():
     assert g64.n_replicas * 2 * len(g64.ea) > 2 ** 31
     g32 = replace(g64, packet=g64.packet.astype(np.int32),
                   ea=g64.ea.astype(np.int32), eb=g64.eb.astype(np.int32))
-    out32, out64 = sic_decode(g32, p, "sc"), sic_decode(g64, p, "sc")
+    out32, out64 = sic_decode(g32, policy="sc"), sic_decode(g64, policy="sc")
     assert np.array_equal(out32.decoded, out64.decoded)
     assert (out32.rounds, out32.residual_replicas) == (
         out64.rounds, out64.residual_replicas)
@@ -455,7 +465,8 @@ def test_sc_hand_built_replica_counts():
     e = np.flatnonzero((graph.ea == 3) & (graph.eb == 5))
     assert graph.dt[e].tolist() == [1e-17]      # replica 5 sees d = -1e-17
     assert np.minimum(P.Tp, -graph.dt[e] + P.Tp) == P.Tp
-    one_round = [sic_decode(graph, P, "sc", cr, 1, decodable).decoded[:4].tolist()
+    one_round = [sic_decode(graph, policy="sc", cr=cr, max_rounds=1,
+                            decodable=decodable).decoded[:4].tolist()
                  for cr in (1.0, 0.875, 0.5)]
     assert one_round == [[False, False, False, True], [True, False, False, True],
                          [True, True, False, True]]
@@ -494,8 +505,8 @@ def assert_mask_keeps_outcome(pop, p, horizon, decodable, crs=(0.5,)):
         assert np.array_equal(getattr(masked, name), getattr(full, name)[keep])
     for policy in ("none", "mrc", "sc"):
         for cr in crs:
-            want = sic_decode(full, p, policy, cr=cr, decodable=decodable)
-            got = sic_decode(masked, p, policy, cr=cr, decodable=decodable)
+            want = sic_decode(full, policy=policy, cr=cr, decodable=decodable)
+            got = sic_decode(masked, policy=policy, cr=cr, decodable=decodable)
             assert np.array_equal(got.decoded, want.decoded)
             assert (got.rounds, got.residual_replicas) == (
                 want.rounds, want.residual_replicas)
@@ -513,11 +524,10 @@ def test_retry_wave_graph_leaves_out_static_pairs():
 
 
 @settings(max_examples=150, deadline=None)
-@given(populations(), crs)
-def test_static_pairs_decide_nothing(pop, cr):
-    graph, p, decodable = pop
-    pop = (graph.t0, graph.df, graph.packet)
-    assert_mask_keeps_outcome(pop, p, None, decodable, crs=(cr,))
+@given(raw_populations(), crs)
+def test_static_pairs_decide_nothing(raw, cr):
+    pop, p, horizon, decodable = raw
+    assert_mask_keeps_outcome(pop, p, horizon, decodable, crs=(cr,))
 
 
 def test_loaded_wave_matches_reference():

@@ -104,8 +104,12 @@ def test_synthesize_packet():
     t = np.arange(E_PRE) / P.Fs
     demod = pk[:E_PRE] * np.exp(-2j * math.pi * 40.0 * t)
     assert np.allclose(demod, sg.upsampled_preamble(P), atol=1e-9)
-    with pytest.raises(InvalidParamsError):
-        sg.synthesize_packet(None, P, 0.0)   # the caller gives the bits
+    # the caller gives the full flat payload: a short even count or a
+    # 2x2 array would make a packet shorter than Tp
+    n_bits = sg.payload_bits_per_packet(P)
+    for bits in (None, [0, 1, 0, 1.0], np.array([[0, 1], [1, 0]])):
+        with pytest.raises(InvalidParamsError, match=f"{n_bits} bits"):
+            sg.synthesize_packet(bits, P, 0.0)
 
 
 def test_awgn_per_sample_snr():
