@@ -83,9 +83,9 @@ class ExperimentConfig:
                      "receiver_trials", "workers"):
             if not is_integer(getattr(self, name)):
                 raise InvalidParamsError(f"{name} must be an integer")
-        if not all(map(is_integer, (*self.kpi_replicas,
-                                    *self.reliability_replicas))):
-            raise InvalidParamsError("replica counts must be integers")
+        if not all(is_integer(n) and n >= 1 for n in (*self.kpi_replicas,
+                                                     *self.reliability_replicas)):
+            raise InvalidParamsError("replica counts must be integers >= 1")
         loads = tuple(self.loads)
         if not all(map(is_real, (*loads, *self.cr_grid))):
             raise InvalidParamsError("loads and cr values must be finite numbers")

@@ -17,7 +17,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,11 +38,13 @@ _AREA_TOL = 1e-10   # absolute slack on area-domain comparisons, s*Hz
 class CollisionGraph:
     """Pairwise overlap structure of a replica population.
 
-    Edges exist only for strictly positive overlap area. dt stores the
-    signed start-time difference t0[eb] - t0[ea] (unwrapped, |dt| < Tp)
-    so the interfered interval inside each rectangle can be recovered.
-    p is a copy of the parameters the areas were cut with; sic_decode
-    decodes under them.
+    Edges exist only for strictly positive overlap area, one per
+    overlapping pair (the builder drops pairs of two wrapped copies,
+    which repeat the pairs of their originals). Replica ea starts first:
+    dt is the start-time difference t0[eb] - t0[ea] on the circle,
+    0 <= dt < Tp, so the interfered interval inside each rectangle can
+    be recovered. p is the (immutable) parameter set the areas were cut
+    with; sic_decode decodes under it.
     """
 
     packet: np.ndarray
@@ -88,11 +90,8 @@ class CollisionGraph:
 
 def _segment_arange(counts: np.ndarray) -> np.ndarray:
     """[0..c0), [0..c1), ... concatenated."""
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
     starts = np.cumsum(counts) - counts
-    return np.arange(total) - np.repeat(starts, counts)
+    return np.arange(int(counts.sum())) - np.repeat(starts, counts)
 
 
 def build_collision_graph(replicas, p: SystemParams,
@@ -102,27 +101,27 @@ def build_collision_graph(replicas, p: SystemParams,
 
     `replicas` is a (t0, df, packet) triple of arrays: start time, CFO and
     packet id per replica. With a horizon the time axis is circular:
-    rectangles crossing the end wrap to the start. Same-packet pairs are
-    excluded (replicas of one attempt sit in distinct slots and cannot
-    overlap). Given sic_decode's `decodable` mask, pairs of two
-    undecodable packets are left out too: their edges add only to the
-    sums of replicas that sic_decode never tests.
+    replicas within Tp of its end reappear as copies shifted left by the
+    horizon, so the linear sweep sees the overlaps across the wrap. As
+    the horizon exceeds 2*Tp, two replicas overlap directly or across
+    the wrap, never both, so a pair of two copies only repeats the pair
+    of their originals and is dropped. Each pair is one edge, the
+    earlier start in ea. Same-packet pairs are excluded (replicas of one
+    attempt sit in distinct slots and cannot overlap). Given
+    sic_decode's `decodable` mask, pairs of two undecodable packets are
+    left out too: their edges add only to the sums of replicas that
+    sic_decode never tests.
     """
     t0, df, packet = (np.asarray(a) for a in replicas)
     n = len(t0)
     n_packets = int(packet.max()) + 1 if n else 0
+    ext_t, ext_idx = t0, np.arange(n)
     if horizon is not None:
         if horizon <= 2 * p.M * p.Tp:
             raise InvalidParamsError("circular horizon must exceed 2*M*Tp")
-        t0 = np.mod(t0, horizon)
-
-    # Extended population: replicas near the end reappear shifted left so
-    # the linear sweep sees wrapped overlaps.
-    ext_t = t0
-    ext_idx = np.arange(n)
-    if horizon is not None and n:
-        wrap = np.nonzero(t0 > horizon - p.Tp)[0]
-        ext_t = np.concatenate([t0, t0[wrap] - horizon])
+        ext_t = np.mod(t0, horizon)
+        wrap = np.flatnonzero(ext_t > horizon - p.Tp)
+        ext_t = np.concatenate([ext_t, ext_t[wrap] - horizon])
         ext_idx = np.concatenate([ext_idx, wrap])
 
     order = np.argsort(ext_t, kind="stable")
@@ -134,25 +133,16 @@ def build_collision_graph(replicas, p: SystemParams,
     ia, ib = ext_idx[order[a]], ext_idx[order[b]]
     dt = ts[b] - ts[a]  # in [0, Tp]; a pair that only touches gets no area
 
-    keep = packet[ia] != packet[ib]
+    # copies (t0 < 0) sort first: a pair whose later end is one is two copies
+    keep = (order[b] < n) & (packet[ia] != packet[ib])
     if decodable is not None:
         decodable = np.asarray(decodable, dtype=bool)
         keep &= decodable[packet[ia]] | decodable[packet[ib]]
     ia, ib, dt = ia[keep], ib[keep], dt[keep]
     area = overlap_area(dt, df[ia] - df[ib], p)
     keep = area > 0.0
-    ia, ib, dt, area = ia[keep], ib[keep], dt[keep], area[keep]
-
-    # Canonical orientation plus dedup (a wrapped pair can be seen twice).
-    flip = ia > ib
-    ia2 = np.where(flip, ib, ia)
-    ib2 = np.where(flip, ia, ib)
-    dt = np.where(flip, -dt, dt)
-    key = ia2.astype(np.int64) * n + ib2
-    _, first = np.unique(key, return_index=True)
-    return CollisionGraph(packet, ia2[first].astype(np.int64),
-                          ib2[first].astype(np.int64), dt[first], area[first],
-                          n_packets, replace(p))
+    return CollisionGraph(packet, ia[keep], ib[keep], dt[keep], area[keep],
+                          n_packets, p)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 import math
 from numbers import Integral, Real
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 
 def db2lin(x_db: float) -> float:
@@ -57,9 +57,9 @@ def slots_for_replicas(n: int) -> int:
     return 1 if n == 1 else 2 * n
 
 
-@dataclass
+@dataclass(frozen=True)
 class SystemParams:
-    """Radio and framing parameters of the grant-free uplink."""
+    """Radio and framing parameters of the grant-free uplink (immutable)."""
 
     W: float = 200.0            # occupied signal bandwidth, Hz
     Fm: float = 100.0           # max carrier frequency offset magnitude, Hz
@@ -129,7 +129,7 @@ class SystemParams:
         return replace(self, N=n, M=slots_for_replicas(n)).validate()
 
 
-@dataclass
+@dataclass(frozen=True)
 class EnergyParams:
     """Device energy budget and deployment geometry."""
 
@@ -155,12 +155,11 @@ class EnergyParams:
 def packet_duration(p: SystemParams) -> float:
     """Time needed to deliver D bits in bandwidth W at the configured SNR.
 
-    Tp = D / (W * log2(1 + gamma/Gamma)); the result is stored back into
-    p.Tp so downstream users observe a consistent parameter set.
+    Tp = D / (W * log2(1 + gamma/Gamma)). p itself keeps its Tp field;
+    replace(p, Tp=packet_duration(p)) is the consistent set.
     """
     p.validate()   # gamma, Gamma and W > 0: the rate is positive
-    p.Tp = p.D / (p.W * math.log2(1.0 + p.gamma / p.Gamma))
-    return p.Tp
+    return p.D / (p.W * math.log2(1.0 + p.gamma / p.Gamma))
 
 
 def _from_mapping(cls, data: dict, label: str):

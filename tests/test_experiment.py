@@ -63,6 +63,9 @@ def read_rows(path):
     dict(workers=1.0),
     dict(kpi_replicas=(2.5,)),
     dict(reliability_replicas=(2, True)),
+    # and at least one
+    dict(kpi_replicas=(0,)),
+    dict(reliability_replicas=(1, -1)),
     # loads and cr values are finite numbers
     dict(loads=("0.1",)),
     dict(loads=(float("nan"),)),
@@ -79,8 +82,13 @@ def read_rows(path):
     dict(out_dir=None),
 ])
 def test_config_rejects(tmp_path, kw):
+    cfg = tiny(tmp_path / "out", **kw)
     with pytest.raises(InvalidParamsError):
-        tiny(tmp_path, **kw).validate()
+        cfg.validate()
+    # refused before the run writes anything, its output directory too
+    with pytest.raises(InvalidParamsError):
+        ex.run_experiment(cfg)
+    assert not (tmp_path / "out").exists()
 
 
 def test_config_accepts_numpy_integers(tmp_path):

@@ -1,7 +1,7 @@
 """Collision graph, SIC rounds and the trial loop."""
 
 import json
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -12,7 +12,8 @@ from gfaloha.mcsim import (build_collision_graph, first_attempt_outage,
                            nominal_lambda, rng_for, run_granted_baseline,
                            run_trial, sic_decode)
 from gfaloha.interference import offered_load_of, overlap_area
-from gfaloha.params import EnergyParams, InvalidParamsError, SystemParams
+from gfaloha.params import (EnergyParams, InvalidParamsError, SystemParams,
+                            packet_duration)
 
 P = SystemParams()
 E = EnergyParams()
@@ -56,6 +57,63 @@ def test_graph_edges_carry_the_shared_overlap_area(seed, n, horizon, fm):
     assert np.all(g.area > 0.0)
 
 
+def brute_force_edges(t0, df, pkt, p, horizon, decodable):
+    """Pair -> the (first, second, dt, area) ways its rectangles overlap,
+    found by trying every ordered pair directly and across the wrap."""
+    i, j = np.triu_indices(len(t0), 1)
+    starts = [(t0, t0)]
+    if horizon is not None:
+        starts += [(t0, t0 - horizon), (t0 - horizon, t0)]
+    found = {}
+    for ts_i, ts_j in starts:
+        for first, second, dt in ((i, j, t0[j] - ts_i[i]), (j, i, t0[i] - ts_j[j])):
+            area = overlap_area(dt, df[first] - df[second], p)
+            ok = ((0.0 <= dt) & (dt < p.Tp) & (area > 0.0)
+                  & (pkt[first] != pkt[second])
+                  & (decodable[pkt[first]] | decodable[pkt[second]]))
+            for f, s, d, a in zip(first[ok], second[ok], dt[ok], area[ok]):
+                found.setdefault(frozenset((f, s)), set()).add((f, s, d, a))
+    return found
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 20), st.integers(1, 4),
+       st.floats(0.0, 150.0),
+       st.one_of(st.none(), st.just(0.0), st.floats(0.0, 1.0)),
+       st.booleans())
+def test_graph_holds_each_overlapping_pair_once(seed, k, n, fm, span, masked):
+    # against an O(n^2) enumeration; at a horizon just above 2*M*Tp
+    # wrapped replicas also overlap each other
+    p = replace(P.with_replicas(n), Fm=fm)
+    rng = np.random.default_rng(seed)
+    if span is None:
+        horizon, end = None, 12.0
+    else:
+        end = horizon = (np.nextafter(2 * p.M * p.Tp, np.inf)
+                         + span * 38 * p.M * p.Tp)
+    t0 = rng.uniform(0.0, end, k * n)
+    u = rng.random(k * n)
+    t0[u < 0.3] = end - rng.uniform(0.0, 1.2 * p.Tp, k * n)[u < 0.3]
+    t0[u > 0.8] = rng.uniform(0.0, 1.2 * p.Tp, k * n)[u > 0.8]
+    ties = rng.random(k * n) < 0.2
+    t0[ties] = t0[0]                      # exact ties in start time
+    t0 = np.mod(t0, end)
+    pkt = np.repeat(np.arange(k), n)
+    df = np.repeat(rng.uniform(-fm, fm, k), n)
+    decodable = rng.random(k) < 0.5 if masked else np.ones(k, bool)
+    g = build_collision_graph((t0, df, pkt), p, horizon,
+                              decodable if masked else None)
+
+    want = brute_force_edges(t0, df, pkt, p, horizon, decodable)
+    got = [frozenset(e) for e in zip(g.ea.tolist(), g.eb.tolist())]
+    assert len(set(got)) == len(got)                 # no pair twice
+    assert set(got) == set(want)                     # none missing
+    for pair, e in zip(got, zip(g.ea, g.eb, g.dt, g.area)):
+        assert e in want[pair]                       # ea starts first
+    assert np.all((0.0 <= g.dt) & (g.dt < p.Tp))
+    assert np.array_equal(g.area, overlap_area(g.dt, df[g.ea] - df[g.eb], p))
+
+
 def test_no_edge_outside_vulnerable_zone():
     assert edges(graph_of([0.0, 0.6], [0.0, 0.0], [0, 1])) == ([], [])
     assert edges(graph_of([0.0, 0.1], [0.0, 250.0], [0, 1])) == ([], [])
@@ -68,8 +126,10 @@ def test_same_packet_replicas_never_collide():
 
 
 def test_circular_wraparound():
+    # replica 1 starts first, at -0.2 on the circle
     g = graph_of([0.1, 9.8], [0.0, 0.0], [0, 1], horizon=10.0)
-    assert edges(g) == ([0], [1])
+    assert edges(g) == ([1], [0])
+    assert g.dt[0] == pytest.approx(0.3)
     assert g.area[0] == pytest.approx(0.2 * 200.0)
     # linear sweep over the same population misses the wrapped pair
     assert edges(graph_of([0.1, 9.8], [0.0, 0.0], [0, 1])) == ([], [])
@@ -130,14 +190,21 @@ def test_sc_single_replica_fraction():
 
 
 def test_graph_keeps_the_parameters_it_was_cut_with():
-    # sic_decode reads the graph's copy, which a later in-place write to
-    # the caller's parameters (as params.packet_duration makes) leaves alone
+    # parameter sets are immutable, so the graph holds the caller's own
+    # and sic_decode decodes under the parameters the areas were cut with
     p = replace(P)
+    with pytest.raises(FrozenInstanceError):
+        p.Tp = 2 * P.Tp
+    with pytest.raises(FrozenInstanceError):
+        E.Tr = 2 * E.Tr
     g = build_collision_graph((np.array([10.0, 9.8]), np.zeros(2),
                                np.array([0, 1])), p)
-    p.Tp = 2 * P.Tp
-    assert g.p == P and g.p is not p
+    assert g.p is p
     assert sic_decode(g, policy="sc", cr=0.4).decoded.tolist() == [True, True]
+    # packet_duration returns Tp and writes nothing
+    q = replace(P, D=200)
+    assert packet_duration(q) == 1.0
+    assert q.Tp == 0.5
 
 
 def test_sic_rejects_bad_arguments():

@@ -118,7 +118,7 @@ def test_energy_params_reject_non_finite_values(kw):
 def test_packet_duration_design_point():
     p = SystemParams()
     assert packet_duration(p) == 0.5
-    assert p.Tp == 0.5   # written back
+    assert p.Tp == 0.5   # left as it was
 
 
 def test_packet_duration_scales_with_rate():
