@@ -83,8 +83,8 @@ class ExperimentConfig:
                      "receiver_trials", "workers"):
             if not is_integer(getattr(self, name)):
                 raise InvalidParamsError(f"{name} must be an integer")
-        if not all(is_integer(n) and n >= 1 for n in (*self.kpi_replicas,
-                                                     *self.reliability_replicas)):
+        counts = (*self.kpi_replicas, *self.reliability_replicas)
+        if not all(is_integer(n) and n >= 1 for n in counts):
             raise InvalidParamsError("replica counts must be integers >= 1")
         loads = tuple(self.loads)
         if not all(map(is_real, (*loads, *self.cr_grid))):

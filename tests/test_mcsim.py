@@ -59,14 +59,12 @@ def test_graph_edges_carry_the_shared_overlap_area(seed, n, horizon, fm):
 
 def brute_force_edges(t0, df, pkt, p, horizon, decodable):
     """Pair -> the (first, second, dt, area) ways its rectangles overlap,
-    found by trying every ordered pair directly and across the wrap."""
+    found by trying every ordered pair, directly and across the wrap."""
     i, j = np.triu_indices(len(t0), 1)
-    starts = [(t0, t0)]
-    if horizon is not None:
-        starts += [(t0, t0 - horizon), (t0 - horizon, t0)]
     found = {}
-    for ts_i, ts_j in starts:
-        for first, second, dt in ((i, j, t0[j] - ts_i[i]), (j, i, t0[i] - ts_j[j])):
+    for shift in (0.0,) if horizon is None else (0.0, horizon):
+        for first, second in ((i, j), (j, i)):
+            dt = t0[second] - (t0[first] - shift)
             area = overlap_area(dt, df[first] - df[second], p)
             ok = ((0.0 <= dt) & (dt < p.Tp) & (area > 0.0)
                   & (pkt[first] != pkt[second])
