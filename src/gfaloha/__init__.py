@@ -13,7 +13,7 @@ from .kpi import KpiReport, grant_free_kpis, granted_kpis
 from .mcsim import (CollisionGraph, build_collision_graph, nominal_lambda,
                     run_granted_baseline, run_trial, sic_decode)
 from .params import (EnergyParams, InvalidParamsError, SystemParams,
-                     packet_duration, slots_for_replicas)
+                     slots_for_replicas)
 from .traffic import draw_frames, generate_arrivals
 
 __version__ = "0.1.0"
@@ -23,8 +23,8 @@ __all__ = [
     "InvalidParamsError", "KpiReport", "SystemParams", "analytic_outage",
     "build_base_cdf", "build_collision_graph", "draw_frames",
     "generate_arrivals", "grant_free_kpis", "granted_kpis",
-    "nominal_lambda", "offered_load_of", "packet_duration",
-    "run_experiment", "run_granted_baseline", "run_trial",
-    "sic_decode", "slots_for_replicas", "solve_offered_load",
-    "unconditional_cdf", "validate_receiver", "__version__",
+    "nominal_lambda", "offered_load_of", "run_experiment",
+    "run_granted_baseline", "run_trial", "sic_decode",
+    "slots_for_replicas", "solve_offered_load", "unconditional_cdf",
+    "validate_receiver", "__version__",
 ]

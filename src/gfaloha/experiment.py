@@ -97,8 +97,8 @@ class ExperimentConfig:
             raise InvalidParamsError("need at least one repetition")
         if self.packets_per_point < 1 or self.receiver_trials < 1:
             raise InvalidParamsError("sample sizes must be positive")
-        if self.max_retries < 0 or self.workers < 1:
-            raise InvalidParamsError("max_retries >= 0 and workers >= 1")
+        if self.max_retries < 0 or self.seed < 0 or self.workers < 1:
+            raise InvalidParamsError("max_retries, seed >= 0 and workers >= 1")
         if not all(isinstance(f, str) for f in self.figures):
             raise InvalidParamsError("figures entries must be strings")
         if not isinstance(self.out_dir, (str, os.PathLike)):
@@ -372,8 +372,7 @@ def validate_receiver(cfg: ExperimentConfig) -> dict:
     the report JSON into the output directory and returns it.
     """
     cfg.validate()
-    p = cfg.system
-    p.validate(sample_level=True)
+    p = cfg.system.validate(sample_level=True)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     n_trials = cfg.receiver_trials

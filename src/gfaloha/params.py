@@ -65,7 +65,6 @@ class SystemParams:
     Fm: float = 100.0           # max carrier frequency offset magnitude, Hz
     Fs: float = 4000.0          # receiver sampling rate, Hz
     Tb: float = 0.01            # modulation symbol duration, s
-    Tp: float = 0.5             # packet duration, s
     D: int = 100                # report payload size incl. overhead, bits
     Doh: int = 50               # overhead share of the report, bits
     gamma: float = db2lin(6.0)  # target SNR at the receiver, linear
@@ -93,12 +92,18 @@ class SystemParams:
                 raise InvalidParamsError(f"{f.name} must be a finite number")
         if self.W <= 0 or self.Fm < 0 or self.Fs <= 0 or self.Tb <= 0:
             raise InvalidParamsError("W, Fs, Tb must be positive and Fm >= 0")
-        if self.Tp <= 0 or self.Tmax <= 0 or self.Tack < 0:
-            raise InvalidParamsError("Tp, Tmax must be positive and Tack >= 0")
+        if self.Tmax <= 0 or self.Tack < 0:
+            raise InvalidParamsError("Tmax must be positive and Tack >= 0")
         if not (0 <= self.Doh < self.D):
             raise InvalidParamsError("need 0 <= Doh < D")
         if self.gamma <= 0 or self.Gamma <= 0 or self.N0 <= 0:
             raise InvalidParamsError("gamma, Gamma, N0 must be positive")
+        try:    # each is positive, yet the rate can round to 0 or to inf
+            tp = self.Tp
+        except ArithmeticError:
+            tp = 0.0
+        if not 0 < tp < math.inf:
+            raise InvalidParamsError("the link budget gives no finite Tp > 0")
         if not (0 < self.St <= self.gamma):
             raise InvalidParamsError(
                 f"decoding threshold St={self.St:g} must lie in (0, gamma={self.gamma:g}]")
@@ -111,6 +116,8 @@ class SystemParams:
             if abs(sps - round(sps)) > 1e-9 or round(sps) < 1:
                 raise InvalidParamsError(
                     f"Fs*Tb = {sps:g} must be a positive integer sample count")
+            if round(self.Tmax * self.Fs) <= self.Nzc * self.samples_per_symbol:
+                raise InvalidParamsError("Tmax must exceed the preamble")
             if self.Fs < 2.0 * (2.0 * self.Fm + self.W):
                 raise InvalidParamsError(
                     "Fs must be at least 2*(2*Fm + W) to represent offset packets")
@@ -119,6 +126,11 @@ class SystemParams:
                     f"Nzc={self.Nzc} must be odd, >= 3 and coprime with the "
                     f"preamble root {ZC_ROOT} (which it must exceed)")
         return self
+
+    @property
+    def Tp(self) -> float:
+        """Packet duration from the link budget: D / (W*log2(1 + gamma/Gamma)) s."""
+        return self.D / (self.W * math.log2(1.0 + self.gamma / self.Gamma))
 
     @property
     def samples_per_symbol(self) -> int:
@@ -150,16 +162,6 @@ class EnergyParams:
             if not is_real(value) or value <= 0:
                 raise InvalidParamsError(f"{f.name} must be a positive finite number")
         return self
-
-
-def packet_duration(p: SystemParams) -> float:
-    """Time needed to deliver D bits in bandwidth W at the configured SNR.
-
-    Tp = D / (W * log2(1 + gamma/Gamma)). p itself keeps its Tp field;
-    replace(p, Tp=packet_duration(p)) is the consistent set.
-    """
-    p.validate()   # gamma, Gamma and W > 0: the rate is positive
-    return p.D / (p.W * math.log2(1.0 + p.gamma / p.Gamma))
 
 
 def _from_mapping(cls, data: dict, label: str):

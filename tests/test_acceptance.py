@@ -17,8 +17,7 @@ from gfaloha import interference as itf
 from gfaloha import kpi
 from gfaloha import mcsim
 from gfaloha.experiment import ExperimentConfig, run_experiment, validate_receiver
-from gfaloha.params import (EnergyParams, SystemParams, db2lin,
-                            packet_duration)
+from gfaloha.params import EnergyParams, SystemParams, db2lin
 from overlap_reference import (overlap_ccdf_paper, overlap_ccdf_quad,
                                overlap_pmf_oracle)
 
@@ -36,9 +35,8 @@ def report(num, desc, ok, detail=""):
 
 def test_c1_packet_duration_design_point():
     p = SystemParams()          # D=100 bits, W=200 Hz, gamma/Gamma = 1
-    d = packet_duration(p)
     report(1, "packet duration at the design point is exactly 0.5 s",
-           d == 0.5 and p.Tp == 0.5, f"Tp={d!r}")
+           p.Tp == 0.5, f"Tp={p.Tp!r}")
 
 
 def test_c2_overlap_law_oracle_and_closed_form():

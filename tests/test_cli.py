@@ -1,13 +1,17 @@
 """Command-line entry points."""
 
+import hashlib
 import json
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
+from gfaloha import sigchain as sg
 from gfaloha.cli import _build_parser, _config_from_args, main
 from gfaloha.experiment import ExperimentConfig
+
+DATA = Path(__file__).parent / "data"
 
 
 def test_run_tiny_sweep(tmp_path, capsys):
@@ -95,7 +99,7 @@ def test_run_malformed_config_exit_2(tmp_path, capsys):
 @pytest.mark.parametrize("section", [
     '{"system": {"W": "200"}}', '{"energy": {"Tr": "600"}}',
     '{"experiment": {"loads": ["0.1"]}}', '{"experiment": {"cr_grid": [null]}}',
-    '{"system": {"Tp": null}}', '{"system": {"Tack": NaN}}',
+    '{"system": {"Tmax": null}}', '{"system": {"Tack": NaN}}',
     '{"energy": {"Tr": Infinity}}', '{"experiment": {"loads": [NaN]}}',
     # so is a file or section that is not a JSON object, and a figure or
     # output directory that is not a string
@@ -126,6 +130,53 @@ def test_run_removed_energy_key_exit_2(tmp_path, capsys):
     assert rc == 2
     assert capsys.readouterr().err == "error: unknown energy keys: ['Rin']\n"
     assert not (tmp_path / "res").exists()
+
+
+def test_packet_duration_follows_the_link_budget(tmp_path, capsys):
+    # Tp is D / (W * log2(1 + gamma/Gamma)): twice the bits take twice
+    # the time, at every replica count, and no config sets Tp itself
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"system": {"D": 200}}))
+    p = ExperimentConfig.from_file(cfg).system
+    assert p.Tp == 1.0
+    assert all(p.with_replicas(n).Tp == 1.0 for n in (1, 2, 4))
+    assert sg.payload_bits_per_packet(p) == 2 * (100 - 23)
+    cfg.write_text(json.dumps({"system": {"Tp": 0.5}}))
+    rc = main(["run", "--config", str(cfg), "--out", str(tmp_path / "res")])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: unknown system keys: ['Tp']\n"
+    assert not (tmp_path / "res").exists()
+
+
+@pytest.mark.parametrize("argv, section, message", [
+    (["run", "--seed", "-1"], {}, "seed >= 0"),
+    (["validate-receiver", "--seed", "-1"], {}, "seed >= 0"),
+    # a frame cap of 800 samples cannot hold the 920-sample preamble
+    (["validate-receiver"], {"system": {"Tmax": 0.2}}, "Tmax must exceed"),
+], ids=["run-seed", "validate-receiver-seed", "validate-receiver-Tmax"])
+def test_refused_before_any_output(tmp_path, argv, section, message, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(section))
+    rc = main(argv + ["--config", str(cfg), "--out", str(tmp_path / "res")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not (tmp_path / "res").exists()
+
+
+def test_variant_run_writes_the_pinned_files(tmp_path):
+    # the variant sweep of tests/data/variant-run.json at one worker
+    # writes exactly the files tests/data/variant-run.sha256 pins, byte
+    # for byte (CI also checks them from the installed command, at one
+    # and two workers)
+    pins = dict(reversed(line.split()) for line in
+                (DATA / "variant-run.sha256").read_text().splitlines())
+    out = tmp_path / "variant"
+    assert main(["run", "--config", str(DATA / "variant-run.json"),
+                 "--workers", "1", "--out", str(out)]) == 0
+    written = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+               for f in out.iterdir()}
+    assert written == pins
 
 
 def test_run_missing_config_exit_2(tmp_path, capsys):

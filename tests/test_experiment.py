@@ -42,6 +42,7 @@ def read_rows(path):
     dict(receiver_trials=0),
     dict(workers=0),
     dict(max_retries=-1),
+    dict(seed=-1),
     dict(figures=("ee", "histogram")),
     dict(kpi_policy="best"),
     dict(kpi_replicas=()),

@@ -40,7 +40,10 @@ def test_overlap_area_geometry():
 @given(st.floats(1.0, 1e4), st.floats(1e-3, 10.0), st.floats(0.1, 1e3),
        st.floats(1e-3, 1.0))
 def test_sinr_at_the_area_threshold_is_st(w, tp, gamma, frac):
-    p = SystemParams(W=w, Tp=tp, gamma=gamma, St=frac * gamma)
+    # a one-bit packet of tp seconds: Gamma solved from the link budget
+    p = SystemParams(W=w, D=1, Doh=0, gamma=gamma, St=frac * gamma,
+                     Gamma=gamma / math.expm1(math.log(2.0) / (w * tp)))
+    assert p.Tp == pytest.approx(tp, rel=1e-9)
     assert sinr(area_threshold(p), p) == pytest.approx(p.St, rel=1e-12)
 
 
@@ -116,7 +119,10 @@ _CFO_SPANS = st.one_of(st.just(0.0), st.just(1.0), st.floats(1e-4, 0.999),
 @settings(max_examples=80, deadline=None)
 @given(tp=st.floats(1e-3, 10.0), w=st.floats(1.0, 1e4), span=_CFO_SPANS)
 def test_exact_base_law_properties(tp, w, span):
-    p = SystemParams(Tp=tp, W=w, Fm=span * w / 2)
+    # a one-bit packet of tp seconds: Gamma solved from the link budget
+    p = SystemParams(W=w, Fm=span * w / 2, D=1, Doh=0,
+                     Gamma=P.gamma / math.expm1(math.log(2.0) / (w * tp)))
+    assert p.Tp == pytest.approx(tp, rel=1e-9)
     smax = p.W * p.Tp
     # the closed form against 1-D quadrature
     x = np.array([1e-4, 1e-3, 0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 1.0])

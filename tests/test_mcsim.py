@@ -1,6 +1,7 @@
 """Collision graph, SIC rounds and the trial loop."""
 
 import json
+import math
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
@@ -12,8 +13,7 @@ from gfaloha.mcsim import (build_collision_graph, first_attempt_outage,
                            nominal_lambda, rng_for, run_granted_baseline,
                            run_trial, sic_decode)
 from gfaloha.interference import offered_load_of, overlap_area
-from gfaloha.params import (EnergyParams, InvalidParamsError, SystemParams,
-                            packet_duration)
+from gfaloha.params import EnergyParams, InvalidParamsError, SystemParams
 
 P = SystemParams()
 E = EnergyParams()
@@ -192,17 +192,16 @@ def test_graph_keeps_the_parameters_it_was_cut_with():
     # and sic_decode decodes under the parameters the areas were cut with
     p = replace(P)
     with pytest.raises(FrozenInstanceError):
-        p.Tp = 2 * P.Tp
+        p.D = 2 * P.D
     with pytest.raises(FrozenInstanceError):
         E.Tr = 2 * E.Tr
     g = build_collision_graph((np.array([10.0, 9.8]), np.zeros(2),
                                np.array([0, 1])), p)
     assert g.p is p
     assert sic_decode(g, policy="sc", cr=0.4).decoded.tolist() == [True, True]
-    # packet_duration returns Tp and writes nothing
+    # a copy with another budget has its own Tp and leaves P's as it was
     q = replace(P, D=200)
-    assert packet_duration(q) == 1.0
-    assert q.Tp == 0.5
+    assert (q.Tp, P.Tp) == (1.0, 0.5)
 
 
 def test_sic_rejects_bad_arguments():
@@ -384,6 +383,9 @@ def test_sweep_rows_and_worker_independence(tmp_path):
        N=st.integers(1, 8), load=st.floats(1e-6, 10.0))
 def test_nominal_lambda_inverts_offered_load_of(W, Fm, Tp, N, load):
     # the sweep's load axis and a trial's realized load are two formulas
-    p = SystemParams(W=W, Fm=Fm, Tp=Tp, N=N, M=max(N, 4))
+    # a one-bit packet of Tp seconds: Gamma solved from the link budget
+    p = SystemParams(W=W, Fm=Fm, N=N, M=max(N, 4), D=1, Doh=0,
+                     Gamma=P.gamma / math.expm1(math.log(2.0) / (W * Tp)))
+    assert p.Tp == pytest.approx(Tp, rel=1e-9)
     assert offered_load_of(p.N * nominal_lambda(load, p), p) == pytest.approx(
         load, rel=1e-12)

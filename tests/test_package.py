@@ -22,10 +22,11 @@ def test_removed_names_stay_unexported():
     # traffic.draw_frames and experiment.run_experiment; the MMSE helpers
     # had no caller in the program; the analytic chain carries its laws
     # as plain pmf arrays and its solution as SolveResult.g; every config
-    # file is read through ExperimentConfig.from_file
+    # file is read through ExperimentConfig.from_file; the packet duration
+    # is SystemParams.Tp, derived from the link budget
     for name in ("sweep", "Replica", "VirtualFrame", "draw_virtual_frame",
                  "mmse_weights", "combined_sinr", "InterferenceCdf",
-                 "LoadPoint", "load_params"):
+                 "LoadPoint", "load_params", "packet_duration"):
         assert name not in gfaloha.__all__
         assert not hasattr(gfaloha, name)
 

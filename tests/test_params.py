@@ -2,14 +2,14 @@
 
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from gfaloha.experiment import ExperimentConfig
 from gfaloha.params import (EnergyParams, InvalidParamsError, SystemParams,
-                            db2lin, packet_duration, slots_for_replicas,
-                            zc_root_ok)
+                            db2lin, slots_for_replicas, zc_root_ok)
 
 
 def test_db_roundtrip():
@@ -48,8 +48,8 @@ def test_validate_rejects_bad_params():
         SystemParams(Tb=0.0103).validate(sample_level=True)  # Fs*Tb not integer
     with pytest.raises(InvalidParamsError):
         SystemParams(Fs=600.0).validate(sample_level=True)   # under 2*(2Fm+W)
-    for kw in (dict(Tp=0.0), dict(Tmax=-1.0), dict(Tack=-0.1)):
-        with pytest.raises(InvalidParamsError, match="Tp, Tmax"):
+    for kw in (dict(Tmax=0.0), dict(Tmax=-1.0), dict(Tack=-0.1)):
+        with pytest.raises(InvalidParamsError, match="Tmax must be"):
             SystemParams(**kw).validate()
     with pytest.raises(InvalidParamsError, match="Nzc must be"):
         SystemParams(Nzc=0).validate()
@@ -63,7 +63,7 @@ def test_validate_rejects_non_integer_counts(kw):
         SystemParams(**kw).validate()
 
 
-@pytest.mark.parametrize("kw", [dict(W="200"), dict(Tp=None),
+@pytest.mark.parametrize("kw", [dict(W="200"), dict(Tmax=None),
                                 dict(Tack=math.nan), dict(Fm=math.inf),
                                 dict(gamma=-math.inf), dict(St=True),
                                 dict(N0=[1e-20]), dict(W=10 ** 400)])
@@ -76,7 +76,7 @@ def test_validate_accepts_numpy_integer_counts():
     p = SystemParams(N=np.int64(2), M=np.int32(4), Nzc=np.int64(23))
     p.validate(sample_level=True)
     # an integer or numpy number is a number wherever a float belongs
-    SystemParams(W=200, Tp=np.float64(0.5), Fm=np.int64(100)).validate()
+    SystemParams(W=200, Tmax=np.float64(2.0), Fm=np.int64(100)).validate()
 
 
 @pytest.mark.parametrize("nzc,ok", [(4, False), (5, False), (15, False),
@@ -116,26 +116,32 @@ def test_energy_params_reject_non_finite_values(kw):
 
 
 def test_packet_duration_design_point():
-    p = SystemParams()
-    assert packet_duration(p) == 0.5
-    assert p.Tp == 0.5   # left as it was
+    # Tp is derived from the link budget, not a field a config can set
+    assert SystemParams().Tp == 0.5
+    assert "Tp" not in {f.name for f in fields(SystemParams)}
+    with pytest.raises(TypeError):
+        SystemParams(Tp=0.5)
 
 
 def test_packet_duration_scales_with_rate():
     p = SystemParams(D=200)
-    assert packet_duration(p) == pytest.approx(1.0)
+    assert p.Tp == pytest.approx(1.0)
     p = SystemParams(gamma=db2lin(9.0))   # higher SNR, shorter packet
-    assert packet_duration(p) < 0.5
-    assert packet_duration(p) == pytest.approx(
+    assert p.Tp < 0.5
+    assert p.Tp == pytest.approx(
         100.0 / (200.0 * math.log2(1.0 + db2lin(3.0))))
 
 
 @pytest.mark.parametrize("kw", [dict(Gamma=0.0), dict(Gamma=-1.0),
-                                dict(W=0.0), dict(D=0)])
+                                dict(W=0.0), dict(D=0),
+                                # each positive, but the rate underflows to
+                                # zero or overflows to an infinite SNR
+                                dict(gamma=1e-20, St=1e-21),
+                                dict(gamma=1e300, Gamma=1e-300)])
 def test_packet_duration_rejects_invalid_params(kw):
-    # validated before use: a zero Gamma must not divide by zero
+    # refused before any reader of Tp divides by zero or by Tp
     with pytest.raises(InvalidParamsError):
-        packet_duration(SystemParams(**kw))
+        SystemParams(**kw).validate()
 
 
 def test_load_params_roundtrip(tmp_path):

@@ -94,7 +94,7 @@ def test_gray_labels_adjacent():
 def test_payload_bits_per_packet():
     assert sg.payload_bits_per_packet(P) == 2 * (50 - 23)
     with pytest.raises(InvalidParamsError):
-        sg.payload_bits_per_packet(SystemParams(Tp=0.2))
+        sg.payload_bits_per_packet(SystemParams(D=40, Doh=20))   # Tp 0.2 s
 
 
 def test_synthesize_packet():
@@ -191,6 +191,12 @@ def test_frame_events_rejects_cap_under_one_preamble():
     short = SystemParams(Tmax=E_PRE / P.Fs)
     with pytest.raises(InvalidParamsError):
         sg.frame_events(sig, short, power_threshold=0.1)
+    # sample-level validation refuses the same cap, and one sample more
+    # passes both
+    with pytest.raises(InvalidParamsError, match="Tmax must exceed"):
+        short.validate(sample_level=True)
+    longer = SystemParams(Tmax=(E_PRE + 1) / P.Fs).validate(sample_level=True)
+    sg.frame_events(sig, longer, power_threshold=0.1)
 
 
 def test_decode_stream_drops_a_packet_seen_in_two_frames(dt, monkeypatch):
