@@ -15,7 +15,6 @@ the signal chain module and is validated separately.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass
 
@@ -384,8 +383,8 @@ def first_attempt_outage(rng: np.random.Generator, lambda_agg: float,
 
 def run_trial(rng: np.random.Generator, lambda_agg: float, horizon: float,
               p: SystemParams, e: EnergyParams, policy: str = "mrc", *,
-              cr: float = 0.5, max_retries: int = 5, max_rounds: int = 32,
-              trace_path=None) -> TrialResult:
+              cr: float = 0.5, max_retries: int = 5,
+              max_rounds: int = 32) -> TrialResult:
     """Simulate one horizon of traffic and measure the KPI set.
 
     Retries are processed in waves: all first attempts are decoded
@@ -437,17 +436,6 @@ def run_trial(rng: np.random.Generator, lambda_agg: float, horizon: float,
 
     kpis = kpi_mod.grant_free_kpis(lambda_agg, po, p, e)
     kpis.expected_delay = float(delay[got].mean()) if delivered else math.inf
-
-    if trace_path is not None:
-        with open(trace_path, "w") as fh:
-            for i in np.nonzero(measured)[0]:
-                fh.write(json.dumps({
-                    "report": int(i),
-                    "arrival": round(float(arrivals[i]), 9),
-                    "attempts": int(attempts_used[i]),
-                    "delivered": bool(got[i]),
-                    "delay": round(float(delay[i]), 9) if got[i] else None,
-                }) + "\n")
 
     return TrialResult(offered, attempts, delivered, po, kpis)
 

@@ -82,7 +82,8 @@ class SystemParams:
 
         sample_level additionally enforces the constraints the waveform
         chain needs (integer samples per symbol, adequate sampling rate,
-        a preamble length the Zadoff-Chu root ZC_ROOT is valid for).
+        a frame cap and a packet each longer than the preamble, a
+        preamble length the Zadoff-Chu root ZC_ROOT is valid for).
         """
         counts = ("N", "M", "Nzc", "D", "Doh")
         if not all(is_integer(getattr(self, name)) for name in counts):
@@ -118,6 +119,8 @@ class SystemParams:
                     f"Fs*Tb = {sps:g} must be a positive integer sample count")
             if round(self.Tmax * self.Fs) <= self.Nzc * self.samples_per_symbol:
                 raise InvalidParamsError("Tmax must exceed the preamble")
+            if round(self.Tp / self.Tb) <= self.Nzc:
+                raise InvalidParamsError("the packet Tp must exceed the preamble")
             if self.Fs < 2.0 * (2.0 * self.Fm + self.W):
                 raise InvalidParamsError(
                     "Fs must be at least 2*(2*Fm + W) to represent offset packets")

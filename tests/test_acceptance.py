@@ -6,9 +6,11 @@ fixed, so the suite is reproducible bit for bit; tolerances already
 include the Monte Carlo margin at the configured sample sizes.
 """
 
+import hashlib
 import math
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 from scipy.integrate import quad
@@ -150,6 +152,11 @@ def test_c7_receiver_validation_suites(tmp_path):
     rep = validate_receiver(ExperimentConfig(out_dir=str(tmp_path),
                                              receiver_trials=1000))
     elapsed = time.perf_counter() - t0
+    # the default `gfaloha validate-receiver` report, byte for byte
+    pins = (Path(__file__).parent / "data" / "default-run.sha256").read_text()
+    written = (tmp_path / "receiver-validation.json").read_bytes()
+    assert f"{hashlib.sha256(written).hexdigest()}  receiver-validation.json" \
+        in pins.splitlines()
     two = rep["two_packet"]
     report(7, "signal chain: drift bounds, bit-exact single packet, "
               "miss < 5% and false validations < 1% on the two-packet suite",

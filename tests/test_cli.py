@@ -1,7 +1,9 @@
 """Command-line entry points."""
 
 import hashlib
+import importlib
 import json
+import tomllib
 from dataclasses import fields
 from pathlib import Path
 
@@ -11,7 +13,16 @@ from gfaloha import sigchain as sg
 from gfaloha.cli import _build_parser, _config_from_args, main
 from gfaloha.experiment import ExperimentConfig
 
-DATA = Path(__file__).parent / "data"
+ROOT = Path(__file__).parents[1]
+DATA = ROOT / "tests" / "data"
+
+
+def test_console_script_is_main():
+    # the installed `gfaloha` command is the main the tests here call
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    assert project["scripts"] == {"gfaloha": "gfaloha.cli:main"}
+    module, attr = project["scripts"]["gfaloha"].split(":")
+    assert getattr(importlib.import_module(module), attr) is main
 
 
 def test_run_tiny_sweep(tmp_path, capsys):
@@ -153,7 +164,11 @@ def test_packet_duration_follows_the_link_budget(tmp_path, capsys):
     (["validate-receiver", "--seed", "-1"], {}, "seed >= 0"),
     # a frame cap of 800 samples cannot hold the 920-sample preamble
     (["validate-receiver"], {"system": {"Tmax": 0.2}}, "Tmax must exceed"),
-], ids=["run-seed", "validate-receiver-seed", "validate-receiver-Tmax"])
+    # a 0.2 s packet is 20 symbols, fewer than the 23-symbol preamble
+    (["validate-receiver"], {"system": {"D": 40, "Doh": 20}},
+     "Tp must exceed"),
+], ids=["run-seed", "validate-receiver-seed", "validate-receiver-Tmax",
+        "validate-receiver-Tp"])
 def test_refused_before_any_output(tmp_path, argv, section, message, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(section))
@@ -164,16 +179,24 @@ def test_refused_before_any_output(tmp_path, argv, section, message, capsys):
     assert not (tmp_path / "res").exists()
 
 
-def test_variant_run_writes_the_pinned_files(tmp_path):
-    # the variant sweep of tests/data/variant-run.json at one worker
-    # writes exactly the files tests/data/variant-run.sha256 pins, byte
-    # for byte (CI also checks them from the installed command, at one
-    # and two workers)
+@pytest.mark.parametrize("name, workers", [
+    ("default", 1), ("default", 2), ("variant", 1), ("variant", 2),
+], ids=["default-w1", "default-w2", "variant-w1", "variant-w2"])
+def test_run_writes_the_pinned_files(tmp_path, name, workers):
+    # the run writes exactly the files tests/data/<name>-run.sha256 pins,
+    # byte for byte, at one and at two workers. The default run's
+    # receiver-validation.json line is checked by test_acceptance's c7.
+    # The variant sweep of tests/data/variant-run.json reaches what the
+    # default run does not: one replica, the analytic `none` policy,
+    # divergent, overload and unstable rows and the Student-t interval.
     pins = dict(reversed(line.split()) for line in
-                (DATA / "variant-run.sha256").read_text().splitlines())
-    out = tmp_path / "variant"
-    assert main(["run", "--config", str(DATA / "variant-run.json"),
-                 "--workers", "1", "--out", str(out)]) == 0
+                (DATA / f"{name}-run.sha256").read_text().splitlines())
+    pins.pop("receiver-validation.json", None)
+    out = tmp_path / name
+    argv = ["run", "--workers", str(workers), "--out", str(out)]
+    if name == "variant":
+        argv += ["--config", str(DATA / "variant-run.json")]
+    assert main(argv) == 0
     written = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
                for f in out.iterdir()}
     assert written == pins

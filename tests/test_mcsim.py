@@ -1,6 +1,5 @@
 """Collision graph, SIC rounds and the trial loop."""
 
-import json
 import math
 from dataclasses import FrozenInstanceError, replace
 
@@ -297,25 +296,6 @@ def test_first_attempt_outage_is_run_trial_without_retries(n):
 def test_run_trial_horizon_guard():
     with pytest.raises(InvalidParamsError):
         run_trial(rng_for(9, 0), 1.0, 8 * P.M * P.Tp, P, E)
-
-
-def test_run_trial_trace(tmp_path):
-    lam = nominal_lambda(0.1, P)
-    path = tmp_path / "trace.jsonl"
-    r = run_trial(rng_for(10, 0), lam, 1500 / lam, P, E, trace_path=path)
-    lines = [json.loads(ln) for ln in path.read_text().splitlines()]
-    assert len(lines) == r.offered
-    assert "report" in lines[0]
-    assert sum(ln["attempts"] for ln in lines) == r.attempts
-    got = [ln for ln in lines if ln["delivered"]]
-    assert len(got) == r.delivered
-    assert all(ln["delay"] is None for ln in lines if not ln["delivered"])
-    for ln in got:
-        assert ln["delay"] == pytest.approx(
-            (ln["attempts"] - 1) * (P.M * P.Tp + P.Tack) + P.M * P.Tp,
-            rel=1e-9)
-    mean = sum(ln["delay"] for ln in got) / len(got)
-    assert mean == pytest.approx(r.kpis.expected_delay, rel=1e-9)
 
 
 def test_granted_baseline_low_load():

@@ -225,7 +225,11 @@ def drift_params(draw):
     # below Fs / 4, so a band W > 0 fits Fs >= 2 * (2 * Fm + W)
     fm = min(draw(st.sampled_from([0.0, 100.0]) | st.floats(0.0, 100.0)),
              0.2 * fs)
-    return SystemParams(Nzc=nzc, Tb=tb, Fs=fs, Fm=fm, W=fs / 4 - fm)
+    w = fs / 4 - fm
+    # enough bits that the packet outlasts the preamble: Tp / Tb =
+    # D / (W Tb) > Nzc (the table itself does not read D)
+    d = max(100, math.ceil((nzc + 1) * w * tb))
+    return SystemParams(Nzc=nzc, Tb=tb, Fs=fs, Fm=fm, W=w, D=d)
 
 
 @settings(max_examples=60, deadline=None,
