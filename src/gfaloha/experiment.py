@@ -29,12 +29,13 @@ from .params import (EnergyParams, InvalidParamsError, SystemParams,
                      _read_config, is_integer, is_real)
 
 FIGURES = ("reliability", "ee", "lifetime", "delay", "se")
+# figure -> (the KPI it plots, does a larger value win?)
 _FIG_KPI = {
-    "reliability": "success",
-    "ee": "energy_efficiency",
-    "lifetime": "battery_lifetime",
-    "delay": "expected_delay",
-    "se": "spectral_efficiency",
+    "reliability": ("success", True),
+    "ee": ("energy_efficiency", True),
+    "lifetime": ("battery_lifetime", True),
+    "delay": ("expected_delay", False),
+    "se": ("spectral_efficiency", True),
 }
 CSV_HEADER = ("figure", "kpi", "load", "scheme", "policy", "n_replicas",
               "cr", "analytic", "empirical", "empirical_ci", "status",
@@ -153,8 +154,8 @@ def _run_cell(args):
     if kind == _KIND_REL:
         # single-attempt outage at every threshold of cr (the cr grid)
         return mcsim.first_attempt_outage(rng, lam, horizon, p, cr)
-    return mcsim.run_trial(rng, lam, horizon, p, cfg.energy, policy,
-                           cr=cr, max_retries=cfg.max_retries)
+    return mcsim.run_trial(rng, lam, horizon, p, policy, cr=cr,
+                           max_retries=cfg.max_retries)
 
 
 def _execute(jobs: list, workers: int) -> list:
@@ -189,7 +190,7 @@ def _row(fig: str, load, scheme: str, policy: str, n, cr, analytic,
          vals: list[float], status: str = "", divergence: str = "") -> dict:
     """One figure row in CSV_HEADER order; vals are its cells' values."""
     emp, ci = _mean_ci(vals)
-    return dict(zip(CSV_HEADER, (fig, _FIG_KPI[fig], load, scheme, policy, n,
+    return dict(zip(CSV_HEADER, (fig, _FIG_KPI[fig][0], load, scheme, policy, n,
                                  cr, analytic, emp, ci, status, divergence)))
 
 
@@ -263,19 +264,26 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
             report = kpi_mod.granted_kpis(lam, p, e0)
             if not kpi_mod.ra_contention(lam)[2]:
                 status = "unstable"
-        elif bases is not None:
-            res = itf.solve_offered_load(lam, p, policy, base=bases[p.N])
-            report = kpi_mod.grant_free_kpis(lam, res.po, p, e0)
-            status = res.status
-            po_e = float(np.mean([c.outage for c in cells]))
-            if load <= _LOW_LOAD_CUTOFF and abs(res.po - po_e) > _DIVERGENCE_TOL:
-                divergence = "divergent"
+            scored = [kpi_mod.granted_path_kpis(lam, c.mean_attempts, c.delay,
+                                                p, e0) for c in cells]
+        else:
+            scored = [kpi_mod.grant_free_kpis(lam, c.outage, c.delay, p, e0)
+                      for c in cells]
+            if bases is not None:
+                res = itf.solve_offered_load(lam, p, policy, base=bases[p.N])
+                report = kpi_mod.grant_free_kpis(
+                    lam, res.po, kpi_mod.expected_delay(res.po, p), p, e0)
+                status = res.status
+                po_e = float(np.mean([c.outage for c in cells]))
+                if (load <= _LOW_LOAD_CUTOFF
+                        and abs(res.po - po_e) > _DIVERGENCE_TOL):
+                    divergence = "divergent"
         for fig in kpi_figs:
-            name = _FIG_KPI[fig]
+            name = _FIG_KPI[fig][0]
             rows[fig].append(_row(
                 fig, load, *head,
                 None if report is None else getattr(report, name),
-                [getattr(c.kpis, name) for c in cells], status, divergence))
+                [getattr(r, name) for r in scored], status, divergence))
 
     files = {}
     for fig in cfg.figures:
@@ -304,11 +312,6 @@ def _config_echo(cfg: ExperimentConfig) -> dict:
     return echo
 
 
-# KPI comparison direction: does a larger value win?
-_HIGHER_BETTER = {"energy_efficiency": True, "battery_lifetime": True,
-                  "spectral_efficiency": True, "expected_delay": False}
-
-
 def _crossovers(cfg: ExperimentConfig, figure_rows: dict) -> dict:
     """Smallest load where granted beats grant-free, per KPI and N.
 
@@ -319,8 +322,7 @@ def _crossovers(cfg: ExperimentConfig, figure_rows: dict) -> dict:
     for fig, rows in figure_rows.items():
         if fig == "reliability":
             continue
-        kpi_name = _FIG_KPI[fig]
-        higher = _HIGHER_BETTER[kpi_name]
+        kpi_name, higher = _FIG_KPI[fig]
         granted = {r["load"]: r for r in rows if r["scheme"] == "granted"}
         for n in cfg.kpi_replicas:
             gf = [r for r in rows

@@ -1,9 +1,9 @@
 """Link KPIs: delay, transmit power, battery lifetime, EE, SE.
 
-All formulas work on one operating point (an outage probability plus the
-parameter sets) and are shared by the analytic pipeline and the Monte
-Carlo simulator, which feeds its measured outage through the same energy
-accounting.
+All formulas work on one operating point (an outage probability or an
+RA attempt count, plus the parameter sets). The experiment module scores
+both columns of a figure through them: the analytic row from the
+modelled operating point, each simulated cell from what it measured.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ RA_OPPORTUNITIES = 10
 RA_PERIOD = 2.0  # s
 
 
-@dataclass
+@dataclass(frozen=True)
 class KpiReport:
     """The four KPIs the figures plot, for one cell. On grant-free rows
     the analytic delay is the unconditional mean under unlimited retries,
@@ -198,11 +198,12 @@ def granted_kpis(lambda_agg: float, p: SystemParams,
     return granted_path_kpis(lambda_agg, attempts, delay, p, e)
 
 
-def grant_free_kpis(lambda_agg: float, po: float, p: SystemParams,
-                    e: EnergyParams) -> KpiReport:
-    """KPI row of the grant-free scheme from an outage probability."""
+def grant_free_kpis(lambda_agg: float, po: float, delay: float,
+                    p: SystemParams, e: EnergyParams) -> KpiReport:
+    """KPI row of the grant-free scheme at a per-attempt outage and a
+    mean delay, modelled or measured."""
     return KpiReport(
-        expected_delay=expected_delay(po, p),
+        expected_delay=delay,
         battery_lifetime=battery_lifetime(po, p, e),
         energy_efficiency=energy_efficiency(po, p, e),
         spectral_efficiency=spectral_efficiency(lambda_agg, p, po),

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kpi as kpi_mod
 from .interference import area_threshold, overlap_area, sinr
+from .kpi import RA_OPPORTUNITIES, RA_PERIOD
 from .params import EnergyParams, InvalidParamsError, SystemParams
 from .traffic import draw_frames, generate_arrivals
 
@@ -305,15 +305,15 @@ _ROUND_TESTS = {"none": _no_combining_test, "mrc": _mrc_test,
 
 @dataclass
 class TrialResult:
-    """Counts over the measured reports of one grant-free trial. `kpis`
-    follow from the measured outage, but their delay is the mean over
-    delivered reports, not the analytic unconditional mean."""
+    """Counts over the measured reports of one grant-free trial. Its delay
+    is the mean over delivered reports, not the analytic unconditional
+    mean."""
 
     offered: int            # measured reports
     attempts: int           # transmission attempts of measured reports
     delivered: int
     outage: float           # per-attempt failure probability
-    kpis: kpi_mod.KpiReport
+    delay: float            # s, mean over delivered reports (inf if none)
 
 
 def nominal_lambda(load: float, p: SystemParams) -> float:
@@ -382,10 +382,10 @@ def first_attempt_outage(rng: np.random.Generator, lambda_agg: float,
 
 
 def run_trial(rng: np.random.Generator, lambda_agg: float, horizon: float,
-              p: SystemParams, e: EnergyParams, policy: str = "mrc", *,
+              p: SystemParams, policy: str = "mrc", *,
               cr: float = 0.5, max_retries: int = 5,
               max_rounds: int = 32) -> TrialResult:
-    """Simulate one horizon of traffic and measure the KPI set.
+    """Simulate one horizon of traffic and measure outage and delay.
 
     Retries are processed in waves: all first attempts are decoded
     jointly (global SIC on the circular horizon), failures retransmit
@@ -432,29 +432,26 @@ def run_trial(rng: np.random.Generator, lambda_agg: float, horizon: float,
     got = measured & (delivered_at >= 0)
     delivered = int(got.sum())
     po = (attempts - delivered) / attempts if attempts else 0.0
-    delay = delivered_at * (p.M * p.Tp + p.Tack) + p.M * p.Tp
-
-    kpis = kpi_mod.grant_free_kpis(lambda_agg, po, p, e)
-    kpis.expected_delay = float(delay[got].mean()) if delivered else math.inf
-
-    return TrialResult(offered, attempts, delivered, po, kpis)
+    delay = delivered_at[got] * (p.M * p.Tp + p.Tack) + p.M * p.Tp
+    mean_delay = float(delay.mean()) if delivered else math.inf
+    return TrialResult(offered, attempts, delivered, po, mean_delay)
 
 
 @dataclass
 class GrantedTrialResult:
     """One granted-baseline cell.
 
-    The KPIs average over delivered reports only. Where the simulated RA
-    backlog collapses this hides the loss: at load 0.75 the default
-    run's three cells (seed 1234) deliver 3.4%, 0.7% and 10.7% of
-    offered reports, against about 100% at load 0.5, and their energy
+    Attempts and delay average over delivered reports only. Where the
+    simulated RA backlog collapses this hides the loss: at load 0.75 the
+    default run's three cells (seed 1234) deliver 3.4%, 0.7% and 10.7%
+    of offered reports, against about 100% at load 0.5, and their energy
     efficiency reads 4,393-4,441 bit/J beside the analytic 4,497, while
     kpi.ra_contention calls that load stable.
     """
     offered: int            # measured reports
     delivered: int
     mean_attempts: float    # RA attempts per delivered report
-    kpis: kpi_mod.KpiReport
+    delay: float            # s, mean over delivered reports (inf if none)
 
 
 _PICK_CHUNK = 16384     # RA picks drawn per refill: bounded memory at unstable loads
@@ -583,18 +580,17 @@ def _contend(rng: np.random.Generator, first_period: np.ndarray,
 
 def run_granted_baseline(rng: np.random.Generator, lambda_agg: float,
                          horizon: float, p: SystemParams, e: EnergyParams,
-                         opportunities: int = kpi_mod.RA_OPPORTUNITIES,
-                         period: float = kpi_mod.RA_PERIOD) -> GrantedTrialResult:
+                         opportunities: int = RA_OPPORTUNITIES,
+                         period: float = RA_PERIOD) -> GrantedTrialResult:
     """Granted-access reference: slotted contention, then a clean grant.
 
     Devices with a pending report pick one of the period's RA
     opportunities; a singleton pick wins a collision-free data slot.
     Losers retry next period, so a report that wins made one attempt per
-    period from its arrival period to its winning one. Energy uses the
-    same accounting as the analytic baseline with the measured attempt
-    count. All picks come from one stream (`_PickStream`); the result
-    and the generator's final state are those of drawing each period's
-    picks in turn.
+    period from its arrival period to its winning one. The delay adds
+    synchronization (e.Dsynch) and the data transmission. All picks come
+    from one stream (`_PickStream`); the result and the generator's final
+    state are those of drawing each period's picks in turn.
     """
     if opportunities < 1:
         raise InvalidParamsError("need at least one RA opportunity")
@@ -614,9 +610,7 @@ def run_granted_baseline(rng: np.random.Generator, lambda_agg: float,
     attempts = done_period[got] - first_period[got] + 1
     mean_delay = float(delay.mean()) if delivered else math.inf
     mean_att = float(attempts.mean()) if delivered else math.inf
-
-    kpis = kpi_mod.granted_path_kpis(lambda_agg, mean_att, mean_delay, p, e)
-    return GrantedTrialResult(offered, delivered, mean_att, kpis)
+    return GrantedTrialResult(offered, delivered, mean_att, mean_delay)
 
 
 # ---------------------------------------------------------------------------

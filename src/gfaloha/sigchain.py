@@ -696,11 +696,15 @@ def decode_stream(x: np.ndarray, p: SystemParams, dt: DriftTable,
     a few Hz away they include the peak's own position (the drift is
     zero there), so a copy of it there is cancelled before it is
     examined; a copy that still validates is dropped here, after the one
-    earlier in position.
+    earlier in position. A frame too short for the periodogram (a noise
+    blip widened by the frame margins, at few samples per symbol) holds
+    no packet and is skipped.
     """
     out = []
     n_pkt = round(p.Tp * p.Fs)
     for start, stop in frame_events(x, p, power_threshold):
+        if stop - start < _MIN_FRAME:
+            continue
         buf = x[start:stop]
         vs = spc_resolve(peak_map(buf, periodogram_cfos(buf, p), p), dt)
         for v, seq in zip(vs, extract_sequences(x, (start, stop), vs, p)):

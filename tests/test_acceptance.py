@@ -90,7 +90,7 @@ def test_c3_analytic_outage_tracks_simulation():
     diffs = []
     for li, load in enumerate((0.02, 0.05, 0.1, 0.2)):
         lam = mcsim.nominal_lambda(load, P)
-        r = mcsim.run_trial(mcsim.rng_for(42, li), lam, 1e5 / lam, P, E,
+        r = mcsim.run_trial(mcsim.rng_for(42, li), lam, 1e5 / lam, P,
                             "mrc", max_retries=0, max_rounds=1)
         po_a = itf.analytic_outage(base, P.N * lam, P, "mrc")
         diffs.append(abs(po_a - r.outage))
@@ -105,7 +105,7 @@ def test_c3_analytic_outage_tracks_simulation():
 def test_c4_high_reliability_operating_point():
     p4 = P.with_replicas(4)
     lam = mcsim.nominal_lambda(0.01, p4)
-    r = mcsim.run_trial(mcsim.rng_for(43, 0), lam, 1e5 / lam, p4, E,
+    r = mcsim.run_trial(mcsim.rng_for(43, 0), lam, 1e5 / lam, p4,
                         "sc", cr=0.5, max_retries=0)
     success = 1.0 - r.outage
     report(4, "N=4, cr=0.5 at load 0.01 reaches 99.9% first-attempt success",
@@ -118,7 +118,8 @@ def test_c5_lifetime_advantage_at_low_load():
     for load in (0.02, 0.05, 0.1):
         lam = mcsim.nominal_lambda(load, P)
         res = itf.solve_offered_load(lam, P, "mrc", base=base)
-        gf = kpi.grant_free_kpis(lam, res.po, P, E).battery_lifetime
+        delay = kpi.expected_delay(res.po, P)
+        gf = kpi.grant_free_kpis(lam, res.po, delay, P, E).battery_lifetime
         gr = kpi.granted_kpis(lam, P, E).battery_lifetime
         ratios.append(gf / gr)
     report(5, "grant-free lifetime at least 1.5x the granted baseline "
@@ -173,7 +174,7 @@ def test_c9_pure_aloha_degenerate_limit():
     for li, load in enumerate(loads):
         lam = mcsim.nominal_lambda(load, p9)
         horizon = 1e5 / lam
-        r = mcsim.run_trial(mcsim.rng_for(44, li), lam, horizon, p9, E,
+        r = mcsim.run_trial(mcsim.rng_for(44, li), lam, horizon, p9,
                             "none", max_retries=0)
         span = horizon - 4 * p9.M * p9.Tp   # the measured window
         succ.append(1.0 - r.outage)

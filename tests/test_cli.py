@@ -225,3 +225,18 @@ def test_validate_receiver_smoke(tmp_path, capsys):
     # a bit-exact packet is one the miss count found
     two = report["two_packet"]
     assert 0.0 <= two["bit_exact_rate"] <= 1.0 - two["miss_rate"]
+
+
+def test_validate_receiver_at_one_sample_per_symbol(tmp_path, capsys):
+    # at one sample per symbol a noise blip widened by the frame margins
+    # is a frame shorter than the periodogram takes; the decoder skips
+    # it, and the gates (not a crash) report the failing suites
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"system": {"Tb": 0.00125, "Fs": 800.0}}))
+    assert ExperimentConfig.from_file(cfg).system.samples_per_symbol == 1
+    rc = main(["validate-receiver", "--config", str(cfg), "--trials", "3",
+               "--out", str(tmp_path / "res")])
+    assert rc == 1
+    report = json.loads((tmp_path / "res" / "receiver-validation.json")
+                        .read_text())
+    assert report["single_snr"]["trials"] == 3 and not report["pass"]

@@ -186,7 +186,9 @@ def test_run_experiment_kpi_policy(tmp_path, policy):
             pn = cfg.system.with_replicas(int(r["n_replicas"]))
             lam = mcsim.nominal_lambda(float(r["load"]), pn)
             res = itf.solve_offered_load(lam, pn, "none", base=base)
-            want = kpi.grant_free_kpis(lam, res.po, pn, cfg.energy)
+            want = kpi.grant_free_kpis(lam, res.po,
+                                       kpi.expected_delay(res.po, pn), pn,
+                                       cfg.energy)
             assert r["analytic"] == ex._fmt(getattr(want, kpi_name))
             assert r["status"] == res.status
 
@@ -204,7 +206,8 @@ def test_analytic_base_law_on_each_replica_grid(tmp_path):
         pn = cfg.system.with_replicas(int(r["n_replicas"]))
         lam = mcsim.nominal_lambda(0.35, pn)
         res = itf.solve_offered_load(lam, pn, "mrc", base=itf.build_base_cdf(pn))
-        want = kpi.grant_free_kpis(lam, res.po, pn, cfg.energy)
+        want = kpi.grant_free_kpis(lam, res.po, kpi.expected_delay(res.po, pn),
+                                   pn, cfg.energy)
         assert r["analytic"] == ex._fmt(want.energy_efficiency)
 
 
@@ -247,13 +250,13 @@ def test_reliability_rows_share_one_draw_per_cell(tmp_path):
     for load, n, cr in both:
         assert success[load, n, "0.5"] >= success[load, n, "1"]
 
-    p, e = SystemParams(), EnergyParams()
+    p = SystemParams()
     for (load, n, cr), ln in both.items():
         li, ni = ("0.2", "0.5").index(load), ("1", "2").index(n)
         pn = p.with_replicas(int(n))
         lam = mcsim.nominal_lambda(float(load), pn)
         outage = [mcsim.run_trial(mcsim.rng_for(7, 1, li, ni, 0, rep), lam,
-                                  400 / lam, pn, e, "sc", cr=float(cr),
+                                  400 / lam, pn, "sc", cr=float(cr),
                                   max_retries=0).outage
                   for rep in range(2)]
         assert ln.split(",")[8] == ex._fmt(
@@ -262,6 +265,47 @@ def test_reliability_rows_share_one_draw_per_cell(tmp_path):
     assert run("w2", cr_grid=(1.0, 0.5), workers=2) == \
         (tmp_path / "both" / "fig-reliability.csv").read_text()
     assert run("none", cr_grid=()) == ",".join(ex.CSV_HEADER) + "\n"
+
+
+def test_simulated_kpi_cells_are_scored_from_their_measurements(tmp_path):
+    # each cell returns what it measured; the row scores it through the
+    # kpi formulas: grant-free cells at their outage and mean delay on
+    # substream (0, load index, N index, rep), granted cells at their RA
+    # attempts and mean delay on substream (2, load index, rep)
+    kpi_figs = ("ee", "lifetime", "delay", "se")
+    cfg = tiny(tmp_path, figures=kpi_figs, kpi_policy="mrc")
+    ex.run_experiment(cfg)
+    p0, e = cfg.system, cfg.energy
+    pn = p0.with_replicas(2)
+
+    def horizon(lam, p):
+        return max(cfg.packets_per_point / lam, 10 * p.M * p.Tp)
+
+    want = {}
+    for li, load in enumerate(cfg.loads):
+        lam = mcsim.nominal_lambda(load, pn)
+        want["grant-free", load] = [kpi.grant_free_kpis(
+            lam, c.outage, c.delay, pn, e) for c in (
+                mcsim.run_trial(mcsim.rng_for(cfg.seed, 0, li, 0, rep), lam,
+                                horizon(lam, pn), pn, "mrc",
+                                cr=p0.St / p0.gamma,
+                                max_retries=cfg.max_retries)
+                for rep in range(cfg.reps))]
+        lam = mcsim.nominal_lambda(load, p0)
+        want["granted", load] = [kpi.granted_path_kpis(
+            lam, c.mean_attempts, c.delay, p0, e) for c in (
+                mcsim.run_granted_baseline(mcsim.rng_for(cfg.seed, 2, li, rep),
+                                           lam, horizon(lam, p0), p0, e)
+                for rep in range(cfg.reps))]
+    for fig in kpi_figs:
+        name = ex._FIG_KPI[fig][0]
+        rows = read_rows(tmp_path / f"fig-{fig}.csv")
+        assert len(rows) == len(want)
+        for r in rows:
+            emp, ci = ex._mean_ci([getattr(k, name)
+                                   for k in want[r["scheme"], float(r["load"])]])
+            assert (r["empirical"], r["empirical_ci"]) == (ex._fmt(emp),
+                                                           ex._fmt(ci))
 
 
 def test_summary_names_no_directory(tmp_path):
@@ -314,8 +358,10 @@ def test_overload_rows_are_the_ceiling_bounds(tmp_path):
     ex.run_experiment(cfg)
     pn = cfg.system.with_replicas(2)
     lam = mcsim.nominal_lambda(0.5, pn)
-    want = kpi.grant_free_kpis(lam, 1.0 - 1e-6, pn, cfg.energy)
-    for fig, kpi_name in ex._FIG_KPI.items():
+    po = 1.0 - 1e-6
+    want = kpi.grant_free_kpis(lam, po, kpi.expected_delay(po, pn), pn,
+                               cfg.energy)
+    for fig, (kpi_name, _) in ex._FIG_KPI.items():
         if fig == "reliability":
             continue
         [row] = [r for r in read_rows(tmp_path / f"fig-{fig}.csv")

@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gfaloha import kpi as kpi_mod
 from gfaloha import mcsim
 from gfaloha.mcsim import GrantedTrialResult, run_granted_baseline
 from gfaloha.params import EnergyParams, SystemParams
@@ -56,14 +55,7 @@ def _ref_granted(rng, lambda_agg, horizon, p, e, opportunities, period):
              + e.Dsynch + p.Tp)
     mean_delay = float(delay.mean()) if delivered else math.inf
     mean_att = float(attempts[got].mean()) if delivered else math.inf
-    e_report = kpi_mod.granted_report_energy(p, e, mean_att)
-    kpis = kpi_mod.KpiReport(
-        expected_delay=mean_delay,
-        battery_lifetime=e.E0 * e.Tr / e_report,
-        energy_efficiency=(p.D - p.Doh) / e_report,
-        spectral_efficiency=kpi_mod.spectral_efficiency(lambda_agg, p, 0.0),
-    )
-    return GrantedTrialResult(offered, delivered, mean_att, kpis)
+    return GrantedTrialResult(offered, delivered, mean_att, mean_delay)
 
 
 @settings(max_examples=200, deadline=None)

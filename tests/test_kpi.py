@@ -1,7 +1,7 @@
 """KPI formulas and the granted-access baseline."""
 
 import math
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields
 
 import numpy as np
 import pytest
@@ -139,7 +139,7 @@ def test_granted_energy_components():
 
 
 def test_grant_free_report_wiring():
-    rep = grant_free_kpis(0.2, 0.1, P, E)
+    rep = grant_free_kpis(0.2, 0.1, expected_delay(0.1, P), P, E)
     assert rep.spectral_efficiency == pytest.approx(
         spectral_efficiency(0.2, P, 0.0) * 0.9)
     assert rep.expected_delay == pytest.approx(expected_delay(0.1, P))
@@ -148,3 +148,9 @@ def test_grant_free_report_wiring():
         "expected_delay", "battery_lifetime", "energy_efficiency",
         "spectral_efficiency"}
 
+
+def test_kpi_report_is_frozen():
+    # a report is scored once, from its operating point, and never edited
+    rep = grant_free_kpis(0.2, 0.1, expected_delay(0.1, P), P, E)
+    with pytest.raises(FrozenInstanceError):
+        rep.expected_delay = 0.0

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gfaloha.kpi import energy_efficiency
 from gfaloha.mcsim import (build_collision_graph, first_attempt_outage,
                            nominal_lambda, rng_for, run_granted_baseline,
                            run_trial, sic_decode)
@@ -224,7 +223,7 @@ def test_nominal_lambda_axis_roundtrip():
 
 def test_run_trial_smoke_and_determinism():
     lam = nominal_lambda(0.1, P)
-    kw = dict(lambda_agg=lam, horizon=3000 / lam, p=P, e=E, policy="mrc")
+    kw = dict(lambda_agg=lam, horizon=3000 / lam, p=P, policy="mrc")
     r1 = run_trial(rng_for(7, 0), **kw)
     r2 = run_trial(rng_for(7, 0), **kw)
     assert (r1.offered, r1.delivered, r1.outage) == \
@@ -236,15 +235,14 @@ def test_run_trial_smoke_and_determinism():
     assert r1.attempts / r1.offered >= 1.0
     span = kw["horizon"] - 4 * P.M * P.Tp    # the measured window
     assert 0.05 < offered_load_of(r1.attempts * P.N / span, P) < 0.2
-    assert r1.kpis.energy_efficiency == energy_efficiency(r1.outage, P, E)
-    assert r1.kpis.expected_delay >= P.M * P.Tp
+    assert r1.delay >= P.M * P.Tp
 
 
 def test_run_trial_retries_reduce_loss():
     lam = nominal_lambda(0.35, P)
-    no_retry = run_trial(rng_for(8, 0), lam, 4000 / lam, P, E, "mrc",
+    no_retry = run_trial(rng_for(8, 0), lam, 4000 / lam, P, "mrc",
                          max_retries=0)
-    retry = run_trial(rng_for(8, 0), lam, 4000 / lam, P, E, "mrc",
+    retry = run_trial(rng_for(8, 0), lam, 4000 / lam, P, "mrc",
                       max_retries=5)
     loss = [1.0 - r.delivered / r.offered for r in (retry, no_retry)]
     assert loss[0] < loss[1]
@@ -264,7 +262,7 @@ def test_sc_single_replica_outage_matches_closed_form(load, cr):
     assert p.W == 2 * p.Fm
     lam = nominal_lambda(load, p)
     r = run_trial(rng_for(13, int(100 * load), int(10 * cr)), lam, 2e5 / lam,
-                  p, E, "sc", cr=cr, max_retries=0, max_rounds=1)
+                  p, "sc", cr=cr, max_retries=0, max_rounds=1)
     x = lam * p.Tp
     want = 1.0 - np.exp(-x * (1.0 + cr)) * (1.0 + x * (1.0 - cr))
     assert r.outage == pytest.approx(want, rel=0.05)
@@ -281,7 +279,7 @@ def test_first_attempt_outage_is_run_trial_without_retries(n):
         lam = nominal_lambda(load, p)
         horizon = 1500 / lam
         got = first_attempt_outage(rng_for(14, n, k), lam, horizon, p, crs)
-        want = [run_trial(rng_for(14, n, k), lam, horizon, p, E, "sc", cr=c,
+        want = [run_trial(rng_for(14, n, k), lam, horizon, p, "sc", cr=c,
                           max_retries=0).outage
                 for c in crs]
         assert got == want
@@ -289,13 +287,13 @@ def test_first_attempt_outage_is_run_trial_without_retries(n):
         assert want[0] > 0.0 or load < 0.5
     horizon = 10 * p.M * p.Tp
     assert first_attempt_outage(rng_for(15), 1e-9, horizon, p, crs) == [0.0] * 3
-    assert run_trial(rng_for(15), 1e-9, horizon, p, E, "sc",
+    assert run_trial(rng_for(15), 1e-9, horizon, p, "sc",
                      max_retries=0).outage == 0.0
 
 
 def test_run_trial_horizon_guard():
     with pytest.raises(InvalidParamsError):
-        run_trial(rng_for(9, 0), 1.0, 8 * P.M * P.Tp, P, E)
+        run_trial(rng_for(9, 0), 1.0, 8 * P.M * P.Tp, P)
 
 
 def test_granted_baseline_low_load():
@@ -303,8 +301,7 @@ def test_granted_baseline_low_load():
     assert r.offered > 150
     assert 1.0 - r.delivered / r.offered <= 0.02
     assert 1.0 <= r.mean_attempts < 1.3
-    assert r.kpis.expected_delay >= E.Dsynch + P.Tp
-    assert r.kpis.energy_efficiency > 0.0
+    assert r.delay >= E.Dsynch + P.Tp
 
 
 @pytest.mark.parametrize("horizon, opportunities, period", [
