@@ -275,8 +275,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
                     lam, res.po, kpi_mod.expected_delay(res.po, p), p, e0)
                 status = res.status
                 po_e = float(np.mean([c.outage for c in cells]))
-                if (load <= _LOW_LOAD_CUTOFF
-                        and abs(res.po - po_e) > _DIVERGENCE_TOL):
+                if load <= _LOW_LOAD_CUTOFF and abs(res.po - po_e) > _DIVERGENCE_TOL:
                     divergence = "divergent"
         for fig in kpi_figs:
             name = _FIG_KPI[fig][0]

@@ -696,9 +696,8 @@ def decode_stream(x: np.ndarray, p: SystemParams, dt: DriftTable,
     a few Hz away they include the peak's own position (the drift is
     zero there), so a copy of it there is cancelled before it is
     examined; a copy that still validates is dropped here, after the one
-    earlier in position. A frame too short for the periodogram (a noise
-    blip widened by the frame margins, at few samples per symbol) holds
-    no packet and is skipped.
+    earlier in position. Frames under _MIN_FRAME are skipped: at few
+    samples per symbol a noise blip widened by the margins is one.
     """
     out = []
     n_pkt = round(p.Tp * p.Fs)
