@@ -26,6 +26,7 @@ Bulletin 1999).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,6 +119,29 @@ def build_base_cdf(p: SystemParams) -> np.ndarray:
 # Compound laws and the interferer-count mixture
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=8)
+def _tilt(n: int) -> np.ndarray:
+    """theta**k for k < n, theta = exp(-_TILT / (_PAD * n)); read-only."""
+    tilt = np.exp(-_TILT / (_PAD * n) * np.arange(n))
+    tilt.flags.writeable = False
+    return tilt
+
+
+def _tilted_rfft(pmf1: np.ndarray) -> np.ndarray:
+    """rfft of pmf1 tilted by _tilt, zero-padded to _PAD * len(pmf1)."""
+    n = len(pmf1)
+    return np.fft.rfft(pmf1 * _tilt(n), _PAD * n)
+
+
+@functools.lru_cache(maxsize=4)
+def _base_rfft(pmf_bytes: bytes) -> np.ndarray:
+    """_tilted_rfft of the float pmf with these bytes; read-only. The
+    base law is the same on every fixed-point iteration."""
+    phi = _tilted_rfft(np.frombuffer(pmf_bytes))
+    phi.flags.writeable = False
+    return phi
+
+
 def _compound(pmf1: np.ndarray, pgf) -> np.ndarray:
     """Law of a random sum of i.i.d. draws from pmf1, on pmf1's grid.
 
@@ -130,10 +154,12 @@ def _compound(pmf1: np.ndarray, pgf) -> np.ndarray:
     undone. Bins below the top are the law itself; the top bin holds
     the rest of the unit mass, everything at or past the grid maximum.
     """
-    n = len(pmf1)
-    size = _PAD * n
-    tilt = np.exp(-_TILT / size * np.arange(n))
-    law = np.fft.irfft(pgf(np.fft.rfft(pmf1 * tilt, size)), size)[:n] / tilt
+    return _compound_rfft(_tilted_rfft(pmf1), len(pmf1), pgf)
+
+
+def _compound_rfft(phi: np.ndarray, n: int, pgf) -> np.ndarray:
+    """_compound of the n-bin pmf whose _tilted_rfft is phi."""
+    law = np.fft.irfft(pgf(phi), _PAD * n)[:n] / _tilt(n)
     law = np.clip(law, 0.0, None)
     law[-1] = max(1.0 - law[:-1].sum(), 0.0)
     return law
@@ -153,7 +179,9 @@ def unconditional_cdf(base: np.ndarray, g: float, p: SystemParams) -> np.ndarray
     if g < 0:
         raise InvalidParamsError("replica rate must be nonnegative")
     mu = 2.0 * g * p.Tp
-    return _compound(base, lambda phi: np.exp(mu * (phi - 1.0)))
+    base = np.asarray(base, dtype=float)
+    return _compound_rfft(_base_rfft(base.tobytes()), base.size,
+                          lambda phi: np.exp(mu * (phi - 1.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -177,18 +205,27 @@ def outage_mrc_sinr(pmf: np.ndarray, p: SystemParams) -> float:
     the summed areas would over-count interference split across
     branches).
     """
-    s_of_a = sinr(area_grid(p), p)
     ds = p.N * p.gamma / (_SINR_POINTS - 1)
-    idx = np.rint(s_of_a / ds).astype(np.int64)
     # Only the CDF at St is read, and a convolution's first k bins depend
     # only on its inputs' first k bins: keep the bins up to St plus two,
     # so the top bin of the truncated sum, which holds the rest of the
     # mass, is never read.
     keep = min(_SINR_POINTS, int(p.St / ds) + 3)
-    branch = np.bincount(idx, weights=pmf, minlength=_SINR_POINTS)[:keep]
+    branch = np.bincount(_sinr_bins(p), weights=pmf,
+                         minlength=_SINR_POINTS)[:keep]
     total = _compound(branch, lambda phi: phi ** p.N)
     grid = np.arange(total.size) * ds
     return float(np.interp(p.St, grid, np.minimum(np.cumsum(total), 1.0)))
+
+
+@functools.lru_cache(maxsize=8)
+def _sinr_bins(p: SystemParams) -> np.ndarray:
+    """SINR-grid bin of each area_grid(p) point, as outage_mrc_sinr
+    rounds it; read-only."""
+    ds = p.N * p.gamma / (_SINR_POINTS - 1)
+    idx = np.rint(sinr(area_grid(p), p) / ds).astype(np.int64)
+    idx.flags.writeable = False
+    return idx
 
 
 def outage_no_combining(pmf: np.ndarray, p: SystemParams) -> float:

@@ -140,8 +140,7 @@ def synthesize_packet(bits, p: SystemParams, df: float) -> np.ndarray:
     if np.shape(bits) != (n_bits,):
         raise InvalidParamsError(f"payload must be a flat array of {n_bits} bits")
     sps = p.samples_per_symbol
-    symbols = np.concatenate([zc_preamble(p.Nzc), pam4_map(bits)])
-    x = _upsample(symbols, sps).astype(np.complex128)
+    x = np.concatenate([_preamble(p.Nzc, sps), _upsample(pam4_map(bits), sps)])
     t = np.arange(x.size) / p.Fs
     return x * np.exp(2j * math.pi * df * t)
 
@@ -275,7 +274,8 @@ def periodogram_cfos(x: np.ndarray, p: SystemParams) -> list[float]:
     does, and lines stay four padded bins apart. Only the bins inside
     the search band are examined (with their two neighbours, for the
     local-maximum test and the refinement); the median is taken from
-    the two middle magnitudes of one partition, dB being monotone.
+    the two middle magnitudes of one partition, dB being monotone, as
+    the mean of their dB values.
     """
     if x.size < _MIN_FRAME:
         raise InvalidParamsError("frame too short for a periodogram")
@@ -285,28 +285,36 @@ def periodogram_cfos(x: np.ndarray, p: SystemParams) -> list[float]:
     spec = np.abs(np.fft.fft(x, nfft))
     half = nfft // 2
     part = np.partition(spec, half)
-    floor = np.median(_db(np.array([part[:nfft - half].max(), part[half]])))
+    a, b = _db(np.array([part[:nfft - half].max(), part[half]])).tolist()
+    floor = (a + b) / 2
     min_sep = _LINE_PAD  # about one pre-padding resolution bin, in padded bins
-    limit = p.Fm + _CFO_MARGIN
-
-    # the band's signed bins, each once, at np.fft.fftfreq's frequencies;
-    # circular, so a carrier near 0 Hz peaks in the DC bin
-    step = 1.0 / (nfft * (1.0 / p.Fs))
-    reach = min(int(limit / step) + 2, nfft // 2)
-    signed = np.arange(-reach, min(reach, (nfft - 1) // 2) + 1)
-    band = np.sort(signed[np.abs(signed * step) <= limit] % nfft)
+    band = _line_band(nfft, p.Fs, p.Fm + _CFO_MARGIN)
     mag = spec[band]
     is_peak = (mag >= spec[(band - 1) % nfft]) & (mag >= spec[(band + 1) % nfft])
     cand = band[is_peak & (_db(mag) > floor + _LINE_DB)]
-    cand = cand[np.argsort(spec[cand])[::-1]]
+    cand = cand[np.argsort(spec[cand])[::-1]].tolist()
     chosen: list[int] = []
     for k in cand:
         if all(min(abs(k - c), nfft - abs(k - c)) >= min_sep for c in chosen):
-            chosen.append(int(k))
+            chosen.append(k)
         if len(chosen) >= _MAX_LINES:
             break
     return sorted(_refine(spec[[(k - 1) % nfft, k, (k + 1) % nfft]], k, nfft,
                           p.Fs) for k in chosen)
+
+
+@functools.lru_cache(maxsize=64)
+def _line_band(nfft: int, fs: float, limit: float) -> np.ndarray:
+    """The bins within limit Hz of zero of an nfft-point spectrum at rate
+    fs, ascending; read-only.
+
+    Each signed bin is taken once, at np.fft.fftfreq's frequency, and
+    circularly, so a carrier near 0 Hz peaks in the DC bin.
+    """
+    step = 1.0 / (nfft * (1.0 / fs))
+    reach = min(int(limit / step) + 2, nfft // 2)
+    signed = np.arange(-reach, min(reach, (nfft - 1) // 2) + 1)
+    return _read_only(np.sort(signed[np.abs(signed * step) <= limit] % nfft))
 
 
 # ---------------------------------------------------------------------------
@@ -351,27 +359,30 @@ def peak_map(x: np.ndarray, cfos: list[float], p: SystemParams) -> PeakMap:
     span = max(0, x.size - pre.size + 1)
     if len(cfos) == 0:
         return PeakMap([], span)
-    y = x * _cis(-np.asarray(cfos, dtype=float), x.size, p.Fs)
+    y = _cis(-np.asarray(cfos, dtype=float), x.size, p.Fs)
+    y *= x
     weights = np.abs(y.sum(axis=1))
     if span == 0:
         corr = np.empty((y.shape[0], 0))
     else:
         n = _fast_len(x.size)
-        corr = np.abs(np.fft.ifft(np.fft.fft(y, n) * _preamble_spectrum(
-            p.Nzc, p.samples_per_symbol, n))[:, :span])
-    is_max = np.ones(corr.shape, dtype=bool)
-    if span > 1:
-        is_max[:, 0] = corr[:, 0] >= corr[:, 1]
-        is_max[:, -1] = corr[:, -1] >= corr[:, -2]
-        is_max[:, 1:-1] = ((corr[:, 1:-1] >= corr[:, :-2])
-                           & (corr[:, 1:-1] >= corr[:, 2:]))
-    is_max &= corr > _ETA * float(np.sum(np.abs(pre) ** 2))
+        spec = np.fft.fft(y, n)
+        spec *= _preamble_spectrum(p.Nzc, p.samples_per_symbol, n)
+        corr = np.abs(np.fft.ifft(spec, out=spec)[:, :span])
+    # local maxima among the above-threshold lags; an end lag is compared
+    # with its one neighbour
+    rows, cols = np.nonzero(corr > _ETA * float(np.sum(np.abs(pre) ** 2)))
+    vals = corr[rows, cols]
+    is_max = ((vals >= corr[rows, np.maximum(cols - 1, 0)])
+              & (vals >= corr[rows, np.minimum(cols + 1, span - 1)]))
+    rows, cols, vals = rows[is_max], cols[is_max], vals[is_max]
+    ends = np.searchsorted(rows, np.arange(len(cfos) + 1)).tolist()
     sep = max(1, p.samples_per_symbol // 2)
     branches = []
-    for cfo, w, c, m in zip(cfos, weights, corr, is_max):
-        cand = np.flatnonzero(m)
+    for r, (cfo, w, c) in enumerate(zip(cfos, weights, corr)):
+        cand = cols[ends[r]: ends[r + 1]]
         chosen: list[int] = []
-        for j in cand[np.argsort(c[cand])[::-1]].tolist():
+        for j in cand[np.argsort(vals[ends[r]: ends[r + 1]])[::-1]].tolist():
             if all(abs(j - q) > sep for q in chosen):
                 chosen.append(j)
         chosen.sort()
@@ -393,20 +404,34 @@ class DriftTable:
                             # row: column c is symbol lag c - Nzc//2
     n_pre: int              # preamble length, samples
 
-    def _window(self, df: float, slack: float) -> slice:
-        """The rows on [df-slack, df+slack]; where none lies there, the
-        first row past df-slack, clamped to the grid."""
+    def __post_init__(self):
+        # window lookups by (kind, start row, stop row), each computed
+        # once; a plain attribute, so no field the dataclass compares
+        self._memo: dict[tuple, object] = {}
+
+    def _window(self, df: float, slack: float) -> tuple[int, int]:
+        """The (start, stop) rows on [df-slack, df+slack]; where none lies
+        there, the first row past df-slack, clamped to the grid."""
         rows = self.shifts.size
         lo = min(max(math.ceil(df - slack) + self.reach, 0), rows - 1)
         hi = max(lo + 1, min(math.floor(df + slack) + self.reach + 1, rows))
-        return slice(lo, hi)
+        return lo, hi
+
+    def _lookup(self, kind: str, df: float, slack: float, make):
+        """make(rows) for the window's row slice, memoized by its rows."""
+        key = (kind, *self._window(df, slack))
+        value = self._memo.get(key)
+        if value is None:
+            value = self._memo[key] = make(slice(key[1], key[2]))
+        return value
 
     def shifts_window(self, df: float, slack: float) -> np.ndarray:
-        """Distinct argmax shifts on [df-slack, df+slack]."""
-        return np.unique(self.shifts[self._window(df, slack)])
+        """Distinct argmax shifts on [df-slack, df+slack]; read-only."""
+        return self._lookup("shifts", df, slack,
+                            lambda rows: _read_only(np.unique(self.shifts[rows])))
 
     def alt_window(self, df: float, slack: float) -> np.ndarray:
-        """Union of the near-top lag sets on [df-slack, df+slack].
+        """Union of the near-top lag sets on [df-slack, df+slack]; read-only.
 
         Where the drift gain collapses several lags tie within noise, so
         an observed image can sit on any of them; cancellation, which
@@ -414,11 +439,26 @@ class DriftTable:
         than the argmax alone.
         """
         nzc = self.near.shape[1]
-        cols = np.flatnonzero(self.near[self._window(df, slack)].any(axis=0))
-        return (cols - nzc // 2) * (self.n_pre // nzc)
+        return self._lookup("alt", df, slack, lambda rows: _read_only(
+            (np.flatnonzero(self.near[rows].any(axis=0)) - nzc // 2)
+            * (self.n_pre // nzc)))
 
     def max_gain_window(self, df: float, slack: float) -> float:
-        return float(np.max(self.gains[self._window(df, slack)]))
+        return self._lookup("gain", df, slack,
+                            lambda rows: float(np.max(self.gains[rows])))
+
+    def _cancel_offsets(self, df: float, slack: float) -> list[int]:
+        """alt_window's lags Q with their linear-correlation complements
+        Q + n_pre and Q - n_pre, as one list."""
+        def make(_rows):
+            q = self.alt_window(df, slack).tolist()
+            return q + [v + self.n_pre for v in q] + [v - self.n_pre for v in q]
+        return self._lookup("cancel", df, slack, make)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def build_drift_table(p: SystemParams) -> DriftTable:
@@ -542,10 +582,11 @@ def spc_resolve(pm: PeakMap, dt: DriftTable) -> list[ValidatedPeak]:
         return []
     energy = float(dt.n_pre)
     wmax = max(b.weight for b in branches)
-    alive = [np.ones(b.positions.size, dtype=bool) for b in branches]
-    pool = [(float(b.magnitudes[i]), j, i)
+    positions = [b.positions.tolist() for b in branches]
+    alive = [[True] * len(ps) for ps in positions]
+    pool = [(m, j, i)
             for j, b in enumerate(branches)
-            for i in range(b.positions.size)]
+            for i, m in enumerate(b.magnitudes.tolist())]
     pool.sort(reverse=True)
     validated: list[ValidatedPeak] = []
     for mag, j, i in pool:
@@ -553,23 +594,24 @@ def spc_resolve(pm: PeakMap, dt: DriftTable) -> list[ValidatedPeak]:
                 or branches[j].weight < _WEIGHT_FLOOR * wmax):
             continue
         alive[j][i] = False
-        pos = int(branches[j].positions[i])
+        pos = positions[j][i]
         required = 0
         missing = 0
         for k, bk in enumerate(branches):
-            if k == j or bk.positions.size == 0:
+            if k == j or not positions[k]:
                 continue
             delta = -(bk.cfo - branches[j].cfo)
             if dt.max_gain_window(delta, _GATE_SLACK) < _MIN_GAIN:
                 continue
-            targets = pos + dt.shifts_window(delta, _CFO_SLACK)
-            targets = targets[(targets >= 0) & (targets < pm.span)]
-            if targets.size == 0:
+            targets = [t for t in (pos + s for s in
+                                   dt.shifts_window(delta, _CFO_SLACK).tolist())
+                       if 0 <= t < pm.span]
+            if not targets:
                 continue
             required += 1
-            live_pos = bk.positions[alive[k]]
-            if live_pos.size == 0 or np.min(np.abs(
-                    live_pos[:, None] - targets[None, :])) > _TOL:
+            if not any(live and abs(q - t) <= _TOL
+                       for q, live in zip(positions[k], alive[k])
+                       for t in targets):
                 missing += 1
         # a predicted gain just above the gate still leaves the image
         # near the correlation threshold, so a minority of absent
@@ -584,13 +626,13 @@ def spc_resolve(pm: PeakMap, dt: DriftTable) -> list[ValidatedPeak]:
         # splits every cyclic lag into a pair Q and Q -+ Nzc*sps, so the
         # complements are cancelled alongside the tabulated shifts
         for k, bk in enumerate(branches):
-            delta = -(bk.cfo - branches[j].cfo)
-            q = dt.alt_window(delta, _CFO_SLACK)
-            targets = pos + np.concatenate([q, q + dt.n_pre, q - dt.n_pre])
-            if bk.positions.size:
-                near = np.min(np.abs(bk.positions[:, None]
-                                     - targets[None, :]), axis=1) <= _TOL
-                alive[k][near] = False
+            if not positions[k]:
+                continue
+            targets = [pos + v for v in
+                       dt._cancel_offsets(-(bk.cfo - branches[j].cfo), _CFO_SLACK)]
+            for i, q in enumerate(positions[k]):
+                if any(abs(q - t) <= _TOL for t in targets):
+                    alive[k][i] = False
     validated.sort(key=lambda v: v.position)
     return validated
 

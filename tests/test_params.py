@@ -3,13 +3,18 @@
 import json
 import math
 from dataclasses import fields
+from fractions import Fraction
+from numbers import Integral, Real
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gfaloha.experiment import ExperimentConfig
 from gfaloha.params import (EnergyParams, InvalidParamsError, SystemParams,
-                            db2lin, slots_for_replicas, zc_root_ok)
+                            db2lin, is_integer, is_real, slots_for_replicas,
+                            zc_root_ok)
 
 
 def test_db_roundtrip():
@@ -35,6 +40,45 @@ def test_default_system_params():
     # default decoding threshold sits half the operating SNR
     assert p.St == pytest.approx(p.gamma / 2.0)
     assert p.N == 2 and p.M == 4
+
+
+# (value, is_integer, is_real): the kinds a parameter field can hold
+NUMBER_KINDS = [
+    (3, True, True), (2.5, False, True), (True, False, False),
+    (np.bool_(True), False, False), (np.int64(3), True, True),
+    (np.float32(2.5), False, True), (np.float32("inf"), False, False),
+    (10 ** 400, True, False), (-10 ** 400, True, False),
+    (math.inf, False, False), (-math.inf, False, False),
+    (math.nan, False, False), (Fraction(1, 3), False, True),
+    ("3", False, False), (None, False, False),
+]
+
+
+@pytest.mark.parametrize("x, integer, real", NUMBER_KINDS)
+def test_number_checks(x, integer, real):
+    assert is_integer(x) is integer
+    assert is_real(x) is real
+
+
+def ref_is_real(x):
+    """is_real without its fast paths."""
+    if not isinstance(x, Real) or isinstance(x, bool):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
+
+
+@given(st.sampled_from([k[0] for k in NUMBER_KINDS]) | st.integers()
+       | st.integers(2 ** 1020, 2 ** 1030) | st.floats() | st.fractions()
+       | st.booleans() | st.text(max_size=3)
+       | st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64)
+       | st.floats(width=32).map(np.float32))
+def test_number_checks_keep_their_contract(x):
+    # the fast paths for a plain int and float change no answer
+    assert is_integer(x) is (isinstance(x, Integral) and not isinstance(x, bool))
+    assert is_real(x) is ref_is_real(x)
 
 
 def test_validate_rejects_bad_params():

@@ -58,6 +58,13 @@ band's bins alone and takes the median from the middle order
 statistics. The full-array search it replaced is kept with the
 transform length as a parameter; at the receiver's transform length
 the two return the same CFO list bit for bit.
+
+`spc_resolve` runs its evidence and cancellation tests on Python lists
+and reads memoized window lookups off the drift table. The array
+version it replaced is kept as a reference; on the peak maps of framed
+noisy streams and on synthetic maps it returns the same validated
+peaks, in the same order. The window lookups return one shared
+read-only array per row range.
 """
 
 import functools
@@ -304,8 +311,14 @@ def test_window_lookups_match_float_grid(i, data):
                                        sg._CFO_SLACK])
                       | st.floats(0.0, 6.0))
     shifts, alt, gain = ref_windows(table, df, slack)
-    assert_same_array(table.shifts_window(df, slack), shifts)
-    assert_same_array(table.alt_window(df, slack), alt)
+    got_shifts = table.shifts_window(df, slack)
+    got_alt = table.alt_window(df, slack)
+    assert table.max_gain_window(df, slack) == gain
+    # a second lookup is the memoized, read-only object, still equal
+    for got, want, again in ((got_shifts, shifts, table.shifts_window(df, slack)),
+                             (got_alt, alt, table.alt_window(df, slack))):
+        assert again is got and not got.flags.writeable
+        assert_same_array(got, want)
     assert table.max_gain_window(df, slack) == gain
 
 
@@ -390,6 +403,136 @@ def test_peak_map_matches_on_framed_events():
             cfos = sg.periodogram_cfos(frame, P)
             assert_same_map(sg.peak_map(frame, cfos, P),
                             ref_peak_map(frame, cfos, P), frame, P)
+
+
+# ---------------------------------------------------------------------------
+# Peak validation against the array version
+# ---------------------------------------------------------------------------
+
+def ref_spc_resolve(pm, dt):
+    """Cross-branch validation on arrays: alive masks, broadcast distance
+    tests and the window lookups recomputed for every branch pair."""
+    branches = pm.branches
+    if not branches:
+        return []
+    energy = float(dt.n_pre)
+    wmax = max(b.weight for b in branches)
+    alive = [np.ones(b.positions.size, dtype=bool) for b in branches]
+    pool = [(float(b.magnitudes[i]), j, i)
+            for j, b in enumerate(branches)
+            for i in range(b.positions.size)]
+    pool.sort(reverse=True)
+    validated = []
+    for mag, j, i in pool:
+        if (not alive[j][i] or mag < sg._CAND_FLOOR * energy
+                or branches[j].weight < sg._WEIGHT_FLOOR * wmax):
+            continue
+        alive[j][i] = False
+        pos = int(branches[j].positions[i])
+        required = 0
+        missing = 0
+        for k, bk in enumerate(branches):
+            if k == j or bk.positions.size == 0:
+                continue
+            delta = -(bk.cfo - branches[j].cfo)
+            if dt.max_gain_window(delta, sg._GATE_SLACK) < sg._MIN_GAIN:
+                continue
+            targets = pos + dt.shifts_window(delta, sg._CFO_SLACK)
+            targets = targets[(targets >= 0) & (targets < pm.span)]
+            if targets.size == 0:
+                continue
+            required += 1
+            live_pos = bk.positions[alive[k]]
+            if live_pos.size == 0 or np.min(np.abs(
+                    live_pos[:, None] - targets[None, :])) > sg._TOL:
+                missing += 1
+        if missing > (required // 3 if required >= 3 else 0):
+            continue
+        validated.append(sg.ValidatedPeak(branches[j].cfo, pos))
+        for k, bk in enumerate(branches):
+            delta = -(bk.cfo - branches[j].cfo)
+            q = dt.alt_window(delta, sg._CFO_SLACK)
+            targets = pos + np.concatenate([q, q + dt.n_pre, q - dt.n_pre])
+            if bk.positions.size:
+                near = np.min(np.abs(bk.positions[:, None]
+                                     - targets[None, :]), axis=1) <= sg._TOL
+                alive[k][near] = False
+    validated.sort(key=lambda v: v.position)
+    return validated
+
+
+def assert_same_validation(pm, dt):
+    got = sg.spc_resolve(pm, dt)
+    want = ref_spc_resolve(pm, dt)
+    assert [(type(v.position), v.position, v.cfo) for v in got] \
+        == [(type(v.position), v.position, v.cfo) for v in want]
+    return got
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([0.5, 1.0, 4.0]),
+       st.data())
+def test_spc_resolve_matches_arrays_on_framed_streams(seed, snr_scale, data):
+    # two packets of random offset and CFO in noise, cut into a random
+    # frame (a packet may be clipped or absent), on its periodogram's
+    # CFO branches; a fresh table, so its memo starts empty
+    rng = np.random.default_rng(seed)
+    n_pkt = round(P.Tp * P.Fs)
+    sig = np.zeros(3 * n_pkt, dtype=complex)
+    for c, s0 in zip(rng.uniform(-P.Fm, P.Fm, 2), rng.integers(0, 2 * n_pkt, 2)):
+        sig[s0: s0 + n_pkt] += random_packet(rng, P, float(c))
+    noisy = sg.awgn(sig, snr_scale * P.gamma, rng)
+    start = data.draw(st.integers(0, sig.size - sg._MIN_FRAME))
+    stop = data.draw(st.integers(start + sg._MIN_FRAME, sig.size))
+    frame = noisy[start:stop]
+    pm = sg.peak_map(frame, sg.periodogram_cfos(frame, P), P)
+    assert_same_validation(pm, sg.build_drift_table(P))
+
+
+@st.composite
+def synthetic_maps(draw):
+    """Peak maps on a table's CFO range: branches some a few Hz apart,
+    the images of a few arrivals at drift-table shifts (give or take a
+    sample) among stray peaks, magnitudes around the candidate floor
+    with ties, and carrier-line weights, one exactly half the strongest."""
+    i = draw(st.integers(0, len(WINDOW_PARAMS) - 1))
+    table = window_table(i)
+    p = WINDOW_PARAMS[i]
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    lim = p.Fm + sg._CFO_MARGIN
+    k = draw(st.integers(0, 7))
+    cfos = rng.uniform(-lim, lim, k)
+    close = (rng.random(k) < 0.3) & (np.arange(k) > 0)
+    if k:
+        cfos[close] = cfos[0] + rng.uniform(-3.0, 3.0, int(close.sum()))
+    span = int(rng.integers(1, 3 * table.n_pre))
+    arrivals = [(int(rng.integers(0, span)), float(rng.choice(cfos)))
+                for _ in range(int(rng.integers(0, 4)) if k else 0)]
+    floor = sg._CAND_FLOOR * table.n_pre
+    weights = rng.uniform(0.2, 1.0, k)
+    if k > 1:
+        weights[1] = 0.5 * weights.max()
+    branches = []
+    for c, w in zip(cfos.tolist(), weights.tolist()):
+        pos = set(rng.integers(0, span, int(rng.integers(0, 6))).tolist())
+        for p0, c0 in arrivals:
+            if rng.random() < 0.8:
+                shifts = table.shifts_window(-(c - c0), sg._CFO_SLACK)
+                pos.add(p0 + int(rng.choice(shifts)) + int(rng.integers(-1, 2)))
+        pos = np.array(sorted(q for q in pos if 0 <= q < span), dtype=np.int64)
+        if rng.random() < 0.3:
+            mags = floor * rng.choice([0.9, 1.0, 1.2], pos.size)
+        else:
+            mags = floor * rng.uniform(0.7, 1.3, pos.size)
+        branches.append(sg.PeakBranch(c, pos, mags, w))
+    return sg.PeakMap(branches, span), table
+
+
+@settings(max_examples=400, deadline=None)
+@given(synthetic_maps())
+def test_spc_resolve_matches_arrays_on_synthetic_maps(case):
+    assert_same_validation(*case)
 
 
 # ---------------------------------------------------------------------------
