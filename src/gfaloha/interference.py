@@ -174,7 +174,8 @@ def unconditional_cdf(base: np.ndarray, g: float, p: SystemParams) -> np.ndarray
     the base law, the aggregate is the full Poisson mixture
     exp(mu*(phi - 1)), with no count left out, from one tilted FFT
     (_compound): exact below the grid maximum up to rounding; the top bin
-    holds the rest.
+    holds the rest. phi is taken once per base law (_base_rfft), since
+    the fixed point calls this at every iterate g.
     """
     if g < 0:
         raise InvalidParamsError("replica rate must be nonnegative")
