@@ -373,7 +373,8 @@ def validate_receiver(cfg: ExperimentConfig) -> dict:
     the report JSON into the output directory and returns it.
     """
     cfg.validate()
-    p = cfg.system.validate(sample_level=True)
+    dt = sg.build_drift_table(cfg.system)   # checks the sample-level params
+    p = dt.p
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     n_trials = cfg.receiver_trials
@@ -381,7 +382,6 @@ def validate_receiver(cfg: ExperimentConfig) -> dict:
     n_pkt = round(p.Tp * p.Fs)
     decisions = hashlib.sha256()
 
-    dt = sg.build_drift_table(p)
     sps = p.samples_per_symbol
     drift = {"q_zero_symbols": int(dt.shifts[dt.reach]) // sps,
              "q_max_symbols": int(np.max(np.abs(dt.shifts))) // sps,
@@ -400,7 +400,7 @@ def validate_receiver(cfg: ExperimentConfig) -> dict:
         if noisy:
             sig = sg.awgn(sig, p.gamma, rng)
         thr = 1.4 / p.gamma if noisy else 0.1   # gate over the floor 1/gamma
-        return _digest(decisions, sg.decode_stream(sig, p, dt, thr))
+        return _digest(decisions, sg.decode_stream(sig, dt, thr))
 
     bits = rng.integers(0, 2, nbits).astype(np.uint8)
     got = receive(2, [(3 * n_pkt // 20, bits, 31.0)], noisy=False)

@@ -29,15 +29,13 @@ class InvalidParamsError(ValueError):
 
 def is_integer(x) -> bool:
     """An integer, Python or numpy, that is not a bool."""
-    return type(x) is int or (isinstance(x, Integral) and not isinstance(x, bool))
+    return isinstance(x, Integral) and not isinstance(x, bool)
 
 
 def is_real(x) -> bool:
     """A real number, Python or numpy, that is not a bool and is finite
     as a float."""
-    if type(x) is float:
-        return math.isfinite(x)
-    if type(x) is not int and (not isinstance(x, Real) or isinstance(x, bool)):
+    if not isinstance(x, Real) or isinstance(x, bool):
         return False
     try:
         return math.isfinite(x)

@@ -133,9 +133,9 @@ def synthesize_packet(bits, p: SystemParams, df: float) -> np.ndarray:
     """Preamble + 4-PAM payload, upsampled to Fs and shifted by df.
 
     bits is the full payload: a flat array of payload_bits_per_packet(p)
-    bits, so the packet spans Tp.
+    bits, so the packet spans Tp. p is not checked here: callers pass one
+    that build_drift_table or validate_receiver has validated.
     """
-    p.validate(sample_level=True)
     n_bits = payload_bits_per_packet(p)
     if np.shape(bits) != (n_bits,):
         raise InvalidParamsError(f"payload must be a flat array of {n_bits} bits")
@@ -403,11 +403,13 @@ class DriftTable:
     near: np.ndarray        # bool rows x Nzc, the near-top lags of each
                             # row: column c is symbol lag c - Nzc//2
     n_pre: int              # preamble length, samples
+    p: SystemParams         # the parameters build_drift_table checked
 
     def __post_init__(self):
-        # window lookups by (kind, start row, stop row), each computed
-        # once; a plain attribute, so no field the dataclass compares
-        self._memo: dict[tuple, object] = {}
+        # gate and images by (start row, stop row), each computed once;
+        # plain attributes, so no field the dataclass compares
+        self._gates: dict[tuple[int, int], float] = {}
+        self._images: dict[tuple[int, int], tuple] = {}
 
     def _window(self, df: float, slack: float) -> tuple[int, int]:
         """The (start, stop) rows on [df-slack, df+slack]; where none lies
@@ -417,43 +419,32 @@ class DriftTable:
         hi = max(lo + 1, min(math.floor(df + slack) + self.reach + 1, rows))
         return lo, hi
 
-    def _lookup(self, kind: str, df: float, slack: float, make):
-        """make(rows) for the window's row slice, memoized by its rows."""
-        key = (kind, *self._window(df, slack))
-        value = self._memo.get(key)
+    def gate(self, df: float) -> float:
+        """The largest drift gain on [df-_GATE_SLACK, df+_GATE_SLACK]."""
+        key = self._window(df, _GATE_SLACK)
+        gain = self._gates.get(key)
+        if gain is None:
+            gain = self._gates[key] = float(np.max(self.gains[key[0]:key[1]]))
+        return gain
+
+    def images(self, df: float) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Image lags at offset difference df from the rows on
+        [df-_CFO_SLACK, df+_CFO_SLACK]: the distinct argmax shifts, where
+        evidence is looked for, and the lags to cancel. Where the gain
+        collapses an image can sit on any near-top lag, so those are the
+        union Q of the near-top sets with their linear-correlation
+        complements Q + n_pre and Q - n_pre."""
+        key = self._window(df, _CFO_SLACK)
+        value = self._images.get(key)
         if value is None:
-            value = self._memo[key] = make(slice(key[1], key[2]))
+            rows = slice(*key)
+            nzc = self.near.shape[1]
+            q = ((np.flatnonzero(self.near[rows].any(axis=0)) - nzc // 2)
+                 * (self.n_pre // nzc)).tolist()
+            value = self._images[key] = (
+                tuple(np.unique(self.shifts[rows]).tolist()),
+                tuple(q + [v + self.n_pre for v in q] + [v - self.n_pre for v in q]))
         return value
-
-    def shifts_window(self, df: float, slack: float) -> np.ndarray:
-        """Distinct argmax shifts on [df-slack, df+slack]; read-only."""
-        return self._lookup("shifts", df, slack,
-                            lambda rows: _read_only(np.unique(self.shifts[rows])))
-
-    def alt_window(self, df: float, slack: float) -> np.ndarray:
-        """Union of the near-top lag sets on [df-slack, df+slack]; read-only.
-
-        Where the drift gain collapses several lags tie within noise, so
-        an observed image can sit on any of them; cancellation, which
-        must cover every place an image can appear, uses this set rather
-        than the argmax alone.
-        """
-        nzc = self.near.shape[1]
-        return self._lookup("alt", df, slack, lambda rows: _read_only(
-            (np.flatnonzero(self.near[rows].any(axis=0)) - nzc // 2)
-            * (self.n_pre // nzc)))
-
-    def max_gain_window(self, df: float, slack: float) -> float:
-        return self._lookup("gain", df, slack,
-                            lambda rows: float(np.max(self.gains[rows])))
-
-    def _cancel_offsets(self, df: float, slack: float) -> list[int]:
-        """alt_window's lags Q with their linear-correlation complements
-        Q + n_pre and Q - n_pre, as one list."""
-        def make(_rows):
-            q = self.alt_window(df, slack).tolist()
-            return q + [v + self.n_pre for v in q] + [v - self.n_pre for v in q]
-        return self._lookup("cancel", df, slack, make)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -538,7 +529,7 @@ def build_drift_table(p: SystemParams) -> DriftTable:
         shifts[block] = sym[s, best[j]] * sps
         gains[block] = top[j] / energy
         near[block] = near_abs[s, j]
-    return DriftTable(reach, shifts, gains, near, n)
+    return DriftTable(reach, shifts, gains, near, n, p)
 
 
 # ---------------------------------------------------------------------------
@@ -601,10 +592,9 @@ def spc_resolve(pm: PeakMap, dt: DriftTable) -> list[ValidatedPeak]:
             if k == j or not positions[k]:
                 continue
             delta = -(bk.cfo - branches[j].cfo)
-            if dt.max_gain_window(delta, _GATE_SLACK) < _MIN_GAIN:
+            if dt.gate(delta) < _MIN_GAIN:
                 continue
-            targets = [t for t in (pos + s for s in
-                                   dt.shifts_window(delta, _CFO_SLACK).tolist())
+            targets = [t for t in (pos + s for s in dt.images(delta)[0])
                        if 0 <= t < pm.span]
             if not targets:
                 continue
@@ -628,8 +618,7 @@ def spc_resolve(pm: PeakMap, dt: DriftTable) -> list[ValidatedPeak]:
         for k, bk in enumerate(branches):
             if not positions[k]:
                 continue
-            targets = [pos + v for v in
-                       dt._cancel_offsets(-(bk.cfo - branches[j].cfo), _CFO_SLACK)]
+            targets = [pos + v for v in dt.images(-(bk.cfo - branches[j].cfo))[1]]
             for i, q in enumerate(positions[k]):
                 if any(abs(q - t) <= _TOL for t in targets):
                     alive[k][i] = False
@@ -724,7 +713,7 @@ def demap_payload(seq: np.ndarray, p: SystemParams) -> np.ndarray:
     return pam4_demap(sym.real)
 
 
-def decode_stream(x: np.ndarray, p: SystemParams, dt: DriftTable,
+def decode_stream(x: np.ndarray, dt: DriftTable,
                   power_threshold: float) -> list[tuple]:
     """The full chain over a sample stream: one (position, cfo, bits)
     triple per packet in decoding order, bits None where the stream ends
@@ -740,7 +729,9 @@ def decode_stream(x: np.ndarray, p: SystemParams, dt: DriftTable,
     examined; a copy that still validates is dropped here, after the one
     earlier in position. Frames under _MIN_FRAME are skipped: at few
     samples per symbol a noise blip widened by the margins is one.
+    Geometry comes from dt.p, the parameters the table was checked for.
     """
+    p = dt.p
     out = []
     n_pkt = round(p.Tp * p.Fs)
     for start, stop in frame_events(x, p, power_threshold):

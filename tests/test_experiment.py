@@ -464,8 +464,8 @@ def faulty_decoder(monkeypatch):
     the noise-free packet, streams 2 .. trials + 1 the single suite's."""
     decode, calls = sg.decode_stream, []
 
-    def decode_stream(x, p, dt, power_threshold):
-        got = decode(x, p, dt, power_threshold)
+    def decode_stream(x, dt, power_threshold):
+        got = decode(x, dt, power_threshold)
         calls.append(None)
         if len(calls) == 2:
             return []

@@ -31,7 +31,7 @@ def dt():
 
 def chain(x, dt, thr=1.4 / P.gamma):
     """Decode a raw stream into (position, cfo, bits|None) triples."""
-    return sg.decode_stream(x, P, dt, thr)
+    return sg.decode_stream(x, dt, thr)
 
 
 def random_bits(rng, p=P):
@@ -204,11 +204,11 @@ def test_decode_stream_drops_a_packet_seen_in_two_frames(dt, monkeypatch):
     # the first and leaves the decisions digest as if it came once
     rng = np.random.default_rng(9)
     sig = packet_stream([(300, -20.0, None), (2600, 35.0, None)], 5000, rng=rng)
-    single = sg.decode_stream(sig, P, dt, 0.1)
+    single = sg.decode_stream(sig, dt, 0.1)
     assert len(single) == 2
     frame = sg.frame_events
     monkeypatch.setattr(sg, "frame_events", lambda *a, **k: 2 * frame(*a, **k))
-    doubled = sg.decode_stream(sig, P, dt, 0.1)
+    doubled = sg.decode_stream(sig, dt, 0.1)
     assert [(q, c) for q, c, _ in doubled] == [(q, c) for q, c, _ in single]
     assert all(np.array_equal(a, b) for (_, _, a), (_, _, b)
                in zip(doubled, single))
@@ -216,6 +216,24 @@ def test_decode_stream_drops_a_packet_seen_in_two_frames(dt, monkeypatch):
     ex._digest(once, single)
     ex._digest(twice, doubled)
     assert twice.digest() == once.digest()
+
+
+def test_decode_stream_reads_the_tables_params():
+    # the table carries the sample-level set it was built for, and the
+    # chain decodes at that set's geometry (20 samples per symbol, a
+    # 13-symbol preamble) with no second SystemParams
+    p = SystemParams(Nzc=13, Fs=2000.0)
+    table = sg.build_drift_table(p)
+    assert table.p == p
+    rng = np.random.default_rng(12)
+    bits = random_bits(rng, p)
+    n_pkt = round(p.Tp * p.Fs)
+    sig = np.zeros(2 * n_pkt, dtype=complex)
+    sig[170: 170 + n_pkt] = sg.synthesize_packet(bits, p, -37.0)
+    got = sg.decode_stream(sig, table, 0.1)
+    assert [pos for pos, _, _ in got] == [170]
+    assert abs(got[0][1] + 37.0) < 1.0
+    assert np.array_equal(got[0][2], bits)
 
 
 # ---------------------------------------------------------------------------
@@ -298,10 +316,11 @@ def test_drift_table_alt_sets(dt):
     assert dt.near.shape == (2 * dt.reach + 1, P.Nzc)
     for i in range(0, dt.shifts.size, 37):
         assert dt.near[i, dt.shifts[i] // sps + P.Nzc // 2]
+    # and the window's argmax shifts lie in its near-top lags Q, the
+    # first third of the cancelled offsets (Q, Q + n_pre, Q - n_pre)
     for df in (0.0, 21.0, 50.0, 150.0):
-        tight = set(dt.shifts_window(df, 2.5).tolist())
-        wide = set(dt.alt_window(df, 2.5).tolist())
-        assert tight <= wide
+        shifts, cancel = dt.images(df)
+        assert set(shifts) <= set(cancel[: len(cancel) // 3])
 
 
 def test_drift_table_deterministic(dt):

@@ -24,9 +24,10 @@ the contract is:
 
 The reference computes its own CFO grid from the table's rule (1 Hz
 steps over twice the widest periodogram line plus the lookup slack), so
-the grid's reach is checked too. The table's window lookups index that
-integer grid directly; they are checked against the searchsorted lookups
-on a float grid and the per-row lag sets they replaced.
+the grid's reach is checked too. The table's two window lookups, `gate`
+at _GATE_SLACK and `images` at _CFO_SLACK, index that integer grid
+directly; they are checked against `ref_windows`, searchsorted lookups on
+a float grid over the per-row lag sets they replaced.
 
 `frame_events` merges supra-threshold runs whose smoothing-widened spans
 touch, in one array pass. The two-step rule it replaced (bridge gaps of
@@ -61,10 +62,11 @@ the two return the same CFO list bit for bit.
 
 `spc_resolve` runs its evidence and cancellation tests on Python lists
 and reads memoized window lookups off the drift table. The array
-version it replaced is kept as a reference; on the peak maps of framed
-noisy streams and on synthetic maps it returns the same validated
-peaks, in the same order. The window lookups return one shared
-read-only array per row range.
+version it replaced is kept as a reference that reads its windows
+through `ref_windows`, so it shares no lookup code with the table; on
+the peak maps of framed noisy streams and on synthetic maps it returns
+the same validated peaks, in the same order. Each lookup returns one
+shared immutable value per row range.
 """
 
 import functools
@@ -127,7 +129,7 @@ def ref_build_drift_table(p):
         gains[i] = top / energy
         for v in lags[mag[i] >= top * 0.8 * (1.0 - 1e-9)]:
             near[i, canon(int(v)) // sps + half] = True
-    return sg.DriftTable(reach, shifts, gains, near, n)
+    return sg.DriftTable(reach, shifts, gains, near, n, p)
 
 
 def ref_correlate_preamble(x, fs, cfo, preamble, sep):
@@ -188,6 +190,7 @@ def assert_same_table(got, want):
         assert_same_array(getattr(got, name), getattr(want, name))
     assert_close_array(got.gains, want.gains, 1.0)
     assert type(got.n_pre) is int and got.n_pre == want.n_pre
+    assert got.p == want.p
 
 
 def assert_same_map(got, want, x, p):
@@ -307,19 +310,17 @@ def test_window_lookups_match_float_grid(i, data):
     edge = table.reach + 8
     df = data.draw(st.integers(-4 * edge, 4 * edge).map(lambda k: k / 4)
                    | st.floats(-edge, edge))
-    slack = data.draw(st.sampled_from([0.0, 0.5, sg._GATE_SLACK,
-                                       sg._CFO_SLACK])
-                      | st.floats(0.0, 6.0))
-    shifts, alt, gain = ref_windows(table, df, slack)
-    got_shifts = table.shifts_window(df, slack)
-    got_alt = table.alt_window(df, slack)
-    assert table.max_gain_window(df, slack) == gain
-    # a second lookup is the memoized, read-only object, still equal
-    for got, want, again in ((got_shifts, shifts, table.shifts_window(df, slack)),
-                             (got_alt, alt, table.alt_window(df, slack))):
-        assert again is got and not got.flags.writeable
-        assert_same_array(got, want)
-    assert table.max_gain_window(df, slack) == gain
+    gain = ref_windows(table, df, sg._GATE_SLACK)[2]
+    shifts, alt, _ = ref_windows(table, df, sg._CFO_SLACK)
+    cancel = np.concatenate([alt, alt + table.n_pre, alt - table.n_pre])
+    got_gain = table.gate(df)
+    got = table.images(df)
+    assert type(got_gain) is float and got_gain == gain
+    assert got == (tuple(shifts.tolist()), tuple(cancel.tolist()))
+    assert all(type(v) is int for v in got[0] + got[1])
+    # a second lookup is the memoized object
+    assert table.gate(df) is got_gain
+    assert table.images(df) is got
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +412,7 @@ def test_peak_map_matches_on_framed_events():
 
 def ref_spc_resolve(pm, dt):
     """Cross-branch validation on arrays: alive masks, broadcast distance
-    tests and the window lookups recomputed for every branch pair."""
+    tests and ref_windows recomputed for every branch pair."""
     branches = pm.branches
     if not branches:
         return []
@@ -435,9 +436,9 @@ def ref_spc_resolve(pm, dt):
             if k == j or bk.positions.size == 0:
                 continue
             delta = -(bk.cfo - branches[j].cfo)
-            if dt.max_gain_window(delta, sg._GATE_SLACK) < sg._MIN_GAIN:
+            if ref_windows(dt, delta, sg._GATE_SLACK)[2] < sg._MIN_GAIN:
                 continue
-            targets = pos + dt.shifts_window(delta, sg._CFO_SLACK)
+            targets = pos + ref_windows(dt, delta, sg._CFO_SLACK)[0]
             targets = targets[(targets >= 0) & (targets < pm.span)]
             if targets.size == 0:
                 continue
@@ -451,7 +452,7 @@ def ref_spc_resolve(pm, dt):
         validated.append(sg.ValidatedPeak(branches[j].cfo, pos))
         for k, bk in enumerate(branches):
             delta = -(bk.cfo - branches[j].cfo)
-            q = dt.alt_window(delta, sg._CFO_SLACK)
+            q = ref_windows(dt, delta, sg._CFO_SLACK)[1]
             targets = pos + np.concatenate([q, q + dt.n_pre, q - dt.n_pre])
             if bk.positions.size:
                 near = np.min(np.abs(bk.positions[:, None]
@@ -518,7 +519,7 @@ def synthetic_maps(draw):
         pos = set(rng.integers(0, span, int(rng.integers(0, 6))).tolist())
         for p0, c0 in arrivals:
             if rng.random() < 0.8:
-                shifts = table.shifts_window(-(c - c0), sg._CFO_SLACK)
+                shifts = ref_windows(table, -(c - c0), sg._CFO_SLACK)[0]
                 pos.add(p0 + int(rng.choice(shifts)) + int(rng.integers(-1, 2)))
         pos = np.array(sorted(q for q in pos if 0 <= q < span), dtype=np.int64)
         if rng.random() < 0.3:
